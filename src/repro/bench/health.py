@@ -92,8 +92,9 @@ REPLAY_TRACE_DURATION_US = 8_000_000.0
 
 
 def _make_workload(name: str):
-    """Smaller kits than bench.perf — four rigs + a double-run must stay
-    CI-smoke sized — but the same shapes and write mixes."""
+    """Smaller kits than the stack benchmark's (``benchmarks/stack``) —
+    four rigs + a double-run must stay CI-smoke sized — but the same
+    shapes and write mixes."""
     if name == "tpcb":
         return TPCB(sf=4, accounts_per_branch=200)
     if name == "tpcc":

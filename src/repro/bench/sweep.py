@@ -3,8 +3,8 @@
 Every rig in this package is a closed world — one :class:`Simulator`,
 one :class:`~repro.telemetry.MetricsRegistry`, no shared mutable state —
 which makes multi-run rigs (crash-cut sweeps, siege seed sweeps, Fig. 3
-trace replays, perf trials) embarrassingly parallel *if* the results can
-be recombined without perturbing a single byte of output.  The contract:
+trace replays) embarrassingly parallel *if* the results can be
+recombined without perturbing a single byte of output.  The contract:
 
 * every task runs against a **fresh** registry created inside the task
   function (never the parent's), whether it executes in-process or in a
@@ -20,17 +20,14 @@ Registries cross the process pipe via pickle (collectors and the clock
 are dropped in transit — see ``MetricsRegistry.__getstate__``) and fold
 into the parent's master registry with ``merge_from`` in seed order.
 
-CLI (used by the CI sweep-smoke job)::
+CLI (the CI ``crash-smoke`` job runs its sweep step)::
 
     python -m repro.bench.sweep crash --workers 4 --cuts 8 ...
     python -m repro.bench.sweep siege --workers 4 --seeds 11 12 13 14
     python -m repro.bench.sweep fig3  --workers 3
-    python -m repro.bench.sweep perf  --workers 2 --trials 4 --quick
 
-``crash``/``siege``/``fig3`` forward to the bench module's own CLI
-(each grew a ``--workers`` flag that routes through :func:`run_sweep`);
-``perf`` runs N wall-clock trials per rig and reports per-rig medians
-plus a cross-trial digest agreement check.
+Each subcommand forwards to the bench module's own CLI (each grew a
+``--workers`` flag that routes through :func:`run_sweep`).
 """
 
 from __future__ import annotations
@@ -113,85 +110,14 @@ def run_sweep(
 # -- CLI ----------------------------------------------------------------------
 
 
-def _perf_trials(argv: Sequence[str]) -> int:
-    """N wall-clock trials per rig across the pool; medians + digest gate."""
-    import argparse
-    import statistics
-
-    from .perf import FULL_DURATION_US, QUICK_DURATION_US, RIGS
-    from .reporting import emit, export_metrics, render_table
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.sweep perf",
-        description="Parallel wall-clock perf trials (median of N runs)",
-    )
-    parser.add_argument("--rig", action="append", choices=RIGS, default=None)
-    parser.add_argument("--trials", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--duration-us", type=float, default=None)
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args(argv)
-
-    rigs = tuple(args.rig) if args.rig else RIGS
-    if args.duration_us is not None:
-        duration = args.duration_us
-    else:
-        duration = QUICK_DURATION_US if args.quick else FULL_DURATION_US
-
-    tasks = [
-        SweepTask(
-            label=f"{rig}#{trial}",
-            fn="repro.bench.perf:run_rig",
-            kwargs={"rig": rig, "seed": args.seed, "duration_us": duration},
-        )
-        for rig in rigs
-        for trial in range(max(1, args.trials))
-    ]
-    points = run_sweep(tasks, workers=args.workers)
-
-    failed = False
-    rows = []
-    summary = {}
-    for rig in rigs:
-        mine = [p for p in points if p.rig == rig]
-        digests = {p.metrics_digest for p in mine}
-        if len(digests) != 1:
-            emit(f"DETERMINISM FAILURE: {rig} produced {len(digests)} "
-                 f"distinct digests across {len(mine)} trials")
-            failed = True
-        med_events = statistics.median(p.events_per_sec for p in mine)
-        med_ops = statistics.median(p.ops_per_sec for p in mine)
-        rows.append([rig, len(mine), med_events, med_ops,
-                     "ok" if len(digests) == 1 else "MISMATCH"])
-        summary[rig] = {
-            "trials": len(mine),
-            "median_events_per_sec": med_events,
-            "median_ops_per_sec": med_ops,
-            "digest": sorted(digests)[0],
-            "digests_agree": len(digests) == 1,
-        }
-    emit(render_table(
-        f"perf trials (median of {max(1, args.trials)}, "
-        f"{args.workers} worker(s))",
-        ["rig", "trials", "median events/s", "median commits/s", "digests"],
-        rows,
-    ))
-    export_metrics("BENCH_sweep_perf", summary)
-    return 1 if failed else 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import sys
 
     argv = list(sys.argv[1:] if argv is None else argv)
     usage = (
         "usage: python -m repro.bench.sweep "
-        "{crash,siege,fig3,perf} [bench options...]\n"
-        "  crash/siege/fig3 forward to that bench's CLI "
-        "(all accept --workers N);\n"
-        "  perf runs parallel wall-clock trials "
-        "(--trials N --workers N [--quick])."
+        "{crash,siege,fig3} [bench options...]\n"
+        "  each forwards to that bench's CLI (all accept --workers N)."
     )
     if not argv or argv[0] in ("-h", "--help"):
         print(usage)
@@ -203,8 +129,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .siege import main as bench_main
     elif bench == "fig3":
         from .fig3 import main as bench_main
-    elif bench == "perf":
-        return _perf_trials(rest)
     else:
         print(usage)
         return 2

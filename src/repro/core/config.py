@@ -36,9 +36,11 @@ class NoFTLConfig:
         host data class (WAL / heap-hot / heap-cold / btree / map / temp
         / recovery), resolved from the ``OpContext.data_class`` stamp
         riding on each write, with class-segregated GC and mount-time
-        frontier re-derivation (DESIGN.md §14).  Off by default — the
-        legacy hot/cold path stays event-for-event identical.  Requires
-        ``separate_streams``.
+        frontier re-derivation (DESIGN.md §14).  It selects only which
+        stream names the manager passes down; off, every write takes the
+        legacy hot/cold streams (class code 0).  Off by default: the open
+        class frontiers exhaust the block pool on small planes (§14).
+        Requires ``separate_streams``.
     use_copyback
         Relocate within a plane via COPYBACK (no bus transfer) instead of
         read+program.

@@ -61,8 +61,8 @@ class MountReport:
     max_seq: int = 0                # highest write sequence adopted
     max_lpn: int = -1               # highest mapped logical page
     mapped_lpns: frozenset = field(default_factory=frozenset)
-    #: Write-streams mode: per-stream write points re-derived from OOB
-    #: class evidence, as (pbn, stream, next_offset) triples.
+    #: Per-stream write points re-derived from OOB class evidence, as
+    #: (pbn, stream, next_offset) triples (empty without class tags).
     stream_frontiers: tuple = ()
 
     def snapshot(self) -> dict:
@@ -76,8 +76,8 @@ class MountReport:
             "max_seq": self.max_seq,
             "max_lpn": self.max_lpn,
         }
-        # Only surfaced in write-streams mode: keeps legacy snapshot
-        # shapes (and the digests hashed over them) bit-identical.
+        # Only surfaced when class-tagged frontiers exist: keeps legacy
+        # snapshot shapes (and the digests hashed over them) bit-identical.
         if self.stream_frontiers:
             out["stream_frontiers"] = [
                 list(entry) for entry in self.stream_frontiers
@@ -136,7 +136,6 @@ class NoFTLStorageManager:
                 gc_policy=self.config.gc_policy,
                 gc_low_water=self.config.gc_low_water,
                 separate_streams=self.config.separate_streams,
-                class_streams=self.config.write_streams,
                 use_copyback=self.config.use_copyback,
                 wear_level_delta=self.config.wear_level_delta,
                 wear_level_check_every=self.config.wear_level_check_every,
@@ -299,19 +298,17 @@ class NoFTLStorageManager:
         mapped: List[int] = []
         programmed_blocks: set = set()
         torn_blocks: set = set()
-        streams_on = self.config.write_streams
-        if streams_on:
-            # Write-streams evidence, gathered in the same single pass:
-            # which offsets of each block are programmed (bitmask), the
-            # block's class uniformity (0 unseen, >0 a single class code,
-            # -1 mixed or untagged), its newest sequence number, and each
-            # page's class for the lpn_class rebuild below.
-            pages_per_block = self.geometry.pages_per_block
-            total_blocks = self.geometry.total_blocks
-            block_mask = _array("q", [0]) * total_blocks
-            block_cls = _array("l", [0]) * total_blocks
-            block_seq = _array("q", [0]) * total_blocks
-            cls_of_ppn = bytearray(self.geometry.total_pages)
+        # Write-stream evidence, gathered in the same single pass: which
+        # offsets of each block are programmed (bitmask), the block's
+        # class uniformity (0 unseen, >0 a single class code, -1 mixed or
+        # untagged), its newest sequence number, and each page's class
+        # for the lpn_class rebuild below.
+        pages_per_block = self.geometry.pages_per_block
+        total_blocks = self.geometry.total_blocks
+        block_mask = _array("q", [0]) * total_blocks
+        block_cls = _array("l", [0]) * total_blocks
+        block_seq = _array("q", [0]) * total_blocks
+        cls_of_ppn = bytearray(self.geometry.total_pages)
         for ppn in range(self.geometry.total_pages):
             report.pages_scanned += 1
             try:
@@ -330,7 +327,7 @@ class NoFTLStorageManager:
             pbn = self.geometry.block_of_ppn(ppn)
             programmed_blocks.add(pbn)
             oob = result.oob
-            if streams_on and isinstance(oob, dict):
+            if isinstance(oob, dict):
                 code = oob.get("cls", 0)
                 if code not in CODE_CLASSES:
                     code = 0
@@ -371,6 +368,10 @@ class NoFTLStorageManager:
         for lpn in mapped:
             seq, ppn = newest_seq[lpn], newest_ppn[lpn]
             fresh.bind(lpn, ppn)
+            # The class of a logical page is the class stamped on its
+            # winning physical copy — stale copies lost the seq race and
+            # with it any say over future placement.
+            fresh.lpn_class[lpn] = cls_of_ppn[ppn]
             pbn = self.geometry.block_of_ppn(ppn)
             if seq > fresh.block_write_time[pbn]:
                 fresh.block_write_time[pbn] = seq
@@ -382,61 +383,51 @@ class NoFTLStorageManager:
         self.mapping.p2l[:] = fresh.p2l
         self.mapping.valid_in_block[:] = fresh.valid_in_block
         self.mapping.block_write_time[:] = fresh.block_write_time
+        self.mapping.lpn_class[:] = fresh.lpn_class
         self.mapping.clock = max(
             (newest_seq[lpn] for lpn in mapped), default=0
         )
-        if streams_on and self.mapping.lpn_class is not None:
-            # The class of a logical page is the class stamped on its
-            # winning physical copy — stale copies lost the seq race and
-            # with it any say over future placement.
-            lpn_class = self.mapping.lpn_class
-            for index in range(len(lpn_class)):
-                lpn_class[index] = 0
-            for lpn in mapped:
-                lpn_class[lpn] = cls_of_ppn[newest_ppn[lpn]]
         for pbn in sorted(torn_blocks):
             if not self.bad_blocks.is_bad(pbn):
                 self.bad_blocks.report_grown(pbn)
                 self.stats.grown_bad_blocks += 1
         self._tm_degraded.set(1 if self.bad_blocks.degraded else 0)
         all_bad = self.bad_blocks.all_bad
-        frontiers = None
-        if streams_on:
-            # Re-derive per-stream write points.  A block is adoptable as
-            # a frontier iff it is intact (not torn/bad), holds a single
-            # class, and its programmed pages form a contiguous prefix
-            # from offset 0 that has not filled the block — exactly the
-            # shape an interrupted append-point leaves behind.  Per
-            # (plane, stream) the newest such block wins (ties toward the
-            # lowest pbn, mirroring the mapping tie-break).
-            best: dict = {}
-            for pbn in programmed_blocks:
-                if pbn in torn_blocks or pbn in all_bad:
-                    continue
-                code = block_cls[pbn]
-                if code <= 0:
-                    continue
-                mask = block_mask[pbn]
-                count = bin(mask).count("1")
-                if count >= pages_per_block or mask != (1 << count) - 1:
-                    continue
-                key = (
-                    self.geometry.die_of_block(pbn),
-                    self.geometry.plane_of_block(pbn),
-                    FOREGROUND_STREAMS[code],
-                )
-                rank = (block_seq[pbn], -pbn)
-                incumbent = best.get(key)
-                if incumbent is None or rank > incumbent[0]:
-                    best[key] = (rank, pbn, count)
-            frontiers = {
-                pbn: (key[2], count)
-                for key, (__, pbn, count) in best.items()
-            }
-            report.stream_frontiers = tuple(sorted(
-                (pbn, stream, offset)
-                for pbn, (stream, offset) in frontiers.items()
-            ))
+        # Re-derive per-stream write points.  A block is adoptable as
+        # a frontier iff it is intact (not torn/bad), holds a single
+        # class, and its programmed pages form a contiguous prefix
+        # from offset 0 that has not filled the block — exactly the
+        # shape an interrupted append-point leaves behind.  Per
+        # (plane, stream) the newest such block wins (ties toward the
+        # lowest pbn, mirroring the mapping tie-break).
+        best: dict = {}
+        for pbn in programmed_blocks:
+            if pbn in torn_blocks or pbn in all_bad:
+                continue
+            code = block_cls[pbn]
+            if code <= 0:
+                continue
+            mask = block_mask[pbn]
+            count = bin(mask).count("1")
+            if count >= pages_per_block or mask != (1 << count) - 1:
+                continue
+            key = (
+                self.geometry.die_of_block(pbn),
+                self.geometry.plane_of_block(pbn),
+                FOREGROUND_STREAMS[code],
+            )
+            rank = (block_seq[pbn], -pbn)
+            incumbent = best.get(key)
+            if incumbent is None or rank > incumbent[0]:
+                best[key] = (rank, pbn, count)
+        frontiers = {
+            pbn: (key[2], count)
+            for key, (__, pbn, count) in best.items()
+        }
+        report.stream_frontiers = tuple(sorted(
+            (pbn, stream, offset)
+            for pbn, (stream, offset) in frontiers.items()
+        ))
         for region in self.regions.regions:
             region.space.rebuild_allocation(
                 programmed_blocks, bad_blocks=all_bad,

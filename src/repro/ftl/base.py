@@ -172,9 +172,9 @@ class MappingState:
     * ``valid_in_block``: number of valid pages per physical block;
     * ``block_write_time``: logical timestamp of each block's last program
       (for cost-benefit GC);
-    * ``lpn_class``: optional per-lpn data-class code table (write
-      streams only — see :mod:`repro.ftl.streams`), None until
-      :meth:`enable_class_tracking` so legacy rigs pay nothing.
+    * ``lpn_class``: per-lpn data-class code table (codes are
+      :data:`repro.ftl.streams.CLASS_CODES`; 0 means untracked, the
+      legacy hot/cold case).
     """
 
     def __init__(self, geometry: Geometry, logical_pages: int):
@@ -185,7 +185,7 @@ class MappingState:
         self.valid_in_block = _array("l", [0]) * geometry.total_blocks
         self.block_write_time = _array("q", [0]) * geometry.total_blocks
         self.clock = 0
-        self.lpn_class: Optional[bytearray] = None
+        self.lpn_class = bytearray(logical_pages)
         self._pages_per_block = geometry.pages_per_block
         #: Per-block watcher slot: a :class:`VictimBuckets` instance (or
         #: None) notified whenever the block's valid count changes, so GC
@@ -194,12 +194,6 @@ class MappingState:
         #: disjoint, so one flat slot array serves every space sharing
         #: this mapping.
         self.block_watch: List[Optional["VictimBuckets"]] = [None] * geometry.total_blocks
-
-    def enable_class_tracking(self) -> None:
-        """Allocate the per-lpn class table (write-streams mode).  Codes
-        are :data:`repro.ftl.streams.CLASS_CODES`; 0 means untracked."""
-        if self.lpn_class is None:
-            self.lpn_class = bytearray(self.logical_pages)
 
     def lookup(self, lpn: int) -> int:
         return self.l2p[lpn]
@@ -226,8 +220,7 @@ class MappingState:
         if old != UNMAPPED:
             self.invalidate_ppn(old)
             self.l2p[lpn] = UNMAPPED
-        if self.lpn_class is not None:
-            self.lpn_class[lpn] = 0
+        self.lpn_class[lpn] = 0
 
     def invalidate_ppn(self, ppn: int) -> None:
         if self.p2l[ppn] == UNMAPPED:

@@ -46,7 +46,7 @@ from .base import (
     read_page_with_retry,
     relocate_page,
 )
-from .streams import class_code_of_stream, gc_stream_of_code
+from .streams import CODE_CLASSES, STREAM_CODES, gc_stream_of_code
 
 __all__ = ["PageMappedSpace", "PlaneId"]
 
@@ -113,17 +113,16 @@ class PageMappedSpace:
     gc_low_water
         GC runs while a plane's free-block pool is below this level.
     separate_streams
-        When True, GC relocations go to a dedicated "cold" active block
-        per plane instead of mixing with host writes (hot/cold stream
-        separation — ablation E10).
-    class_streams
-        When True (requires ``separate_streams``), the space accepts one
-        named allocation point per data-class stream
-        (:mod:`repro.ftl.streams`): host writes carry their class in OOB
-        and the per-lpn class table, and GC relocates every valid page
-        into *its own class's* GC frontier — never into a foreground
-        write point — so blocks stay single-class through relocation.
-        Off (the default) is bit-identical to the legacy hot/cold space.
+        When True, writes keep their named allocation point per plane
+        and GC relocations go to a dedicated GC frontier instead of
+        mixing with host writes (hot/cold stream separation — ablation
+        E10).  Each stream of the taxonomy (:mod:`repro.ftl.streams`) is
+        one point: a data-class stream stamps its class code in OOB and
+        the per-lpn class table, and GC relocates the page into *its own
+        class's* GC frontier, so blocks stay single-class through
+        relocation.  The legacy ``hot`` / ``cold`` streams are class 0
+        and relocate into ``cold``.  When False, every write and
+        relocation shares the ``hot`` point.
     wear_level_delta
         Static wear-leveling trigger: when the erase-count spread inside a
         plane exceeds this, the coldest occupied block is refreshed.
@@ -151,7 +150,6 @@ class PageMappedSpace:
         gc_policy: str = "greedy",
         gc_low_water: int = 2,
         separate_streams: bool = True,
-        class_streams: bool = False,
         use_copyback: bool = True,
         wear_level_delta: Optional[int] = None,
         wear_level_check_every: int = 64,
@@ -177,11 +175,11 @@ class PageMappedSpace:
         self.gc_policy = gc_policy
         self.gc_low_water = gc_low_water
         self.separate_streams = separate_streams
-        if class_streams and not separate_streams:
-            raise ValueError("class_streams requires separate_streams")
-        self.class_streams = class_streams
-        if class_streams:
-            mapping.enable_class_tracking()
+        # class code -> GC relocation stream; untracked pages (code 0)
+        # keep the legacy target.
+        self._gc_streams = (_COLD if separate_streams else _HOT,) + tuple(
+            gc_stream_of_code(code) for code in range(1, max(CODE_CLASSES) + 1)
+        )
         #: Plain stream-placement counters (never registered as metrics,
         #: so legacy golden digests are untouched): victim blocks whose
         #: valid pages spanned more than one tracked class, and per-stream
@@ -314,14 +312,12 @@ class PageMappedSpace:
         # OOB carries the logical page number and a monotonically increasing
         # sequence number, so a cold scan can rebuild the mapping (recovery).
         oob = {"lpn": lpn, "seq": self.mapping.clock + 1}
-        if self.class_streams:
-            # The class rides in OOB (mount re-derives per-stream
-            # frontiers from it) and in the per-lpn table (GC routes
-            # relocations by it).
-            code = class_code_of_stream(stream)
-            if code:
-                oob["cls"] = code
-            self.mapping.lpn_class[lpn] = code
+        # The class rides in OOB (mount re-derives per-stream frontiers
+        # from it) and in the per-lpn table (GC routes relocations by it).
+        code = STREAM_CODES.get(stream, 0)
+        if code:
+            oob["cls"] = code
+        self.mapping.lpn_class[lpn] = code
         ppn = yield from self._program_with_remap(plane_id, stream, ppn, data, oob)
         self.mapping.bind(lpn, ppn)
         return ppn
@@ -359,16 +355,15 @@ class PageMappedSpace:
 
     def _route_maintenance(self, lpn: int, fallback: str):
         """(stream, oob) for relocating ``lpn`` during maintenance work
-        (evacuation, scrub).  With class streams the page goes to its own
-        class's GC frontier and keeps its class tag in OOB; otherwise it
-        takes ``fallback`` (the legacy behaviour)."""
+        (evacuation, scrub).  A class-tagged page goes to its own class's
+        GC frontier and keeps its tag in OOB; an untracked page takes
+        ``fallback``."""
         oob = {"lpn": lpn, "seq": self.mapping.clock + 1}
-        if not self.class_streams:
-            return fallback, oob
         code = self.mapping.lpn_class[lpn]
-        if code:
-            oob["cls"] = code
-        return gc_stream_of_code(code), oob
+        if not code:
+            return fallback, oob
+        oob["cls"] = code
+        return self._gc_streams[code], oob
 
     def _quarantine_block(self, plane_id: PlaneId, pbn: int) -> None:
         """Retire a block in place after a failure (no flash I/O).
@@ -439,9 +434,7 @@ class PageMappedSpace:
         if pbn not in self.quarantined_blocks:
             self.suspect_blocks.add(pbn)
         plane_id = self.plane_of_lpn(lpn)
-        stream, oob = self._route_maintenance(
-            lpn, _COLD if self.separate_streams else _HOT
-        )
+        stream, oob = self._route_maintenance(lpn, self._gc_streams[0])
         try:
             dst = self._allocate(plane_id, stream)
         except RuntimeError:
@@ -584,8 +577,8 @@ class PageMappedSpace:
 
     def _collect_body(self, plane: _Plane, victim: int, moved: list):
         skipped = 0
-        class_streams = self.class_streams
-        lpn_class = self.mapping.lpn_class if class_streams else None
+        lpn_class = self.mapping.lpn_class
+        gc_streams = self._gc_streams
         classes_seen = set()
         self.stream_stats["victims"] += 1
         try:
@@ -593,16 +586,13 @@ class PageMappedSpace:
                 src = self.geometry.ppn_of(victim, offset)
                 if self.mapping.lookup(lpn) != src:
                     continue  # overwritten since selection
-                if class_streams:
-                    # Segregation invariant: a relocated page lands in
-                    # its *own class's* GC frontier, never a foreground
-                    # write point — generational separation survives GC.
-                    code = lpn_class[lpn]
-                    if code:
-                        classes_seen.add(code)
-                    gc_stream = gc_stream_of_code(code)
-                else:
-                    gc_stream = _COLD if self.separate_streams else _HOT
+                # Segregation invariant: a relocated page lands in its
+                # *own class's* GC frontier, never a foreground write
+                # point — generational separation survives GC.
+                code = lpn_class[lpn]
+                if code:
+                    classes_seen.add(code)
+                gc_stream = gc_streams[code]
                 dst_failures = 0
                 while True:
                     dst = self._allocate(plane.plane_id, gc_stream)
@@ -742,9 +732,9 @@ class PageMappedSpace:
         partially filled blocks simply retire early, as on real FTL
         power-up scans — **except** blocks named in ``frontiers``.
 
-        ``frontiers`` (write-streams mode) maps ``pbn -> (stream,
-        next_offset)`` for partially filled single-class blocks the mount
-        scan identified as resumable write points.  Each becomes the
+        ``frontiers`` maps ``pbn -> (stream, next_offset)`` for partially
+        filled single-class blocks the mount scan identified as resumable
+        write points.  Each becomes the
         plane's active block for that stream again instead of retiring
         into ``occupied``: without this, the first post-mount writes of
         *every* class would land in freshly taken blocks while the

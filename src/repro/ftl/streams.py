@@ -13,8 +13,8 @@ it here.
 Three namespaces, all plain strings used as keys of a plane's
 ``active`` dict:
 
-* the legacy temperature streams ``"hot"`` / ``"cold"`` (streams-off
-  mode, bit-identical to every pre-streams rig);
+* the legacy temperature streams ``"hot"`` / ``"cold"`` — class code
+  0, the untracked case every write takes with ``write_streams`` off;
 * one foreground stream per data class — heap splits into
   ``heap-hot`` / ``heap-cold`` driven by buffer-pool reference heat;
 * one GC stream per class (``<class>@gc``): victims relocate into their
@@ -38,6 +38,7 @@ __all__ = [
     "CODE_CLASSES",
     "FOREGROUND_STREAMS",
     "GC_SUFFIX",
+    "STREAM_CODES",
     "class_code_of_stream",
     "gc_stream_of_code",
     "stream_for",
@@ -86,14 +87,21 @@ def stream_for(data_class: Optional[str], hint: str) -> str:
     return data_class
 
 
+#: stream name -> class code for every foreground and GC stream of the
+#: taxonomy, resolved once so a write pays one dict lookup.  Names not
+#: listed — the legacy ``hot`` / ``cold`` points among them — are code 0.
+STREAM_CODES = {
+    name + suffix: code
+    for cls, code in CLASS_CODES.items()
+    for name in ((cls, "heap-hot", "heap-cold") if cls == "heap" else (cls,))
+    for suffix in ("", GC_SUFFIX)
+}
+
+
 def class_code_of_stream(stream: str) -> int:
     """Class code a stream's blocks will hold (0 for the legacy
     hot/cold streams, whose blocks are class-untracked)."""
-    if stream.endswith(GC_SUFFIX):
-        stream = stream[: -len(GC_SUFFIX)]
-    if stream in ("heap-hot", "heap-cold"):
-        return CLASS_CODES["heap"]
-    return CLASS_CODES.get(stream, 0)
+    return STREAM_CODES.get(stream, 0)
 
 
 def gc_stream_of_code(code: int) -> str:

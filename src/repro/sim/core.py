@@ -345,8 +345,8 @@ class Simulator:
         self._fast: deque = deque()  # immediate lane, see _schedule
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: Events dispatched so far — the wall-clock perf harness divides
-        #: this by host seconds to get the events/sec figure.
+        #: Events dispatched so far — the stack benchmark divides this by
+        #: host seconds to get the events/sec figure.
         self.events_processed = 0
 
     @property

@@ -96,8 +96,8 @@ def run_workload(
     """Load the database, run terminals for ``duration_us`` of simulated
     time, return the metered stats.
 
-    ``preloaded=True`` skips the load phase — for callers (like the perf
-    harness) that ran ``workload.load(db)`` themselves, e.g. to keep it
+    ``preloaded=True`` skips the load phase — for callers (like the stack
+    benchmark) that ran ``workload.load(db)`` themselves, e.g. to keep it
     out of a wall-clock measurement window.
 
     The caller is responsible for having started db-writers (or not) —

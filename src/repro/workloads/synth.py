@@ -71,26 +71,14 @@ class SyntheticResult:
 
 
 def run_synthetic(sim: Simulator, storage, spec: SyntheticSpec,
-                  prefill: bool = True,
-                  frontend_config=None) -> SyntheticResult:
+                  prefill: bool = True) -> SyntheticResult:
     """Run one synthetic job against a storage front-end.
 
     ``storage`` needs generator methods ``read(lpn)`` / ``write(lpn,
     data)`` and a ``logical_pages`` attribute (block device, NoFTL
     storage, or an adapter).  When ``prefill`` is set, the touched span
     is written once first so reads always hit programmed pages.
-
-    ``frontend_config`` (opt-in) interposes a
-    :class:`~repro.device.frontend.DeviceFrontend` between the
-    submitters and the storage: writes ack against the write-back cache
-    and the job ends with a ``flush_barrier`` so the measured duration
-    covers real media work, not a cache full of volatile acks.
     """
-    if frontend_config is not None:
-        from ..device import DeviceFrontend, wrap_storage
-
-        storage = DeviceFrontend(sim, wrap_storage(storage),
-                                 frontend_config)
     span = spec.span or storage.logical_pages
     if span > storage.logical_pages:
         raise ValueError("span exceeds device capacity")
@@ -129,10 +117,6 @@ def run_synthetic(sim: Simulator, storage, spec: SyntheticSpec,
     for index in range(spec.queue_depth):
         sim.process(submitter(random.Random(rng.randrange(2 ** 62))))
     sim.run()
-    if frontend_config is not None:
-        # Drain the write-back cache inside the measurement window: an
-        # IOPS figure that leaves acked pages volatile is a lie.
-        sim.run_process(storage.flush_barrier())
     return SyntheticResult(
         spec=spec,
         duration_us=sim.now - started,

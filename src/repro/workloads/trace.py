@@ -117,6 +117,7 @@ def replay_trace(trace: IOTrace, target, honor_trims: bool = True,
     (FTL behind the legacy interface — trims dropped, as on the paper's
     black-box devices) or a
     :class:`~repro.core.storage.SyncNoFTLStorage` (full integration).
+    An op kind other than read / write / trim raises :class:`ValueError`.
     """
     if isinstance(target, SyncBlockDevice):
         array = target.executor.device.array
@@ -128,8 +129,11 @@ def replay_trace(trace: IOTrace, target, honor_trims: bool = True,
                 target.write(op.page_id, data=None)
             elif op.kind == READ:
                 target.read(op.page_id)
-            elif honor_trims:
-                target.trim(op.page_id)
+            elif op.kind == TRIM:
+                if honor_trims:
+                    target.trim(op.page_id)
+            else:
+                raise ValueError(f"unknown trace op kind: {op.kind!r}")
     elif isinstance(target, SyncNoFTLStorage):
         array = target.executor.device.array
         stats = target.manager.stats
@@ -140,8 +144,11 @@ def replay_trace(trace: IOTrace, target, honor_trims: bool = True,
                 target.write(op.page_id, data=None, hint=op.hint)
             elif op.kind == READ:
                 target.read(op.page_id)
-            elif honor_trims:
-                target.trim(op.page_id)
+            elif op.kind == TRIM:
+                if honor_trims:
+                    target.trim(op.page_id)
+            else:
+                raise ValueError(f"unknown trace op kind: {op.kind!r}")
     else:
         raise TypeError(f"unsupported replay target: {target!r}")
     # Flash command totals come from the telemetry registry (the array's

@@ -20,7 +20,8 @@ from repro.bench import (
     validate_emulator,
 )
 from repro.bench.fig3 import record_trace
-from repro.workloads import TPCB, replay_trace
+from repro.workloads import TPCB, IOTrace, replay_trace
+from repro.workloads.trace import TRIM, WRITE
 
 
 class TestReporting:
@@ -118,6 +119,20 @@ class TestTraceReplayIntegration:
         assert faster.host_writes == trace.counts()["writes"]
         # flash counters come from the arrays, not guesses
         assert faster_array.counters.programs >= faster.host_writes
+
+    @pytest.mark.parametrize("target", ["noftl", "pagemap"])
+    def test_unknown_op_kind_rejected_not_trimmed(self, target):
+        geometry = geometry_with_dies(2)
+        if target == "noftl":
+            device, __ = build_sync_noftl(geometry=geometry)
+        else:
+            device, __ = build_sync_blockdev(target, geometry=geometry)
+        trace = IOTrace()
+        trace.append(WRITE, 4)
+        trace.append(TRIM, 4)
+        trace.append("x", 4)
+        with pytest.raises(ValueError, match="unknown trace op kind"):
+            replay_trace(trace, device)
 
 
 class TestValidation:

@@ -420,14 +420,18 @@ class TestFrontendOnRealRig:
 
     def test_synthetic_workload_through_frontend(self):
         rig = build_noftl_rig(
-            geometry=GEO, config=NoFTLConfig(num_regions=4, op_ratio=0.25)
+            geometry=GEO,
+            config=NoFTLConfig(num_regions=4, op_ratio=0.25),
+            frontend_config=FrontendConfig(),
         )
         spec = SyntheticSpec(pattern="random", read_fraction=0.3,
                              queue_depth=4, ops=80, span=16, seed=1)
-        result = run_synthetic(rig.sim, rig.storage, spec,
-                               frontend_config=FrontendConfig())
+        result = run_synthetic(rig.sim, rig.frontend, spec)
         assert result.read_latency.count + result.write_latency.count == 80
         assert result.iops > 0
+        # Drain the write-back cache: every acked page reaches the media.
+        rig.sim.run_process(rig.frontend.flush_barrier())
+        assert rig.frontend.dirty_pages == 0
 
 
 class TestSiege:

@@ -5,8 +5,6 @@ WA ledger's class learning/forgetting around all of it."""
 
 import random
 
-import pytest
-
 from repro.bench.health import run_db_rig, stream_stats_of
 from repro.bench.rigs import attach_database, build_noftl_rig
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
@@ -113,14 +111,14 @@ GEO = Geometry(
 )
 
 
-def make_space(**kwargs):
+def make_space():
     array = FlashArray(GEO, SLC_TIMING)
     executor = SyncExecutor(SyncFlashDevice(array))
     logical = int(GEO.total_pages * 0.7)
     mapping = MappingState(GEO, logical)
     planes = [(die, plane) for die in range(GEO.total_dies)
               for plane in range(GEO.planes_per_die)]
-    space = PageMappedSpace(GEO, mapping, planes, FTLStats(), **kwargs)
+    space = PageMappedSpace(GEO, mapping, planes, FTLStats())
     return space, mapping, executor, array, logical
 
 
@@ -137,24 +135,20 @@ def block_classes(space, mapping):
 
 
 class TestClassSegregatedPlacement:
-    def test_requires_separate_streams(self):
-        with pytest.raises(ValueError):
-            make_space(class_streams=True, separate_streams=False)
-
     def test_oob_carries_class_only_in_streams_mode(self):
-        space, mapping, executor, array, _ = make_space(class_streams=True)
+        space, mapping, executor, array, _ = make_space()
         executor.run(space.write(3, data="x", stream="btree"))
         oob = array.apply(ReadOob(ppn=mapping.lookup(3))).oob
         assert oob["cls"] == CLASS_CODES["btree"]
         assert mapping.lpn_class[3] == CLASS_CODES["btree"]
 
         # Digest safety: the legacy path must emit byte-identical OOB.
-        legacy, lmap, lexec, larray, _ = make_space(class_streams=False)
+        legacy, lmap, lexec, larray, _ = make_space()
         lexec.run(legacy.write(3, data="x", stream="hot"))
         assert "cls" not in larray.apply(ReadOob(ppn=lmap.lookup(3))).oob
 
     def test_blocks_stay_single_class_through_gc(self):
-        space, mapping, executor, _, logical = make_space(class_streams=True)
+        space, mapping, executor, _, logical = make_space()
         rng = random.Random(7)
         span = int(logical * 0.8)
         lanes = ("wal", "heap-hot", "btree", "temp")
@@ -170,7 +164,7 @@ class TestClassSegregatedPlacement:
             assert len(codes) == 1, f"block {pbn} mixes classes {codes}"
 
     def test_trim_clears_class_and_rewrite_relearns(self):
-        space, mapping, executor, _, _ = make_space(class_streams=True)
+        space, mapping, executor, _, _ = make_space()
         executor.run(space.write(5, data="a", stream="btree"))
         space.trim(5)
         assert mapping.lpn_class[5] == 0
@@ -180,8 +174,7 @@ class TestClassSegregatedPlacement:
 
 class TestWearShadowIdentity:
     def test_shadow_matches_array_truth_blockwise(self):
-        space, mapping, executor, array, logical = make_space(
-            class_streams=True)
+        space, mapping, executor, array, logical = make_space()
         rng = random.Random(3)
         span = int(logical * 0.8)
         for step in range(span * 6):
