@@ -204,7 +204,11 @@ class NoFTLStorageManager:
 
     def write(self, lpn: int, data=None, hint: str = "hot",
               ctx: Optional[OpContext] = None):
-        """Generator: out-of-place write with an optional temperature hint.
+        """Out-of-place write with an optional temperature hint: returns
+        the owning space's write generator (a flash-command operation).
+
+        The checks below run when the operation is built, not when it is
+        first resumed — every caller builds and runs it in one step.
 
         ``hint`` may be ``"hot"`` (default, OLTP pages) or ``"cold"``
         (bulk loads, archival data) — DBMS knowledge the paper's
@@ -228,7 +232,7 @@ class NoFTLStorageManager:
             stream = stream_for(data_class_of(ctx), hint)
         else:
             stream = hint
-        yield from self._space_of(lpn).write(lpn, data, stream=stream)
+        return self._space_of(lpn).write(lpn, data, stream=stream)
 
     def trim(self, lpn: int):
         """Generator (no flash I/O): the DBMS free-space manager reports a

@@ -66,6 +66,18 @@ from ..telemetry import FLASH_OPS, EventTrace, MetricsRegistry
 
 __all__ = ["FlashArray", "ArrayCounters", "page_checksum"]
 
+# Die-addressing field of each die-occupying command type and the
+# geometry helper that maps it to a global die: an exact-type dict hit in
+# die_of_command, an isinstance walk only for subclasses (the same scheme
+# as device._PHASE_OF_TYPE).
+_DIE_ADDRESS_OF_TYPE = {
+    ReadPage: ("ppn", Geometry.die_of_ppn),
+    ProgramPage: ("ppn", Geometry.die_of_ppn),
+    EraseBlock: ("pbn", Geometry.die_of_block),
+    Copyback: ("src_ppn", Geometry.die_of_ppn),
+    ReadOob: ("ppn", Geometry.die_of_ppn),
+}
+
 
 def page_checksum(data: Any) -> Optional[int]:
     """Cheap CRC32 of an arbitrary page payload (None for empty pages).
@@ -196,6 +208,8 @@ class FlashArray:
         # latencies, which are pure functions of geometry + timing.
         self._pages_per_block = geometry.pages_per_block
         self._blocks_per_die = geometry.blocks_per_die
+        self._pages_per_plane = geometry.pages_per_plane
+        self._nblocks = nblocks
         self._read_latency_us = timing.read_latency_us(geometry.page_bytes)
         self._program_latency_us = timing.program_latency_us(geometry.page_bytes)
         self._erase_latency_us = timing.erase_latency_us()
@@ -240,6 +254,9 @@ class FlashArray:
         for op in FLASH_OPS:
             for die in range(dies):
                 self._tm_ops.labels(op, die, "host")
+        #: (op, die, origin) -> resolved counter: one tuple-keyed probe per
+        #: command instead of a variadic ``labels()`` call.
+        self._tm_ops_of: dict = {}
         self._tm_busy = [
             self.telemetry.counter("flash.busy_us", layer="flash", die=die)
             for die in range(dies)
@@ -348,8 +365,13 @@ class FlashArray:
         the lpn being written."""
         ctx = command.ctx
         origin = ctx.origin if ctx is not None else "host"
-        self._tm_ops.labels(op, die, origin).inc()
-        self._tm_busy[die].inc(latency)
+        key = (op, die, origin)
+        counter = self._tm_ops_of.get(key)
+        if counter is None:
+            counter = self._tm_ops_of[key] = self._tm_ops.labels(op, die, origin)
+        # Both amounts are non-negative: bump the values directly.
+        counter.value += 1
+        self._tm_busy[die].value += latency
         health = self.health
         if health is not None:
             health.record(op, die, latency, ctx, oob)
@@ -370,12 +392,15 @@ class FlashArray:
         operation counter, so outage/latency windows expire even while a
         lone operation is backing off with Pauses.  Dispatch is an
         exact-type table probe (with an isinstance walk as the fallback
-        for command subclasses).
+        for command subclasses).  The injector's hooks run only while its
+        plan has live specs; with none they are all no-ops.
         """
+        injector = self.fault_injector
         if self._powered_off:
-            raise PowerCutError(self.power_cut_op or self.fault_injector.ops)
-        self.fault_injector.tick()
-        if self.fault_injector.check_power_cut(command):
+            raise PowerCutError(self.power_cut_op or injector.ops)
+        injector.ops += 1
+        live = injector._live
+        if live and injector.check_power_cut(command):
             self._apply_power_cut(command)
         handler = self._dispatch.get(type(command))
         if handler is None:
@@ -386,8 +411,8 @@ class FlashArray:
             else:
                 raise TypeError(f"unknown flash command: {command!r}")
         result = handler(command)
-        if result.die is not None:
-            factor = self.fault_injector.latency_factor(result.die)
+        if live and result.die is not None:
+            factor = injector.latency_factor(result.die)
             if factor != 1.0:
                 extra = result.latency_us * (factor - 1.0)
                 result.latency_us += extra
@@ -397,16 +422,17 @@ class FlashArray:
         return result
 
     def die_of_command(self, command: FlashCommand) -> Optional[int]:
-        """Global die a command will occupy (None for Identify)."""
-        if isinstance(command, (ReadPage, ReadOob)):
-            return self.geometry.die_of_ppn(command.ppn)
-        if isinstance(command, ProgramPage):
-            return self.geometry.die_of_ppn(command.ppn)
-        if isinstance(command, EraseBlock):
-            return self.geometry.die_of_block(command.pbn)
-        if isinstance(command, Copyback):
-            return self.geometry.die_of_ppn(command.src_ppn)
-        return None
+        """Global die a command will occupy (None for Identify / Pause)."""
+        address = _DIE_ADDRESS_OF_TYPE.get(type(command))
+        if address is None:
+            for cls, candidate in _DIE_ADDRESS_OF_TYPE.items():
+                if isinstance(command, cls):
+                    address = candidate
+                    break
+            else:
+                return None
+        field_name, die_of = address
+        return die_of(self.geometry, getattr(command, field_name))
 
     # -- individual commands ------------------------------------------------------
 
@@ -433,6 +459,8 @@ class FlashArray:
 
     def _program(self, command: ProgramPage) -> CommandResult:
         ppn = command.ppn
+        if not 0 <= ppn < self._npages:
+            self.geometry._check_ppn(ppn)
         pbn = ppn // self._pages_per_block
         offset = ppn - pbn * self._pages_per_block
         die = pbn // self._blocks_per_die
@@ -461,10 +489,12 @@ class FlashArray:
 
     def _erase(self, command: EraseBlock) -> CommandResult:
         pbn = command.pbn
-        self.geometry._check_block(pbn)
+        if not 0 <= pbn < self._nblocks:
+            self.geometry._check_block(pbn)
         if self._bad[pbn]:
             raise BadBlockError(f"erase of bad block pbn={pbn}")
-        failed = self.fault_injector.check_erase(pbn, self.geometry.die_of_block(pbn))
+        die = pbn // self._blocks_per_die
+        failed = self.fault_injector.check_erase(pbn, die)
         if failed:
             # The erase pulse failed; the block is retired on the spot
             # (same contract as BlockWornOut: marked bad before raising).
@@ -473,7 +503,6 @@ class FlashArray:
         self.erase_counts[pbn] += 1
         self._wipe_block(pbn)
         self.counters.erases += 1
-        die = self.geometry.die_of_block(pbn)
         self.counters.per_die_ops[die] += 1
         latency = self._erase_latency_us
         self.counters.busy_us += latency
@@ -485,19 +514,25 @@ class FlashArray:
 
     def _copyback(self, command: Copyback) -> CommandResult:
         src, dst = command.src_ppn, command.dst_ppn
-        if not self.geometry.same_plane(src, dst):
+        npages = self._npages
+        if not (0 <= src < npages and 0 <= dst < npages):
+            self.geometry._check_ppn(src)
+            self.geometry._check_ppn(dst)
+        per_plane = self._pages_per_plane
+        if src // per_plane != dst // per_plane:
             raise CopybackPlaneError(
                 f"copyback crosses planes: {self.geometry.decompose(src)} -> "
                 f"{self.geometry.decompose(dst)}"
             )
-        if not self.is_programmed(src):
+        if not self._programmed[src]:
             raise ReadUnwrittenError(f"copyback from unwritten page ppn={src}")
-        die = self.geometry.die_of_ppn(src)
+        src_pbn = src // self._pages_per_block
+        die = src_pbn // self._blocks_per_die
         # Copyback internally reads the source page: read faults and
         # checksum damage surface here, *before* the destination slot is
         # consumed, so the caller can fall back to read-retry + program
         # against the very same destination page.
-        self.fault_injector.check_read(src, self.geometry.block_of_ppn(src), die, op="copyback")
+        self.fault_injector.check_read(src, src_pbn, die, op="copyback")
         self._verify_checksum(src)
         dst_pbn = dst // self._pages_per_block
         dst_offset = dst - dst_pbn * self._pages_per_block
@@ -585,6 +620,8 @@ class FlashArray:
     def _tear_program(self, ppn: int, data: Any, oob: Any) -> None:
         """Consume ``ppn`` as a torn page (only when the program would
         have been legal — an illegal command leaves no wreckage)."""
+        if not 0 <= ppn < self._npages:
+            return
         pbn = ppn // self._pages_per_block
         offset = ppn - pbn * self._pages_per_block
         try:

@@ -120,6 +120,11 @@ class SimFlashDevice:
         self.channel_resources: List[Resource] = [
             Resource(sim, capacity=1) for __ in range(self.geometry.channels)
         ]
+        # Each die's channel bus, resolved once: indexed by global die.
+        self._channel_of_die: List[Resource] = [
+            self.channel_resources[self.geometry.channel_of_die(die)]
+            for die in range(self.geometry.total_dies)
+        ]
         self.latency = LatencyRecorder("flash-commands")
         self._die_busy_us: List[float] = [0.0] * self.geometry.total_dies
         # Cumulative die-held time split by who held it (host work vs
@@ -186,7 +191,7 @@ class SimFlashDevice:
             # State transition happens when the die starts the command;
             # per-die FIFO queuing makes this consistent with issue order.
             result = self.array.apply(command)
-            channel = self.channel_resources[self.geometry.channel_of_die(die)]
+            channel = self._channel_of_die[die]
             if kind == _READ:
                 yield self.sim.timeout(self._read_sense_us)
                 yield channel.request()

@@ -85,25 +85,30 @@ class SyncExecutor:
 
     def run(self, operation: FlashOp, ctx: Optional[OpContext] = None) -> Any:
         """Drive ``operation``; returns its ``return`` value."""
-        # Bound-method hoists: this loop runs once per flash command and
-        # dominates trace replay, so the dispatch overhead matters.
+        # This loop runs once per flash command and dominates trace replay:
+        # bound methods are hoisted, and the command check and context
+        # stamping are inlined (blame accounting only runs with a ctx).
         send = operation.send
         throw = operation.throw
         execute = self.device.execute
+        origin = None
         try:
-            command = _check_command(send(None))
+            command = send(None)
             while True:
-                origin = _prepare(command, ctx)
+                if not isinstance(command, FlashCommand):
+                    _check_command(command)
+                if ctx is not None:
+                    origin = _prepare(command, ctx)
                 try:
                     result = execute(command)
                 except FlashError as exc:
                     # Let the operation handle (or re-raise) the failure;
                     # throw() resumes it and returns its next command.
-                    command = _check_command(throw(exc))
+                    command = throw(exc)
                 else:
                     if ctx is not None:
                         _charge(ctx, command, origin, result)
-                    command = _check_command(send(result))
+                    command = send(result)
         except StopIteration as stop:
             return stop.value
 

@@ -97,7 +97,7 @@ class FaultSpec:
         Latency multiplier for ``latency_spike``.
     at_op
         ``power_cut`` only: the exact operation count at which the cut
-        fires (the injector's counter as advanced by :meth:`tick`, i.e.
+        fires (the injector's ``ops`` counter as the array advances it, i.e.
         1 for the first command the array ever executes).
     predicate
         ``power_cut`` only: alternative trigger — a callable
@@ -183,10 +183,11 @@ class _LiveSpec:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` against the array's command stream.
 
-    The array calls :meth:`tick` once per command, then the per-command
-    check hooks.  All decisions are functions of (plan, seed, command
-    sequence) only — no wall clock, no global state — so a run is exactly
-    reproducible from its seed.
+    The array advances :attr:`ops` once per command, then calls the
+    per-command check hooks.  With no specs every hook is a no-op, and the
+    array skips the power-cut and latency hooks outright.  All decisions
+    are functions of (plan, seed, command sequence) only — no wall clock,
+    no global state — so a run is exactly reproducible from its seed.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None, telemetry=None):
@@ -233,11 +234,6 @@ class FaultInjector:
         return 0.0
 
     # -- command hooks ----------------------------------------------------------
-
-    def tick(self) -> int:
-        """Advance the operation counter (one call per array command)."""
-        self.ops += 1
-        return self.ops
 
     def _fire(self, live: _LiveSpec, detail: tuple) -> None:
         if live.remaining is not None:
@@ -305,7 +301,7 @@ class FaultInjector:
     def check_power_cut(self, command) -> bool:
         """True when power is lost at this command boundary.
 
-        Called once per command right after :meth:`tick`; the array then
+        Called once per command right after ``ops`` advances; the array then
         applies the in-flight command's wreckage and powers itself off.
         The trigger is purely deterministic — an exact operation count
         (``at_op``) or a caller-supplied predicate — never a rate roll,

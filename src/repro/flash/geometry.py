@@ -70,32 +70,52 @@ class Geometry:
                 raise ValueError(f"{field_name} must be >= 1, got {value}")
         if self.oob_bytes < 0:
             raise ValueError("oob_bytes must be >= 0")
+        # Derived sizes are computed once: every address helper below runs
+        # per flash command, so each is one range compare plus integer
+        # division on these constants.  Plain instance attributes, not
+        # dataclass fields, so ==, hash, repr, replace() and asdict() see
+        # only the eight dimensions above (replace() re-runs this hook).
+        dies = self.channels * self.chips_per_channel * self.dies_per_chip
+        blocks_per_die = self.planes_per_die * self.blocks_per_plane
+        total_blocks = dies * blocks_per_die
+        cache = object.__setattr__
+        cache(self, "_total_dies", dies)
+        cache(self, "_dies_per_channel", self.chips_per_channel * self.dies_per_chip)
+        cache(self, "_blocks_per_die", blocks_per_die)
+        cache(self, "_pages_per_die", blocks_per_die * self.pages_per_block)
+        cache(self, "_pages_per_plane", self.blocks_per_plane * self.pages_per_block)
+        cache(self, "_total_blocks", total_blocks)
+        cache(self, "_total_pages", total_blocks * self.pages_per_block)
 
     # -- derived sizes -------------------------------------------------------
 
     @property
     def total_dies(self) -> int:
-        return self.channels * self.chips_per_channel * self.dies_per_chip
+        return self._total_dies
 
     @property
     def blocks_per_die(self) -> int:
-        return self.planes_per_die * self.blocks_per_plane
+        return self._blocks_per_die
 
     @property
     def pages_per_die(self) -> int:
-        return self.blocks_per_die * self.pages_per_block
+        return self._pages_per_die
+
+    @property
+    def pages_per_plane(self) -> int:
+        return self._pages_per_plane
 
     @property
     def total_blocks(self) -> int:
-        return self.total_dies * self.blocks_per_die
+        return self._total_blocks
 
     @property
     def total_pages(self) -> int:
-        return self.total_blocks * self.pages_per_block
+        return self._total_pages
 
     @property
     def capacity_bytes(self) -> int:
-        return self.total_pages * self.page_bytes
+        return self._total_pages * self.page_bytes
 
     # -- flat <-> structured addressing ---------------------------------------
 
@@ -113,37 +133,43 @@ class Geometry:
 
     def die_of_block(self, pbn: int) -> int:
         """Global die index that owns flat block ``pbn``."""
-        self._check_block(pbn)
-        return pbn // self.blocks_per_die
+        if not 0 <= pbn < self._total_blocks:
+            raise _out_of_range("pbn", pbn, self._total_blocks)
+        return pbn // self._blocks_per_die
 
     def plane_of_block(self, pbn: int) -> int:
         """Plane index (within its die) of flat block ``pbn``."""
-        self._check_block(pbn)
-        return (pbn % self.blocks_per_die) // self.blocks_per_plane
+        if not 0 <= pbn < self._total_blocks:
+            raise _out_of_range("pbn", pbn, self._total_blocks)
+        return (pbn % self._blocks_per_die) // self.blocks_per_plane
 
     def die_of_ppn(self, ppn: int) -> int:
-        return self.die_of_block(self.block_of_ppn(ppn))
+        if not 0 <= ppn < self._total_pages:
+            raise _out_of_range("ppn", ppn, self._total_pages)
+        return ppn // self._pages_per_die
 
     def plane_of_ppn(self, ppn: int) -> int:
-        return self.plane_of_block(self.block_of_ppn(ppn))
+        if not 0 <= ppn < self._total_pages:
+            raise _out_of_range("ppn", ppn, self._total_pages)
+        return (ppn % self._pages_per_die) // self._pages_per_plane
 
     def channel_of_die(self, die_index: int) -> int:
-        self._check_die(die_index)
-        return die_index // (self.chips_per_channel * self.dies_per_chip)
+        if not 0 <= die_index < self._total_dies:
+            raise _out_of_range("die", die_index, self._total_dies)
+        return die_index // self._dies_per_channel
 
     def decompose(self, ppn: int) -> FlashAddress:
         """Split a flat PPN into its full physical coordinates."""
-        if not 0 <= ppn < self.total_pages:
-            raise ValueError(f"ppn {ppn} out of range")
+        if not 0 <= ppn < self._total_pages:
+            raise _out_of_range("ppn", ppn, self._total_pages)
         page = ppn % self.pages_per_block
         pbn = ppn // self.pages_per_block
-        die_index = pbn // self.blocks_per_die
-        within_die = pbn % self.blocks_per_die
+        die_index = pbn // self._blocks_per_die
+        within_die = pbn % self._blocks_per_die
         plane = within_die // self.blocks_per_plane
         block = within_die % self.blocks_per_plane
-        dies_per_channel = self.chips_per_channel * self.dies_per_chip
-        channel = die_index // dies_per_channel
-        within_channel = die_index % dies_per_channel
+        channel = die_index // self._dies_per_channel
+        within_channel = die_index % self._dies_per_channel
         chip = within_channel // self.dies_per_chip
         die = within_channel % self.dies_per_chip
         return FlashAddress(channel, chip, die, plane, block, page)
@@ -151,12 +177,12 @@ class Geometry:
     def compose(self, address: FlashAddress) -> int:
         """Inverse of :meth:`decompose`."""
         die_index = (
-            address.channel * self.chips_per_channel * self.dies_per_chip
+            address.channel * self._dies_per_channel
             + address.chip * self.dies_per_chip
             + address.die
         )
         pbn = (
-            die_index * self.blocks_per_die
+            die_index * self._blocks_per_die
             + address.plane * self.blocks_per_plane
             + address.block
         )
@@ -165,26 +191,29 @@ class Geometry:
     def blocks_of_die(self, die_index: int) -> range:
         """Flat block numbers belonging to a global die (contiguous)."""
         self._check_die(die_index)
-        start = die_index * self.blocks_per_die
-        return range(start, start + self.blocks_per_die)
+        start = die_index * self._blocks_per_die
+        return range(start, start + self._blocks_per_die)
 
     def blocks_of_plane(self, die_index: int, plane: int) -> range:
         """Flat block numbers of one plane of one die (contiguous)."""
         self._check_die(die_index)
         if not 0 <= plane < self.planes_per_die:
             raise ValueError(f"plane {plane} out of range")
-        start = die_index * self.blocks_per_die + plane * self.blocks_per_plane
+        start = die_index * self._blocks_per_die + plane * self.blocks_per_plane
         return range(start, start + self.blocks_per_plane)
 
     def same_plane(self, ppn_a: int, ppn_b: int) -> bool:
         """True when two pages live in the same plane of the same die
-        (the precondition for a COPYBACK transfer)."""
-        block_a = self.block_of_ppn(ppn_a)
-        block_b = self.block_of_ppn(ppn_b)
-        return (
-            self.die_of_block(block_a) == self.die_of_block(block_b)
-            and self.plane_of_block(block_a) == self.plane_of_block(block_b)
-        )
+        (the precondition for a COPYBACK transfer).
+
+        Die-major numbering makes every plane one contiguous ppn range of
+        ``pages_per_plane`` pages, so one division per page decides it."""
+        total = self._total_pages
+        if not (0 <= ppn_a < total and 0 <= ppn_b < total):
+            self._check_ppn(ppn_a)
+            self._check_ppn(ppn_b)
+        per_plane = self._pages_per_plane
+        return ppn_a // per_plane == ppn_b // per_plane
 
     def describe(self) -> dict:
         """Identify-command payload: the device self-description."""
@@ -205,10 +234,18 @@ class Geometry:
 
     # -- internal --------------------------------------------------------------
 
+    def _check_ppn(self, ppn: int) -> None:
+        if not 0 <= ppn < self._total_pages:
+            raise _out_of_range("ppn", ppn, self._total_pages)
+
     def _check_block(self, pbn: int) -> None:
-        if not 0 <= pbn < self.total_blocks:
-            raise ValueError(f"pbn {pbn} out of range (0..{self.total_blocks - 1})")
+        if not 0 <= pbn < self._total_blocks:
+            raise _out_of_range("pbn", pbn, self._total_blocks)
 
     def _check_die(self, die_index: int) -> None:
-        if not 0 <= die_index < self.total_dies:
-            raise ValueError(f"die {die_index} out of range (0..{self.total_dies - 1})")
+        if not 0 <= die_index < self._total_dies:
+            raise _out_of_range("die", die_index, self._total_dies)
+
+
+def _out_of_range(name: str, value: int, limit: int) -> ValueError:
+    return ValueError(f"{name} {value} out of range (0..{limit - 1})")

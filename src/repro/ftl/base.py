@@ -237,13 +237,9 @@ class MappingState:
 
     def valid_lpns_of_block(self, pbn: int) -> List[tuple]:
         """(page_offset, lpn) pairs still valid inside ``pbn``."""
-        base = pbn * self.geometry.pages_per_block
-        result = []
-        for offset in range(self.geometry.pages_per_block):
-            lpn = self.p2l[base + offset]
-            if lpn != UNMAPPED:
-                result.append((offset, lpn))
-        return result
+        base = pbn * self._pages_per_block
+        top = base + self._pages_per_block
+        return [(offset, lpn) for offset, lpn in enumerate(self.p2l[base:top]) if lpn != UNMAPPED]
 
     def total_valid(self) -> int:
         return sum(self.valid_in_block)

@@ -306,7 +306,13 @@ class PageMappedSpace:
         waited out — the rejected command consumed nothing.
         """
         plane_id = self.plane_of_lpn(lpn)
-        yield from self.ensure_space(plane_id)
+        # ensure_space yields nothing unless the pool is below the low
+        # water mark or wear leveling is on: skip the generator otherwise.
+        if (
+            len(self._planes[plane_id].pool) < self.gc_low_water
+            or self.wear_level_delta is not None
+        ):
+            yield from self.ensure_space(plane_id)
         stream = stream if self.separate_streams else _HOT
         ppn = self._allocate(plane_id, stream)
         # OOB carries the logical page number and a monotonically increasing
@@ -462,16 +468,17 @@ class PageMappedSpace:
         # Stream keys grow on demand: the legacy hot/cold points are
         # pre-seeded, class streams appear the first time traffic of that
         # class reaches this plane.
+        pages_per_block = self.geometry.pages_per_block
         active = plane.active.get(stream)
-        if active is None or active[1] >= self.geometry.pages_per_block:
+        if active is None or active[1] >= pages_per_block:
             if active is not None:
                 plane.occupy(active[0])
             pbn = plane.pool.take()
             active = [pbn, 0]
             plane.active[stream] = active
-        ppn = self.geometry.ppn_of(active[0], active[1])
-        active[1] += 1
-        return ppn
+        offset = active[1]
+        active[1] = offset + 1
+        return active[0] * pages_per_block + offset
 
     # -- garbage collection -------------------------------------------------------------
 
@@ -577,14 +584,17 @@ class PageMappedSpace:
 
     def _collect_body(self, plane: _Plane, victim: int, moved: list):
         skipped = 0
-        lpn_class = self.mapping.lpn_class
+        mapping = self.mapping
+        l2p = mapping.l2p
+        lpn_class = mapping.lpn_class
         gc_streams = self._gc_streams
+        base = victim * self.geometry.pages_per_block
         classes_seen = set()
         self.stream_stats["victims"] += 1
         try:
-            for offset, lpn in self.mapping.valid_lpns_of_block(victim):
-                src = self.geometry.ppn_of(victim, offset)
-                if self.mapping.lookup(lpn) != src:
+            for offset, lpn in mapping.valid_lpns_of_block(victim):
+                src = base + offset
+                if l2p[lpn] != src:
                     continue  # overwritten since selection
                 # Segregation invariant: a relocated page lands in its
                 # *own class's* GC frontier, never a foreground write
@@ -645,8 +655,8 @@ class PageMappedSpace:
                     skipped += 1
                     self._tm_relocation_skips.inc()
                     continue
-                if self.mapping.lookup(lpn) == src:
-                    self.mapping.bind(lpn, dst)
+                if l2p[lpn] == src:
+                    mapping.bind(lpn, dst)
                     moved.append((lpn, dst))
                 # else: host overwrote mid-copy; the copy is stillborn and
                 # stays invalid in the new block.

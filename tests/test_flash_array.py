@@ -12,10 +12,12 @@ from repro.flash import (
     Copyback,
     CopybackPlaneError,
     EraseBlock,
+    FaultPlan,
     FlashArray,
     Geometry,
     Identify,
     OverwriteError,
+    PowerCutError,
     ProgramPage,
     ProgramSequenceError,
     ReadOob,
@@ -228,6 +230,77 @@ class TestBadBlocksAndErrors:
             make_array(initial_bad_block_rate=1.5)
         with pytest.raises(ValueError):
             make_array(read_error_rate=-0.1)
+
+
+class TestOutOfRangeAddresses:
+    """Addresses outside the device raise ValueError and change nothing —
+    ppn=-1 must not reach the last page through negative indexing."""
+
+    ENDS = pytest.mark.parametrize("ppn", [-1, GEO.total_pages], ids=["below", "above"])
+
+    def assert_untouched(self, array):
+        assert array.counters.snapshot() == make_array().counters.snapshot()
+        assert not any(array.is_programmed(ppn) for ppn in range(GEO.total_pages))
+        assert array.peek_oob(GEO.total_pages - 1) is None
+
+    @ENDS
+    def test_program(self, ppn):
+        array = make_array()
+        with pytest.raises(ValueError):
+            array.apply(ProgramPage(ppn=ppn, data=b"x", oob="meta"))
+        self.assert_untouched(array)
+
+    @ENDS
+    def test_program_cut_by_power_loss_leaves_no_wreckage(self, ppn):
+        array = make_array(fault_plan=FaultPlan.power_cut_at(1))
+        with pytest.raises(PowerCutError):
+            array.apply(ProgramPage(ppn=ppn, data=b"x", oob="meta"))
+        self.assert_untouched(array)
+
+    @ENDS
+    def test_copyback_destination(self, ppn):
+        array = make_array()
+        array.apply(ProgramPage(ppn=0, data=b"d"))
+        with pytest.raises(ValueError):
+            array.apply(Copyback(src_ppn=0, dst_ppn=ppn))
+        assert array.counters.copybacks == 0
+        assert array.peek_oob(GEO.total_pages - 1) is None
+
+    @ENDS
+    def test_copyback_source(self, ppn):
+        array = make_array()
+        with pytest.raises(ValueError):
+            array.apply(Copyback(src_ppn=ppn, dst_ppn=0))
+        self.assert_untouched(array)
+
+    @pytest.mark.parametrize("pbn", [-1, GEO.total_blocks], ids=["below", "above"])
+    def test_erase(self, pbn):
+        array = make_array()
+        with pytest.raises(ValueError):
+            array.apply(EraseBlock(pbn=pbn))
+        self.assert_untouched(array)
+
+
+class TestDieOfCommand:
+    def test_matches_geometry(self):
+        array = make_array()
+        last_ppn = GEO.total_pages - 1
+        last_pbn = GEO.total_blocks - 1
+        assert array.die_of_command(ReadPage(ppn=last_ppn)) == GEO.die_of_ppn(last_ppn)
+        assert array.die_of_command(ReadOob(ppn=last_ppn)) == GEO.die_of_ppn(last_ppn)
+        assert array.die_of_command(ProgramPage(ppn=last_ppn)) == GEO.die_of_ppn(last_ppn)
+        assert array.die_of_command(EraseBlock(pbn=last_pbn)) == GEO.die_of_block(last_pbn)
+        assert array.die_of_command(Copyback(src_ppn=last_ppn, dst_ppn=0)) == (
+            GEO.die_of_ppn(last_ppn)
+        )
+        assert array.die_of_command(Identify()) is None
+
+    def test_out_of_range_raises(self):
+        array = make_array()
+        with pytest.raises(ValueError):
+            array.die_of_command(ProgramPage(ppn=-1))
+        with pytest.raises(ValueError):
+            array.die_of_command(EraseBlock(pbn=GEO.total_blocks))
 
 
 class TestOobAndIdentify:
