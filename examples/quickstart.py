@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
-from repro.db import Database, NoFTLStorageAdapter
+from repro.db import Database
 from repro.flash import (
     FlashArray,
     Geometry,
@@ -52,7 +52,7 @@ def main():
     # --- 3. the storage engine on top ------------------------------------
     db = Database(
         sim,
-        NoFTLStorageAdapter(storage),
+        storage,
         page_bytes=geometry.page_bytes,
         buffer_capacity=16,
         cpu_us_per_op=2.0,

@@ -15,9 +15,9 @@ Subpackages
 ``repro.flash``
     NAND model: geometry, timing, native command set, contention, wear.
 ``repro.ftl``
-    On-device FTLs: PageMapFTL, DFTL, FASTer, BlockMapFTL.
+    On-device FTLs: PageMapFTL, DFTL, FASTer.
 ``repro.device``
-    Block device (legacy interface) and native flash device.
+    Block device (legacy interface) and the hazard-safe host front end.
 ``repro.core``
     NoFTL: host-side flash management integrated with the DBMS.
 ``repro.db``

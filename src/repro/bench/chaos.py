@@ -191,16 +191,6 @@ class ChecksumOracle:
                 self.durable_floor[lpn] = idx
         self.barriers_completed += 1
 
-    def durable_checksum(self, page_id: int):
-        """The checksum the media must still hold after a power cut, or
-        ``None`` when nothing durable was promised for the page.  Any
-        version at or past the floor satisfies the contract (a destage
-        may have landed a newer acked version before the cut)."""
-        floor = self.durable_floor.get(page_id)
-        if floor is None:
-            return None
-        return self.history[page_id][floor]
-
     def acceptable_after_cut(self, page_id: int) -> List[int]:
         """Every checksum a post-cut readback may legally return for a
         page with a durable floor: the floor version or anything acked
@@ -290,7 +280,7 @@ def default_chaos_plan(seed: int = 7,
       themselves doomed) exercising remap + block retirement;
     * one whole-die outage window (op-count based, early enough that even
       short smoke runs reach it; narrower than the recovery paths'
-      ``outage_retry_limit`` so a stalled writer always outlives it);
+      ``OUTAGE_RETRY_LIMIT`` so a stalled writer always outlives it);
     * a latency spike window on die 0;
     * one deterministic erase failure growing a bad block through the
       erase path (the first BLOCK ERASE fails).

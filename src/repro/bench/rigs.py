@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager, SyncNoFTLStorage
-from ..db import Database, BlockDeviceAdapter, NoFTLStorageAdapter
+from ..db import Database, BlockDeviceAdapter
 from ..device import BlockDevice, DeviceFrontend, FrontendConfig, SyncBlockDevice
 from ..flash import (
     FaultPlan,
@@ -51,10 +51,10 @@ PLANES_PER_DIE = 2
 PAGE_BYTES = 2048
 
 
-def geometry_with_dies(dies: int, page_bytes: int = PAGE_BYTES) -> Geometry:
-    """A device with ``dies`` dies and a constant total capacity."""
-    if dies < 1:
-        raise ValueError("dies must be >= 1")
+def _geometry(dies: int, blocks_per_plane: int, pages_per_block: int,
+              page_bytes: int) -> Geometry:
+    """The rigs' one die layout: dies spread over 1, 2 or 4 channels (one
+    channel when the count does not divide), one chip per channel."""
     if dies <= 2:
         channels = 1
     elif dies <= 8:
@@ -63,21 +63,27 @@ def geometry_with_dies(dies: int, page_bytes: int = PAGE_BYTES) -> Geometry:
         channels = 4
     if dies % channels != 0:
         channels = 1
-    dies_per_chip = dies // channels
+    return Geometry(
+        channels=channels,
+        chips_per_channel=1,
+        dies_per_chip=dies // channels,
+        planes_per_die=PLANES_PER_DIE,
+        blocks_per_plane=blocks_per_plane,
+        pages_per_block=pages_per_block,
+        page_bytes=page_bytes,
+    )
+
+
+def geometry_with_dies(dies: int, page_bytes: int = PAGE_BYTES) -> Geometry:
+    """A device with ``dies`` dies and a constant total capacity."""
+    if dies < 1:
+        raise ValueError("dies must be >= 1")
     blocks_per_plane = TOTAL_PAGES_BUDGET // (
         dies * PLANES_PER_DIE * PAGES_PER_BLOCK
     )
     if blocks_per_plane < 6:
         raise ValueError(f"too many dies ({dies}) for the capacity budget")
-    return Geometry(
-        channels=channels,
-        chips_per_channel=1,
-        dies_per_chip=dies_per_chip,
-        planes_per_die=PLANES_PER_DIE,
-        blocks_per_plane=blocks_per_plane,
-        pages_per_block=PAGES_PER_BLOCK,
-        page_bytes=page_bytes,
-    )
+    return _geometry(dies, blocks_per_plane, PAGES_PER_BLOCK, page_bytes)
 
 
 DEMO_GEOMETRY = geometry_with_dies(8)
@@ -93,31 +99,8 @@ def geometry_for_footprint(
     """Size a device so ``footprint_pages`` fills ``utilization`` of the
     exported logical space — the steady-state condition GC comparisons
     need (an oversized device never garbage-collects)."""
-    if not 0.1 <= utilization <= 0.98:
-        raise ValueError("utilization must be in [0.1, 0.98]")
-    needed_logical = footprint_pages / utilization
-    needed_total = needed_logical / (1.0 - op_ratio)
-    per_die = PLANES_PER_DIE * PAGES_PER_BLOCK
-    blocks_per_plane = max(
-        6, -(-int(needed_total) // (dies * per_die))
-    )
-    if dies <= 2:
-        channels = 1
-    elif dies <= 8:
-        channels = 2
-    else:
-        channels = 4
-    if dies % channels != 0:
-        channels = 1
-    return Geometry(
-        channels=channels,
-        chips_per_channel=1,
-        dies_per_chip=dies // channels,
-        planes_per_die=PLANES_PER_DIE,
-        blocks_per_plane=blocks_per_plane,
-        pages_per_block=PAGES_PER_BLOCK,
-        page_bytes=page_bytes,
-    )
+    return sized_geometry(footprint_pages, dies, utilization, op_ratio,
+                          page_bytes=page_bytes)
 
 
 def make_ftl(name: str, geometry: Geometry, op_ratio: float = 0.12,
@@ -146,19 +129,22 @@ class NoFTLRig:
     array: FlashArray
     manager: NoFTLStorageManager
     storage: NoFTLStorage
-    adapter: NoFTLStorageAdapter
+    #: The mount slot: built as ``storage`` itself (NoFTLStorage is its
+    #: own page interface); the chaos rig swaps in its checksum oracle
+    #: wrapped around it.
+    adapter: object
     db: Optional[Database] = None
     telemetry: Optional[MetricsRegistry] = None
     trace: Optional[EventTrace] = None
     #: Present only when the rig was built with ``frontend_config``.
-    #: ``adapter`` stays the raw write-through adapter; the DBMS mounts
+    #: ``adapter`` stays the raw write-through path; the DBMS mounts
     #: the frontend instead (see :func:`attach_database`).
     frontend: Optional[DeviceFrontend] = None
 
     @property
     def mount_point(self):
         """What the DBMS mounts: the front end when present, else the
-        raw adapter."""
+        raw adapter slot."""
         return self.frontend if self.frontend is not None else self.adapter
 
 
@@ -196,7 +182,7 @@ def build_noftl_rig(
     ``frontend_config`` (opt-in, default off so legacy rigs stay
     event-for-event identical) interposes a :class:`DeviceFrontend` —
     hazard-safe admission plus a write-back cache — between the DBMS and
-    the adapter; power cuts on the array then wreck the volatile cache
+    the storage; power cuts on the array then wreck the volatile cache
     through the listener hook.
     """
     sim = Simulator()
@@ -216,13 +202,12 @@ def build_noftl_rig(
         trace=trace,
     )
     storage = NoFTLStorage(sim, manager, executor)
-    adapter = NoFTLStorageAdapter(storage)
     frontend = None
     if frontend_config is not None:
-        frontend = DeviceFrontend(sim, adapter, frontend_config,
+        frontend = DeviceFrontend(sim, storage, frontend_config,
                                   array=array, telemetry=telemetry,
                                   trace=manager.trace)
-    return NoFTLRig(sim, geometry, array, manager, storage, adapter,
+    return NoFTLRig(sim, geometry, array, manager, storage, storage,
                     telemetry=telemetry, trace=manager.trace,
                     frontend=frontend)
 
@@ -328,30 +313,17 @@ def sized_geometry(
     headroom_pages: int = 0,
     page_bytes: int = PAGE_BYTES,
 ) -> Geometry:
-    """Like :func:`geometry_for_footprint` with an explicit die count and
-    page/block size — used by sweeps that re-slice one drive over many
-    dies (Figure 4) while keeping space utilization constant."""
+    """Size a device so ``footprint_pages`` plus ``headroom_pages`` fill
+    ``utilization`` of the exported logical space, with an explicit die
+    count and page/block size — used by sweeps that re-slice one drive
+    over many dies (Figure 4) while keeping space utilization constant."""
+    if not 0.1 <= utilization <= 0.98:
+        raise ValueError("utilization must be in [0.1, 0.98]")
     needed_total = (footprint_pages + headroom_pages) / utilization \
         / (1.0 - op_ratio)
     per_die = PLANES_PER_DIE * pages_per_block
     blocks_per_plane = max(6, -(-int(needed_total) // (dies * per_die)))
-    if dies <= 2:
-        channels = 1
-    elif dies <= 8:
-        channels = 2
-    else:
-        channels = 4
-    if dies % channels != 0:
-        channels = 1
-    return Geometry(
-        channels=channels,
-        chips_per_channel=1,
-        dies_per_chip=dies // channels,
-        planes_per_die=PLANES_PER_DIE,
-        blocks_per_plane=blocks_per_plane,
-        pages_per_block=pages_per_block,
-        page_bytes=page_bytes,
-    )
+    return _geometry(dies, blocks_per_plane, pages_per_block, page_bytes)
 
 
 def attach_database(

@@ -13,7 +13,7 @@ keep working, writes are refused with :class:`DegradedModeError`), and
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
 from ..flash.geometry import Geometry
 
@@ -89,10 +89,6 @@ class BadBlockManager:
             raise DegradedModeError(
                 len(self.grown_bad), self.spare_blocks, self.watermark
             )
-
-    def bad_in_die(self, die_index: int) -> List[int]:
-        blocks = self.geometry.blocks_of_die(die_index)
-        return [pbn for pbn in blocks if self.is_bad(pbn)]
 
     def health(self) -> dict:
         total = self.geometry.total_blocks

@@ -52,14 +52,10 @@ class NoFTLConfig:
     spare_watermark
         Fraction of the over-provisioned (spare) blocks that may go bad
         before the device enters read-only degraded mode.
-    read_retry_limit
-        Extra read attempts after an ECC failure before the error
-        propagates to the caller.
-    outage_retry_limit
-        Pause-retry rounds while a die sits in an outage window.
-    scrub_on_retry
-        Relocate pages whose read only succeeded after retries and mark
-        their block suspect for priority GC.
+
+    The read-recovery budgets are constants of the FTL layer, not knobs:
+    :data:`repro.ftl.base.READ_RETRY_LIMIT` and
+    :data:`repro.ftl.base.OUTAGE_RETRY_LIMIT`.
     """
 
     num_regions: Optional[int] = None
@@ -73,9 +69,6 @@ class NoFTLConfig:
     wear_level_check_every: int = 64
     honor_trims: bool = True
     spare_watermark: float = 0.75
-    read_retry_limit: int = 4
-    outage_retry_limit: int = 150
-    scrub_on_retry: bool = True
 
     def __post_init__(self):
         if self.num_regions is not None and self.num_regions < 1:
@@ -84,7 +77,5 @@ class NoFTLConfig:
             raise ValueError("op_ratio must be in (0, 0.9)")
         if not 0.0 < self.spare_watermark <= 1.0:
             raise ValueError("spare_watermark must be in (0, 1]")
-        if self.read_retry_limit < 0 or self.outage_retry_limit < 0:
-            raise ValueError("retry limits must be >= 0")
         if self.write_streams and not self.separate_streams:
             raise ValueError("write_streams requires separate_streams")

@@ -144,9 +144,6 @@ class NoFTLStorageManager:
                 rng=self._rng,
                 telemetry=self.telemetry,
                 trace=self.trace,
-                read_retry_limit=self.config.read_retry_limit,
-                outage_retry_limit=self.config.outage_retry_limit,
-                scrub_on_retry=self.config.scrub_on_retry,
                 metric_prefix="noftl",
             )
             space.on_grown_bad = self._on_grown_bad

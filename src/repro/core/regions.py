@@ -82,13 +82,3 @@ class RegionManager:
         """Stripe logical pages round-robin across regions (die-wise
         striping when regions are single dies)."""
         return lpn % self.num_regions
-
-    def region_of_die(self, die_index: int) -> int:
-        dies_per_region = self.geometry.total_dies // self.num_regions
-        return die_index // dies_per_region
-
-    def lpns_of_region(self, region_id: int, logical_pages: int):
-        """Iterator over the logical pages a region owns."""
-        if not 0 <= region_id < self.num_regions:
-            raise ValueError(f"region {region_id} out of range")
-        return range(region_id, logical_pages, self.num_regions)

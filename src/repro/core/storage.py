@@ -1,10 +1,15 @@
 """Execution front-ends for the NoFTL storage manager.
 
-:class:`NoFTLStorage` is the DES-mode device the mini-DBMS mounts: reads
-are lock-free (translation is a host-RAM lookup), writes serialize per
-*region* — many host cores may manage different regions concurrently,
-unlike the single-ASIC controller of a black-box SSD.  There is no NCQ
-cap: native flash takes as many commands as dies can serve (Section 3.2).
+:class:`NoFTLStorage` is the DES-mode device the mini-DBMS mounts
+directly (Figure 1.c): database page number == LPN, temperature hints and
+deallocation (trim) flow straight into the storage manager, and the
+region topology is exposed so the buffer manager can bind db-writers to
+regions — the page interface of :class:`repro.db.storage.StorageAdapter`,
+duck-typed so the core stays free of DBMS imports.  Reads are lock-free
+(translation is a host-RAM lookup), writes serialize per *region* — many
+host cores may manage different regions concurrently, unlike the
+single-ASIC controller of a black-box SSD.  There is no NCQ cap: native
+flash takes as many commands as dies can serve (Section 3.2).
 
 :class:`SyncNoFTLStorage` is the synchronous flavour used for trace
 replay (Figure 3) and tests.
@@ -55,6 +60,7 @@ class NoFTLStorage:
         self.manager = manager
         self.executor = executor
         self.interface_overhead_us = interface_overhead_us
+        self.num_regions = manager.num_regions
         self.region_locks = [
             Resource(sim, capacity=1) for __ in range(manager.num_regions)
         ]
@@ -80,8 +86,19 @@ class NoFTLStorage:
     def logical_pages(self) -> int:
         return self.manager.logical_pages
 
-    def region_of_lpn(self, lpn: int) -> int:
-        return self.manager.region_of_lpn(lpn)
+    def region_of_page(self, page_id: int) -> int:
+        return self.manager.region_of_lpn(page_id)
+
+    @property
+    def maintenance_active(self) -> bool:
+        return self.manager.maintenance_active
+
+    def flush_barrier(self, ctx: Optional[OpContext] = None):
+        """Generator: durability barrier.  Writes are acknowledged only
+        after media program, so there is nothing to destage: no-op that
+        schedules no events."""
+        return
+        yield  # pragma: no cover - generator form
 
     def read(self, lpn: int, ctx: Optional[OpContext] = None):
         if ctx is None:
@@ -192,9 +209,6 @@ class SyncNoFTLStorage:
     @property
     def logical_pages(self) -> int:
         return self.manager.logical_pages
-
-    def region_of_lpn(self, lpn: int) -> int:
-        return self.manager.region_of_lpn(lpn)
 
     def read(self, lpn: int, ctx: Optional[OpContext] = None):
         return self.executor.run(self.manager.read(lpn), ctx=ctx)

@@ -11,12 +11,7 @@ from .latches import RWLock
 from .locks import LockManager, LockMode, TxnAborted
 from .page import BTreeNodePage, PageFormatError, SlottedPage, decode_page
 from .recovery import ColdStart, RecoveryReport, cold_start, recover_database
-from .storage import (
-    BlockDeviceAdapter,
-    NoFTLStorageAdapter,
-    RAMStorageAdapter,
-    StorageAdapter,
-)
+from .storage import BlockDeviceAdapter, RAMStorageAdapter, StorageAdapter
 from .temp import TempArea
 from .txn import Transaction, TransactionManager
 from .wal import FlashLogVolume, WALog, WALRecord
@@ -45,7 +40,6 @@ __all__ = [
     "cold_start",
     "recover_database",
     "BlockDeviceAdapter",
-    "NoFTLStorageAdapter",
     "RAMStorageAdapter",
     "StorageAdapter",
     "TempArea",

@@ -149,9 +149,6 @@ class LockManager:
 
     # -- introspection ------------------------------------------------------------------
 
-    def held_by(self, txn_id: int) -> Set[object]:
-        return set(self._held.get(txn_id, set()))
-
     def snapshot(self) -> dict:
         return {
             "acquisitions": self.total_acquisitions,

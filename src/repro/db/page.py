@@ -77,14 +77,6 @@ class SlottedPage:
     # -- capacity accounting -------------------------------------------------
 
     @property
-    def header_size(self) -> int:
-        return _COMMON.size + _SLOTTED_SUB.size
-
-    @property
-    def slot_count(self) -> int:
-        return len(self._records)
-
-    @property
     def live_records(self) -> int:
         return sum(1 for record in self._records if record is not None)
 
@@ -306,9 +298,6 @@ class BTreeNodePage:
         fixed = _COMMON.size + self._SUB.size
         per_key = 16  # key u64 + (value u64 | child u64)
         return max(3, (self.page_bytes - fixed - 8) // per_key)
-
-    def is_full(self) -> bool:
-        return len(self.keys) >= self.capacity
 
     def to_bytes(self) -> bytes:
         out = self._scratch

@@ -263,7 +263,6 @@ def cold_start(array, geometry, records: Iterable[WALRecord],
     from ..ftl.base import UNMAPPED
     from ..sim import Simulator
     from .database import Database
-    from .storage import NoFTLStorageAdapter
 
     if array.powered_off:
         array.power_cycle()
@@ -277,7 +276,7 @@ def cold_start(array, geometry, records: Iterable[WALRecord],
     storage = NoFTLStorage(sim, manager, executor)
     mount_report = sim.run_process(storage.mount())
 
-    db = Database(sim, NoFTLStorageAdapter(storage),
+    db = Database(sim, storage,
                   page_bytes=geometry.page_bytes,
                   buffer_capacity=buffer_capacity,
                   cpu_us_per_op=cpu_us_per_op,

@@ -1,12 +1,11 @@
 """Storage adapters: one page-granular interface over every backend.
 
-The mini-DBMS reads and writes *database pages*; an adapter maps them to
-the underlying device:
+The mini-DBMS reads and writes *database pages* through the
+:class:`StorageAdapter` interface.  NoFTL needs no adapter:
+:class:`repro.core.storage.NoFTLStorage` implements the interface itself
+(Figure 1.c: database page number == LPN, hints and trims go straight to
+the storage manager).  The other backends are mapped here:
 
-* :class:`NoFTLStorageAdapter` — Figure 1.c: database page number == LPN,
-  temperature hints and deallocation (trim) flow straight into the NoFTL
-  storage manager, and the adapter exposes the region topology so the
-  buffer manager can bind db-writers to regions;
 * :class:`BlockDeviceAdapter` — Figure 1.a/b: the black-box SSD.  Hints
   are dropped and trims are swallowed (the legacy write path of the
   paper's era carries neither), and there is exactly one "region";
@@ -21,13 +20,11 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..core.storage import NoFTLStorage
 from ..device.blockdev import BlockDevice
 from ..sim import Simulator
 
 __all__ = [
     "StorageAdapter",
-    "NoFTLStorageAdapter",
     "BlockDeviceAdapter",
     "RAMStorageAdapter",
 ]
@@ -85,33 +82,6 @@ class StorageAdapter:
         media.  Backends without the signal report False.
         """
         return False
-
-
-class NoFTLStorageAdapter(StorageAdapter):
-    """Native flash through the NoFTL storage manager (full integration)."""
-
-    def __init__(self, storage: NoFTLStorage):
-        self.storage = storage
-        self.logical_pages = storage.logical_pages
-        self.num_regions = storage.manager.num_regions
-        self.telemetry = storage.telemetry
-
-    def read(self, page_id: int, ctx=None):
-        data = yield from self.storage.read(page_id, ctx=ctx)
-        return data
-
-    def write(self, page_id: int, data, hint: str = "hot", ctx=None):
-        yield from self.storage.write(page_id, data, hint, ctx=ctx)
-
-    def trim(self, page_id: int, ctx=None):
-        yield from self.storage.trim(page_id, ctx=ctx)
-
-    def region_of_page(self, page_id: int) -> int:
-        return self.storage.region_of_lpn(page_id)
-
-    @property
-    def maintenance_active(self) -> bool:
-        return self.storage.manager.maintenance_active
 
 
 class BlockDeviceAdapter(StorageAdapter):

@@ -50,13 +50,12 @@ from ..core.badblock import DegradedModeError
 from ..core.storage import emit_host_op
 from ..flash.errors import PowerCutError
 from ..sim import LatencyRecorder, Simulator
-from ..telemetry import LiveBlame, OpContext
+from ..telemetry import LiveBlame, MetricsRegistry, OpContext
 
 __all__ = [
     "FrontendConfig",
     "DeviceFrontend",
     "FrontendShedError",
-    "wrap_storage",
 ]
 
 
@@ -172,9 +171,11 @@ class DeviceFrontend:
         self.sim = sim
         self.backing = backing
         self.config = config or FrontendConfig()
+        # Bare rigs (unit tests) have no registry: count into a private
+        # one, so every instrument below is always live.
         self.telemetry = (
-            telemetry if telemetry is not None
-            else getattr(backing, "telemetry", None)
+            telemetry or getattr(backing, "telemetry", None)
+            or MetricsRegistry()
         )
         self.trace = trace
         self.array = array
@@ -227,61 +228,24 @@ class DeviceFrontend:
         self.ack_latency = LatencyRecorder("frontend-ack")
         self.read_latency = LatencyRecorder("frontend-read")
         tm = self.telemetry
-        if tm is not None:
-            self._tm_acks = tm.counter("frontend.acks", layer="device")
-            self._tm_coalesced = tm.counter(
-                "frontend.coalesced", layer="device"
-            )
-            self._tm_cache_hits = tm.counter(
-                "frontend.cache_hits", layer="device"
-            )
-            self._tm_destages = tm.counter(
-                "frontend.destages", layer="device"
-            )
-            self._tm_barriers = tm.counter(
-                "frontend.barriers", layer="device"
-            )
-            self._tm_hazard_stalls = tm.counter(
-                "frontend.hazard_stalls", layer="device"
-            )
-            self._tm_sheds = tm.counter_vec(
-                "frontend.sheds", ("cls",), layer="device"
-            )
-            self._tm_destage_degraded = tm.counter(
-                "frontend.destage_degraded", layer="device"
-            )
-            self._tm_volatile_lost = tm.counter(
-                "frontend.volatile_lost", layer="device"
-            )
-            self._tm_throttled = tm.counter(
-                "frontend.destage_throttled", layer="device"
-            )
-            self._tm_dirty = tm.gauge("frontend.dirty_pages", layer="device")
-            self._tm_barrier_us = tm.histogram(
-                "frontend.barrier_us", layer="device"
-            )
-            tm.register_collector("frontend.state", self._collect_state)
-        else:  # bare rigs (unit tests) keep working without a registry
-            class _Null:
-                def inc(self, n=1):
-                    pass
-
-                def set(self, v):
-                    pass
-
-                def observe(self, v):
-                    pass
-
-                def labels(self, *a, **kw):
-                    return self
-
-            null = _Null()
-            self._tm_acks = self._tm_coalesced = null
-            self._tm_cache_hits = self._tm_destages = null
-            self._tm_barriers = self._tm_hazard_stalls = null
-            self._tm_sheds = self._tm_destage_degraded = null
-            self._tm_volatile_lost = self._tm_throttled = null
-            self._tm_dirty = self._tm_barrier_us = null
+        self._tm_acks = tm.counter("frontend.acks", layer="device")
+        self._tm_coalesced = tm.counter("frontend.coalesced", layer="device")
+        self._tm_cache_hits = tm.counter("frontend.cache_hits", layer="device")
+        self._tm_destages = tm.counter("frontend.destages", layer="device")
+        self._tm_barriers = tm.counter("frontend.barriers", layer="device")
+        self._tm_hazard_stalls = tm.counter(
+            "frontend.hazard_stalls", layer="device")
+        self._tm_sheds = tm.counter_vec(
+            "frontend.sheds", ("cls",), layer="device")
+        self._tm_destage_degraded = tm.counter(
+            "frontend.destage_degraded", layer="device")
+        self._tm_volatile_lost = tm.counter(
+            "frontend.volatile_lost", layer="device")
+        self._tm_throttled = tm.counter(
+            "frontend.destage_throttled", layer="device")
+        self._tm_dirty = tm.gauge("frontend.dirty_pages", layer="device")
+        self._tm_barrier_us = tm.histogram("frontend.barrier_us", layer="device")
+        tm.register_collector("frontend.state", self._collect_state)
 
         #: Opt-in :class:`repro.telemetry.health.LoadWindowEngine`; set by
         #: ``HealthMonitor.attach_frontend``.  Entirely passive — the
@@ -861,25 +825,3 @@ class DeviceFrontend:
             "gc_share": round(self.gc_share(), 4),
         }
 
-
-def wrap_storage(storage):
-    """Adapt a raw device/storage object to the adapter interface.
-
-    Accepts an object that already quacks like a StorageAdapter (has
-    ``region_of_page``), a :class:`~repro.core.storage.NoFTLStorage`, or
-    a :class:`~repro.device.blockdev.BlockDevice`.  Imports lazily to
-    keep the device layer free of DBMS imports at module scope.
-    """
-    if hasattr(storage, "region_of_page"):
-        return storage
-    from ..core.storage import NoFTLStorage
-    from ..db.storage import BlockDeviceAdapter, NoFTLStorageAdapter
-    from .blockdev import BlockDevice
-
-    if isinstance(storage, NoFTLStorage):
-        return NoFTLStorageAdapter(storage)
-    if isinstance(storage, BlockDevice):
-        return BlockDeviceAdapter(storage)
-    raise TypeError(
-        f"cannot adapt {type(storage).__name__} for the device front end"
-    )

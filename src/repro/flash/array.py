@@ -326,10 +326,6 @@ class FlashArray:
             "total": sum(self.erase_counts),
         }
 
-    def peek_data(self, ppn: int) -> Any:
-        """Direct state access for tests (bypasses commands and counters)."""
-        return self._data[ppn]
-
     def peek_oob(self, ppn: int) -> Any:
         return self._oob[ppn]
 

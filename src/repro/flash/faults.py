@@ -146,11 +146,6 @@ class FaultPlan:
         return self
 
     @classmethod
-    def transient_reads(cls, rate: float, seed: int = 0) -> "FaultPlan":
-        """The old ``read_error_rate`` behaviour as a plan."""
-        return cls([FaultSpec(kind="transient_read", rate=rate)], seed=seed)
-
-    @classmethod
     def power_cut_at(cls, at_op: int, seed: int = 0) -> "FaultPlan":
         """A plan whose only fault is a power cut at flash op ``at_op``."""
         return cls([FaultSpec(kind="power_cut", at_op=at_op)], seed=seed)

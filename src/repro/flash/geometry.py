@@ -98,10 +98,6 @@ class Geometry:
         return self._blocks_per_die
 
     @property
-    def pages_per_die(self) -> int:
-        return self._pages_per_die
-
-    @property
     def pages_per_plane(self) -> int:
         return self._pages_per_plane
 

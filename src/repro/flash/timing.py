@@ -13,7 +13,7 @@ analytic reference, mirroring the paper's Demo Scenario 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "TimingSpec",
@@ -69,19 +69,6 @@ class TimingSpec:
     def copyback_latency_us(self) -> float:
         """On-die page move: read into register + program, no bus transfer."""
         return self.cmd_overhead_us + self.read_us + self.program_us
-
-    def scaled(self, factor: float, name: str | None = None) -> "TimingSpec":
-        """A spec with all latencies scaled by ``factor`` (validation aid)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(
-            self,
-            name=name or f"{self.name}x{factor:g}",
-            read_us=self.read_us * factor,
-            program_us=self.program_us * factor,
-            erase_us=self.erase_us * factor,
-            cmd_overhead_us=self.cmd_overhead_us * factor,
-        )
 
 
 # Datasheet-class presets.  bus at 100 MB/s ~ asynchronous/ONFI-1 era parts,

@@ -3,18 +3,13 @@ reuses in the host).
 
 * :class:`PageMapFTL` — pure page-level mapping, fully cached (ideal);
 * :class:`DFTL` — demand-cached page mapping (Gupta et al., ASPLOS'09);
-* :class:`LazyFTL` — lazy batch-persisted page mapping (Ma et al.,
-  SIGMOD'11);
 * :class:`FASTer` — hybrid log-block mapping with second chance
-  (Lim et al., SNAPI'10);
-* :class:`BlockMapFTL` — classic block mapping (worst-case anchor).
+  (Lim et al., SNAPI'10).
 """
 
 from .base import UNMAPPED, BaseFTL, BlockPool, FTLStats, MappingState, relocate_page
-from .blockmap import BlockMapFTL
 from .dftl import DFTL
 from .faster import FASTer
-from .lazyftl import LazyFTL
 from .pagemap import PageMapFTL
 from .pagespace import PageMappedSpace
 
@@ -25,10 +20,8 @@ __all__ = [
     "FTLStats",
     "MappingState",
     "relocate_page",
-    "BlockMapFTL",
     "DFTL",
     "FASTer",
-    "LazyFTL",
     "PageMapFTL",
     "PageMappedSpace",
 ]

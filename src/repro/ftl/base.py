@@ -26,10 +26,20 @@ __all__ = [
     "VictimBuckets",
     "relocate_page",
     "read_page_with_retry",
+    "READ_RETRY_LIMIT",
+    "OUTAGE_RETRY_LIMIT",
     "UNMAPPED",
 ]
 
 UNMAPPED = -1
+
+#: Extra READ PAGE attempts after an ECC failure before the error reaches
+#: the caller (transient read disturb clears on retry; a media defect
+#: exhausts the budget).
+READ_RETRY_LIMIT = 4
+#: Pause-retry rounds a command waits out while its die sits in an outage
+#: window before the outage error propagates.
+OUTAGE_RETRY_LIMIT = 150
 
 
 @dataclass
@@ -63,11 +73,6 @@ class FTLStats:
     program_remaps: int = 0  # in-flight writes remapped after ProgramError
     relocation_skips: int = 0  # GC/merge pages skipped as unreadable
     extra: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_relocation_ios(self) -> int:
-        """All page movements caused by maintenance, in copyback units."""
-        return self.gc_relocations
 
     @property
     def write_amplification(self) -> float:
@@ -387,8 +392,8 @@ class VictimBuckets:
 
 
 def read_page_with_retry(ppn: int, *, stats: Optional[FTLStats] = None,
-                         counter=None, retries: int = 4,
-                         outage_retries: int = 150,
+                         counter=None, retries: int = READ_RETRY_LIMIT,
+                         outage_retries: int = OUTAGE_RETRY_LIMIT,
                          backoff_us: float = 50.0):
     """READ PAGE with bounded retry; returns ``(result, ecc_retries)``.
 
@@ -428,7 +433,8 @@ def read_page_with_retry(ppn: int, *, stats: Optional[FTLStats] = None,
 
 def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int,
                   stats: FTLStats, oob=None, counter=None,
-                  retries: int = 4, outage_retries: int = 150):
+                  retries: int = READ_RETRY_LIMIT,
+                  outage_retries: int = OUTAGE_RETRY_LIMIT):
     """Move one valid page, preferring COPYBACK when planes match.
 
     A flash-command generator; returns ``True`` when the page moved and

@@ -101,8 +101,8 @@ class FASTer(BaseFTL):
         self.log_blocks_max = max(2 + log_stripes, int(len(good_blocks) * log_fraction))
 
         # data area — flat per-lbn arrays plus one written bitmap over the
-        # logical page space (same representation the page-mapped engine
-        # and the block-map FTL use).
+        # logical page space (same flat typed-array representation as the
+        # page-mapped engine).
         self.block_map = _array("q", [UNMAPPED]) * self.logical_blocks
         self._data_fill = _array("l", [0]) * self.logical_blocks
         self._data_written = bytearray(self.logical_pages)

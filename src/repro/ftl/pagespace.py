@@ -38,6 +38,7 @@ from ..flash.errors import (
 from ..flash.geometry import Geometry
 from ..telemetry import EventTrace, MetricsRegistry, OpContext
 from .base import (
+    OUTAGE_RETRY_LIMIT,
     UNMAPPED,
     BlockPool,
     FTLStats,
@@ -127,14 +128,6 @@ class PageMappedSpace:
         Static wear-leveling trigger: when the erase-count spread inside a
         plane exceeds this, the coldest occupied block is refreshed.
         ``None`` disables.
-    read_retry_limit, outage_retry_limit
-        Bounded recovery budgets for host reads and relocations: extra
-        read attempts after an ECC failure, and Pause-retry rounds while a
-        die is in an outage window.
-    scrub_on_retry
-        When True, a host read that only succeeded after retries scrubs
-        the page — relocates it to a fresh block and marks the old block
-        suspect so GC prioritises it.
     metric_prefix
         Namespace for the recovery telemetry counters (``read_retries``,
         ``scrubs``, ``program_remaps``, ``gc.relocation_skips``): ``"ftl"``
@@ -158,9 +151,6 @@ class PageMappedSpace:
         rng: Optional[random.Random] = None,
         telemetry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
-        read_retry_limit: int = 4,
-        outage_retry_limit: int = 150,
-        scrub_on_retry: bool = True,
         metric_prefix: str = "ftl",
     ):
         if gc_policy not in ("greedy", "cost_benefit"):
@@ -217,11 +207,6 @@ class PageMappedSpace:
         # Flat, like every other per-block table since the typed-array
         # refactor; only this space's blocks ever increment.
         self.erase_counts = _array("l", [0]) * geometry.total_blocks
-        if read_retry_limit < 0 or outage_retry_limit < 0:
-            raise ValueError("retry limits must be >= 0")
-        self.read_retry_limit = read_retry_limit
-        self.outage_retry_limit = outage_retry_limit
-        self.scrub_on_retry = scrub_on_retry
         self.metric_prefix = metric_prefix
         #: Blocks that produced a retried-but-recovered read; GC victim
         #: selection prioritises them so suspect media is refreshed soon.
@@ -280,8 +265,9 @@ class PageMappedSpace:
         written).
 
         ECC failures are retried with backoff (bounded by
-        ``read_retry_limit``); a read that recovers only after retries
-        scrubs the page to fresh media.  A persistent media defect
+        :data:`~repro.ftl.base.READ_RETRY_LIMIT`); a read that recovers
+        only after retries scrubs the page to fresh media and marks its
+        block suspect, so GC refreshes it soon.  A persistent media defect
         exhausts the budget and the :class:`UncorrectableError`
         propagates to the host.
         """
@@ -289,11 +275,8 @@ class PageMappedSpace:
         if ppn == UNMAPPED:
             return None
         result, retried = yield from read_page_with_retry(
-            ppn, stats=self.stats, counter=self._tm_read_retries,
-            retries=self.read_retry_limit,
-            outage_retries=self.outage_retry_limit,
-        )
-        if retried and self.scrub_on_retry:
+            ppn, stats=self.stats, counter=self._tm_read_retries)
+        if retried:
             yield from self._scrub_page(lpn, ppn, result.data)
         return result.data
 
@@ -342,7 +325,7 @@ class PageMappedSpace:
             except DieOutageError:
                 # Rejected before the slot was consumed: retry same ppn.
                 waits += 1
-                if waits > self.outage_retry_limit:
+                if waits > OUTAGE_RETRY_LIMIT:
                     raise
                 yield Pause(duration_us=min(50.0 * (2 ** min(waits, 5)), 2000.0))
             except ProgramError:
@@ -413,8 +396,6 @@ class PageMappedSpace:
                         self.geometry, src, dst, self.stats,
                         oob=oob,
                         counter=self._tm_relocations,
-                        retries=self.read_retry_limit,
-                        outage_retries=self.outage_retry_limit,
                     )
                 except ProgramError:
                     # The evacuation destination failed too; quarantine it
@@ -614,8 +595,6 @@ class PageMappedSpace:
                             ok = yield from relocate_page(
                                 self.geometry, src, dst, self.stats,
                                 counter=self._tm_relocations,
-                                retries=self.read_retry_limit,
-                                outage_retries=self.outage_retry_limit,
                             )
                         else:
                             ok = True
@@ -623,8 +602,6 @@ class PageMappedSpace:
                                 result, __ = yield from read_page_with_retry(
                                     src, stats=self.stats,
                                     counter=self._tm_read_retries,
-                                    retries=self.read_retry_limit,
-                                    outage_retries=self.outage_retry_limit,
                                 )
                             except UncorrectableError:
                                 self.stats.relocation_skips += 1
@@ -689,7 +666,7 @@ class PageMappedSpace:
             except DieOutageError:
                 # Nothing was erased; wait out the window and retry.
                 waits += 1
-                if waits > self.outage_retry_limit:
+                if waits > OUTAGE_RETRY_LIMIT:
                     raise
                 yield Pause(duration_us=min(50.0 * (2 ** min(waits, 5)), 2000.0))
             except BlockWornOut:

@@ -39,7 +39,6 @@ __all__ = [
     "FOREGROUND_STREAMS",
     "GC_SUFFIX",
     "STREAM_CODES",
-    "class_code_of_stream",
     "gc_stream_of_code",
     "stream_for",
 ]
@@ -96,12 +95,6 @@ STREAM_CODES = {
     for name in ((cls, "heap-hot", "heap-cold") if cls == "heap" else (cls,))
     for suffix in ("", GC_SUFFIX)
 }
-
-
-def class_code_of_stream(stream: str) -> int:
-    """Class code a stream's blocks will hold (0 for the legacy
-    hot/cold streams, whose blocks are class-untracked)."""
-    return STREAM_CODES.get(stream, 0)
 
 
 def gc_stream_of_code(code: int) -> str:

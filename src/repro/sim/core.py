@@ -105,11 +105,6 @@ class Event:
         return self._value is not _UNSET
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         return self._ok
 
@@ -218,32 +213,27 @@ class Process(Event):
     def _resume_inner(self, ok: bool, value: Any) -> None:
         self._waiting_on = None
         sim = self.sim
-        sim._active_process = self
         try:
             if ok:
                 target = self._send(value)
             else:
                 target = self._throw(value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value)
             return
         except Interrupt as exc:
             # An uncaught interrupt terminates the process abnormally.
-            sim._active_process = None
             self._ok = False
             self._value = exc
             sim._schedule(self)
             return
         except BaseException as exc:
-            sim._active_process = None
             self._ok = False
             self._value = exc
             sim._schedule(self)
             if not self.callbacks:
                 raise
             return
-        sim._active_process = None
         try:
             callbacks = target.callbacks
         except AttributeError:
@@ -344,7 +334,6 @@ class Simulator:
         self._queue: list = []   # (when, seq, event) heap — future events
         self._fast: deque = deque()  # immediate lane, see _schedule
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: Events dispatched so far — the stack benchmark divides this by
         #: host seconds to get the events/sec figure.
         self.events_processed = 0
@@ -353,10 +342,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time (microseconds by project convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event constructors -------------------------------------------------
 

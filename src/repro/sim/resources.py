@@ -8,7 +8,7 @@ message queue used e.g. to hand dirty pages to background db-writers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .core import Event, Simulator
 
@@ -39,14 +39,6 @@ class Resource:
         self.total_waits = 0
         self._wait_time = 0.0
         self._request_times: dict = {}
-
-    @property
-    def in_use(self) -> int:
-        return self._users
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     @property
     def total_wait_time(self) -> float:
@@ -111,14 +103,3 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; None when empty."""
-        if self._items:
-            self.total_gets += 1
-            return self._items.popleft()
-        return None
-
-    def peek_all(self) -> list:
-        """Snapshot of queued items (for inspection/tests)."""
-        return list(self._items)

@@ -82,10 +82,6 @@ class RunningStats:
     def variance(self) -> float:
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
     def __repr__(self) -> str:
         return (
             f"RunningStats(n={self.count}, mean={self.mean:.3f}, "

@@ -48,7 +48,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    flash_totals,
     sum_per_die,
 )
 from .trace import EventTrace, Span, TraceEvent, load_jsonl
@@ -59,7 +58,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "flash_totals",
     "sum_per_die",
     "EventTrace",
     "Span",

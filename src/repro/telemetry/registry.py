@@ -32,7 +32,6 @@ __all__ = [
     "CounterVec",
     "Gauge",
     "Histogram",
-    "HistogramVec",
     "MetricsRegistry",
     "LabelSet",
 ]
@@ -144,27 +143,24 @@ class Histogram:
         return {"name": self.name, "labels": dict(self.labels), **summary}
 
 
-class _Vec:
-    """Pre-resolved family handle for one instrument name.
+class CounterVec:
+    """Pre-resolved counter family handle for one instrument name.
 
     The per-command hot paths (flash accounting, fault bookkeeping,
     executor cost charging) used to call ``registry.counter(name,
     **labels)`` per event, paying keyword packing + ``sorted(...)`` label
     canonicalisation every time.  A vec binds the variable label *names*
     once at wiring time; :meth:`labels` then takes the label *values*
-    positionally and caches the resolved instrument under that value
-    tuple, so the steady-state cost is one dict lookup.
+    positionally and caches the resolved counter under that value tuple,
+    so the steady-state cost is one dict lookup.
 
-    Instruments come from the owning registry's get-or-create tables, so
+    Counters come from the owning registry's get-or-create table, so
     vec-resolved and keyword-resolved handles for the same (name, labels)
     are the same object — snapshots and aggregation queries see no
     difference.
     """
 
     __slots__ = ("_registry", "_name", "_label_names", "_static", "_cache")
-
-    #: bound get-or-create method name on MetricsRegistry
-    _kind = ""
 
     def __init__(self, registry: "MetricsRegistry", name: str,
                  label_names: Tuple[str, ...], static: Dict[str, object]):
@@ -174,8 +170,8 @@ class _Vec:
         self._static = static
         self._cache: dict = {}
 
-    def labels(self, *values):
-        """Resolve the instrument for these positional label values."""
+    def labels(self, *values) -> Counter:
+        """Resolve the counter for these positional label values."""
         instrument = self._cache.get(values)
         if instrument is None:
             if len(values) != len(self._label_names):
@@ -185,30 +181,12 @@ class _Vec:
                 )
             labels = dict(zip(self._label_names, values))
             labels.update(self._static)
-            resolve = getattr(self._registry, self._kind)
-            instrument = self._cache[values] = resolve(self._name, **labels)
+            instrument = self._cache[values] = self._registry.counter(
+                self._name, **labels)
         return instrument
-
-
-class CounterVec(_Vec):
-    """Counter family with positional, cached label resolution."""
-
-    __slots__ = ()
-    _kind = "counter"
 
     def inc(self, *values, amount=1) -> None:
         self.labels(*values).inc(amount)
-
-
-class HistogramVec(_Vec):
-    """Histogram family with positional, cached label resolution."""
-
-    __slots__ = ()
-    _kind = "histogram"
-
-    def observe(self, *values_then_sample) -> None:
-        *values, sample = values_then_sample
-        self.labels(*values).observe(sample)
 
 
 class MetricsRegistry:
@@ -281,13 +259,8 @@ class MetricsRegistry:
                     **static) -> CounterVec:
         """Pre-resolved counter family: bind ``label_names`` (and any
         constant ``static`` labels) once, then ``vec.labels(v1, v2)``
-        resolves with a single tuple-keyed dict lookup.  See :class:`_Vec`."""
+        resolves with a single tuple-keyed dict lookup.  See :class:`CounterVec`."""
         return CounterVec(self, name, tuple(label_names), static)
-
-    def histogram_vec(self, name: str, label_names: Iterable[str],
-                      **static) -> HistogramVec:
-        """Pre-resolved histogram family; see :meth:`counter_vec`."""
-        return HistogramVec(self, name, tuple(label_names), static)
 
     # -- aggregation ----------------------------------------------------------
 
@@ -350,10 +323,6 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, default=str, sort_keys=True)
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
     def set_gauge_merge(self, name: str, policy: str) -> None:
         """Declare how gauges named ``name`` combine in :meth:`merge_from`.
 
@@ -405,14 +374,6 @@ class MetricsRegistry:
                 for sample in histogram.samples:
                     mine.observe(sample)
 
-    def merge_counters_from(self, other: "MetricsRegistry") -> None:
-        """Counters-only merge, kept for callers that explicitly want to
-        discard distribution data.  Gauges and histograms are **not**
-        carried over — use :meth:`merge_from` to keep latency data."""
-        for name, family in other._counters.items():
-            for labelset, counter in family.items():
-                self.counter(name, **dict(labelset)).inc(counter.value)
-
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> dict:
@@ -439,8 +400,3 @@ FLASH_OPS = ("read", "program", "erase", "copyback", "oob_read")
 def sum_per_die(registry: MetricsRegistry, op: str) -> Dict[int, float]:
     """Convenience: per-die totals of one flash command type."""
     return registry.series("flash.commands", "die", op=op)
-
-
-def flash_totals(registry: MetricsRegistry, ops: Iterable[str] = FLASH_OPS) -> Dict[str, int]:
-    """Convenience: total count of each flash command type."""
-    return {op: int(registry.value("flash.commands", op=op)) for op in ops}

@@ -8,8 +8,7 @@ ring (old events fall off; a ``dropped`` counter records how many), so
 tracing is always safe to leave enabled on multi-minute simulated runs.
 
 An optional JSONL sink streams every event to disk as it is emitted —
-useful for post-mortem analysis of a single bench; ``to_jsonl`` dumps the
-retained window after the fact.
+useful for post-mortem analysis of a single bench.
 """
 
 from __future__ import annotations
@@ -170,9 +169,6 @@ class EventTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.kind == kind]
-
     def summary(self) -> dict:
         return {
             "capacity": self.capacity,
@@ -181,16 +177,9 @@ class EventTrace:
             "dropped": self.dropped,
         }
 
-    def to_jsonl(self, path) -> int:
-        """Dump the retained window as JSON lines; returns events written."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(json.dumps(event.as_dict(), default=str) + "\n")
-        return len(self.events)
-
 
 def load_jsonl(path) -> List[dict]:
-    """Load a trace written by a JSONL sink or :meth:`EventTrace.to_jsonl`.
+    """Load a trace written by a JSONL sink.
 
     ``path`` is a filename or an open text stream.  Returns the raw event
     dicts (``{"ts", "kind", **fields}``) — the form the attribution

@@ -65,6 +65,24 @@ class TestGeometryFactories:
         with pytest.raises(ValueError):
             geometry_for_footprint(1000, utilization=0.01)
 
+    @pytest.mark.parametrize("utilization", [0, 1.5])
+    def test_sized_geometry_rejects_utilization(self, utilization):
+        with pytest.raises(ValueError):
+            sized_geometry(1000, dies=4, utilization=utilization)
+
+    @pytest.mark.parametrize("footprint,utilization,op_ratio,dies", [
+        (6000, 0.85, 0.12, 2),  # the replay_gc_noftl stack workload
+        (3000, 0.8, 0.1, 8),
+        (1131, 0.5, 0.28, 3),
+        (50, 0.98, 0.12, 16),
+        (20000, 0.1, 0.2, 32),
+    ])
+    def test_footprint_sizing_is_sized_geometry(self, footprint, utilization,
+                                                op_ratio, dies):
+        assert geometry_for_footprint(
+            footprint, utilization, op_ratio, dies) == sized_geometry(
+            footprint, dies, utilization, op_ratio, headroom_pages=0)
+
     def test_make_ftl_names(self):
         geometry = geometry_with_dies(2)
         assert make_ftl("pagemap", geometry).name == "PageMapFTL"

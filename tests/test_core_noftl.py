@@ -104,8 +104,8 @@ class TestRegions:
     def test_region_local_pages_use_every_plane(self):
         config = NoFTLConfig(op_ratio=0.25, num_regions=GEO.total_dies)
         storage, manager, array = make_noftl(config)
-        region0_lpns = list(manager.regions.lpns_of_region(
-            0, manager.logical_pages))[:32]
+        region0_lpns = [lpn for lpn in range(manager.logical_pages)
+                        if manager.region_of_lpn(lpn) == 0][:32]
         for lpn in region0_lpns:
             storage.write(lpn, data=b"x")
         region = manager.regions.regions[0]

@@ -18,7 +18,7 @@ Layer by layer:
 import pytest
 
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
-from repro.db import Database, NoFTLStorageAdapter, WALog, cold_start
+from repro.db import Database, WALog, cold_start
 from repro.flash import (
     EraseBlock,
     FaultPlan,
@@ -256,7 +256,7 @@ class TestColdStartPipeline:
             GEO, NoFTLConfig(op_ratio=0.25),
             factory_bad_blocks=array.factory_bad_blocks())
         storage = NoFTLStorage(sim, manager, executor)
-        db = Database(sim, NoFTLStorageAdapter(storage),
+        db = Database(sim, storage,
                       page_bytes=GEO.page_bytes, buffer_capacity=24,
                       cpu_us_per_op=1.0, wal_keep_records=True)
         heap = db.create_heap("t")
@@ -321,7 +321,7 @@ class TestColdStartPipeline:
             GEO, NoFTLConfig(op_ratio=0.25),
             factory_bad_blocks=array.factory_bad_blocks())
         storage = NoFTLStorage(sim, manager, executor)
-        db = Database(sim, NoFTLStorageAdapter(storage),
+        db = Database(sim, storage,
                       page_bytes=GEO.page_bytes, buffer_capacity=24,
                       wal_keep_records=True)
         heap = db.create_heap("t")

@@ -9,7 +9,6 @@ from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
 from repro.db import (
     Database,
     DuplicateKeyError,
-    NoFTLStorageAdapter,
     RAMStorageAdapter,
     RID,
     pack_rid,
@@ -54,7 +53,7 @@ def make_noftl_db(buffer_capacity=32, config=None, geometry=GEO):
     executor = SimExecutor(SimFlashDevice(sim, array))
     manager = NoFTLStorageManager(geometry,
                                   config or NoFTLConfig(op_ratio=0.25))
-    storage = NoFTLStorageAdapter(NoFTLStorage(sim, manager, executor))
+    storage = NoFTLStorage(sim, manager, executor)
     db = Database(sim, storage, page_bytes=1024,
                   buffer_capacity=buffer_capacity, cpu_us_per_op=1.0)
     return sim, db, manager, array

@@ -12,11 +12,7 @@ import random
 import pytest
 
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
-from repro.db import (
-    Database,
-    NoFTLStorageAdapter,
-    cold_start,
-)
+from repro.db import Database, cold_start
 from repro.flash import (
     FlashArray,
     Geometry,
@@ -43,7 +39,7 @@ def make_db(array=None, sim=None):
     executor = SimExecutor(SimFlashDevice(sim, array))
     manager = NoFTLStorageManager(GEO, NoFTLConfig(op_ratio=0.25))
     storage = NoFTLStorage(sim, manager, executor)
-    db = Database(sim, NoFTLStorageAdapter(storage),
+    db = Database(sim, storage,
                   page_bytes=GEO.page_bytes, buffer_capacity=24,
                   cpu_us_per_op=1.0, wal_keep_records=True)
     return sim, db, manager, array

@@ -1,14 +1,9 @@
-"""Tests for the block-device and native-device front-ends."""
+"""Tests for the block-device front-end and the NoFTL storage paths."""
 
 import pytest
 
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
-from repro.device import (
-    BlockDevice,
-    NativeFlashDevice,
-    SyncBlockDevice,
-    SyncNativeFlashDevice,
-)
+from repro.device import BlockDevice, SyncBlockDevice
 from repro.flash import (
     FlashArray,
     Geometry,
@@ -157,47 +152,6 @@ class TestSyncBlockDevice:
         assert device.logical_pages == device.ftl.logical_pages
 
 
-class TestNativeDevice:
-    def test_identify_reports_geometry(self):
-        sim = Simulator()
-        native = NativeFlashDevice(SimFlashDevice(sim, FlashArray(GEO, SLC_TIMING)))
-
-        def proc():
-            info = yield from native.identify()
-            return info
-
-        info = sim.run_process(proc())
-        assert info["total_dies"] == GEO.total_dies
-        assert info["channels"] == GEO.channels
-
-    def test_native_command_roundtrip(self):
-        sim = Simulator()
-        native = NativeFlashDevice(SimFlashDevice(sim, FlashArray(GEO, SLC_TIMING)))
-
-        def proc():
-            yield from native.program_page(0, data=b"raw", oob={"lpn": 0})
-            data, oob = yield from native.read_page(0)
-            meta = yield from native.read_oob(0)
-            return data, oob, meta
-
-        data, oob, meta = sim.run_process(proc())
-        assert data == b"raw"
-        assert oob == {"lpn": 0}
-        assert meta == {"lpn": 0}
-        assert native.latency.count == 3
-
-    def test_sync_native_full_cycle(self):
-        device = SyncNativeFlashDevice(SyncFlashDevice(FlashArray(GEO, SLC_TIMING)))
-        assert device.identify()["page_bytes"] == GEO.page_bytes
-        device.program_page(0, data=b"a", oob="m")
-        blocks = GEO.blocks_of_plane(0, 0)
-        device.copyback(0, GEO.ppn_of(blocks[1], 0))
-        data, oob = device.read_page(GEO.ppn_of(blocks[1], 0))
-        assert data == b"a"
-        assert oob == "m"
-        device.erase_block(0)
-
-
 class TestNoFTLStorageDES:
     def test_roundtrip_with_region_locks(self):
         sim = Simulator()
@@ -244,3 +198,17 @@ class TestNoFTLStorageDES:
             sim.process(writer(region))
         sim.run()
         assert storage.region_lock_contention()["total_waits"] == 0
+
+    def test_storage_is_its_own_page_interface(self):
+        """The DBMS mounts NoFTLStorage directly: region topology, the
+        maintenance signal and a barrier that schedules nothing."""
+        sim = Simulator()
+        array = FlashArray(GEO, SLC_TIMING)
+        executor = SimExecutor(SimFlashDevice(sim, array))
+        manager = NoFTLStorageManager(GEO, NoFTLConfig(op_ratio=0.25))
+        storage = NoFTLStorage(sim, manager, executor)
+        assert storage.num_regions == manager.num_regions == GEO.total_dies
+        assert [storage.region_of_page(lpn) for lpn in range(4)] == [
+            manager.region_of_lpn(lpn) for lpn in range(4)]
+        assert storage.maintenance_active is False
+        assert list(storage.flush_barrier()) == []  # yields no event

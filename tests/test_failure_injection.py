@@ -24,6 +24,7 @@ from repro.flash import (
     UncorrectableError,
 )
 from repro.ftl import FASTer, PageMapFTL
+from repro.ftl.base import READ_RETRY_LIMIT
 from repro.sim import Simulator
 from repro.workloads import TPCC, run_workload
 
@@ -221,7 +222,7 @@ class TestTransientReadRecovery:
         storage.write(3, data=b"doomed")
         with pytest.raises(UncorrectableError):
             storage.read(3)
-        assert manager.stats.read_retries >= manager.config.read_retry_limit
+        assert manager.stats.read_retries >= READ_RETRY_LIMIT
 
 
 class TestProgramFailureRemap:
@@ -355,7 +356,7 @@ class TestDegradedMode:
 
 class TestFASTerUnderTransientFaults:
     def test_faster_retries_through_read_noise(self):
-        plan = FaultPlan.transient_reads(0.05, seed=3)
+        plan = FaultPlan([FaultSpec(kind="transient_read", rate=0.05)], seed=3)
         array = FlashArray(GEO, SLC_TIMING, rng=random.Random(13),
                            fault_plan=plan)
         executor = SyncExecutor(SyncFlashDevice(array))

@@ -120,18 +120,21 @@ class TestStore:
         store = Store(sim)
         for i in range(3):
             store.put(i)
-        assert store.try_get() == 0
-        assert store.try_get() == 1
-        assert store.try_get() == 2
-        assert store.try_get() is None
+
+        def getter():
+            items = []
+            for __ in range(3):
+                items.append((yield store.get()))
+            return items
+
+        assert sim.run_process(getter()) == [0, 1, 2]
+        assert len(store) == 0
 
     def test_len_and_peek(self):
         store = Store(Simulator())
         store.put("a")
         store.put("b")
         assert len(store) == 2
-        assert store.peek_all() == ["a", "b"]
-        assert len(store) == 2  # peek does not consume
 
 
 class TestStats:

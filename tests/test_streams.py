@@ -26,7 +26,7 @@ from repro.ftl.streams import (
     CODE_CLASSES,
     FOREGROUND_STREAMS,
     GC_SUFFIX,
-    class_code_of_stream,
+    STREAM_CODES,
     gc_stream_of_code,
     stream_for,
 )
@@ -52,12 +52,12 @@ class TestStreamTaxonomy:
 
     def test_class_codes_round_trip_through_streams(self):
         for cls, code in CLASS_CODES.items():
-            assert class_code_of_stream(stream_for(cls, "hot")) == code
-            assert class_code_of_stream(stream_for(cls, "cold")) == code
-            assert class_code_of_stream(cls + GC_SUFFIX) == code
+            assert STREAM_CODES.get(stream_for(cls, "hot"), 0) == code
+            assert STREAM_CODES.get(stream_for(cls, "cold"), 0) == code
+            assert STREAM_CODES.get(cls + GC_SUFFIX, 0) == code
         # Legacy temperature streams hold untracked blocks.
-        assert class_code_of_stream("hot") == 0
-        assert class_code_of_stream("cold") == 0
+        assert STREAM_CODES.get("hot", 0) == 0
+        assert STREAM_CODES.get("cold", 0) == 0
 
     def test_gc_streams_keep_class_and_never_hit_foreground(self):
         foreground = set(FOREGROUND_STREAMS.values()) | {"heap-cold"}
@@ -65,7 +65,7 @@ class TestStreamTaxonomy:
             stream = gc_stream_of_code(code)
             assert stream.endswith(GC_SUFFIX)
             assert stream not in foreground
-            assert class_code_of_stream(stream) == code
+            assert STREAM_CODES.get(stream, 0) == code
         # Untracked pages relocate into the legacy cold point.
         assert gc_stream_of_code(0) == "cold"
 
@@ -259,10 +259,10 @@ class TestMountFrontierRoundTrip:
         streams_seen = set()
         for pbn, stream, offset in report.stream_frontiers:
             assert 0 < offset < MGEO.pages_per_block
-            assert class_code_of_stream(stream) > 0
+            assert STREAM_CODES.get(stream, 0) > 0
             # The reported frontier is a live write point again.
             assert adopted[pbn] == (stream, offset)
-            streams_seen.add(class_code_of_stream(stream))
+            streams_seen.add(STREAM_CODES.get(stream, 0))
         assert stream_stats_of(manager)["frontiers_adopted"] == \
             len(report.stream_frontiers)
         # All three seeded classes left adoptable evidence.

@@ -12,7 +12,6 @@ from repro.sim.stats import percentile
 from repro.telemetry import (
     EventTrace,
     MetricsRegistry,
-    flash_totals,
     sum_per_die,
 )
 from repro.workloads import replay_trace
@@ -83,7 +82,7 @@ class TestRegistry:
         left.counter("n", die=0).inc(1)
         right.counter("n", die=0).inc(2)
         right.counter("n", die=1).inc(3)
-        left.merge_counters_from(right)
+        left.merge_from(right)
         assert left.value("n") == 6
         assert left.value("n", die=1) == 3
 
@@ -194,11 +193,13 @@ class TestStackSmoke:
         assert all(count > 0 for count in copybacks.values())
         # The registry's totals agree with the array's legacy counters
         # and with what the replay report says.
-        totals = flash_totals(registry)
-        assert totals["erase"] == array.counters.erases == report.erases
-        assert totals["copyback"] == array.counters.copybacks \
+        def total(op):
+            return registry.value("flash.commands", op=op)
+
+        assert total("erase") == array.counters.erases == report.erases
+        assert total("copyback") == array.counters.copybacks \
             == report.copybacks
-        assert totals["program"] == array.counters.programs
+        assert total("program") == array.counters.programs
         # FTL-layer instruments landed in the same registry.
         assert registry.value("ftl.gc.collections") > 0
         assert registry.value("ftl.relocations") == report.relocations > 0
