@@ -61,6 +61,9 @@ class NoFTLStorage:
         self.executor = executor
         self.interface_overhead_us = interface_overhead_us
         self.num_regions = manager.num_regions
+        #: The placement function itself (``lpn % num_regions``), bound
+        #: once: region-policy db-writers call it per dirty frame scanned.
+        self.region_of_page = manager.regions.region_of_lpn
         self.region_locks = [
             Resource(sim, capacity=1) for __ in range(manager.num_regions)
         ]
@@ -85,9 +88,6 @@ class NoFTLStorage:
     @property
     def logical_pages(self) -> int:
         return self.manager.logical_pages
-
-    def region_of_page(self, page_id: int) -> int:
-        return self.manager.region_of_lpn(page_id)
 
     @property
     def maintenance_active(self) -> bool:

@@ -20,13 +20,19 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Optional
 
-from ..sim import Event, Granted, Simulator
+from ..sim import Event, Granted, Simulator, WaitQueue
 from ..telemetry import EventTrace, MetricsRegistry, OpContext
 from .page import BTreeNodePage, decode_page
 from .storage import StorageAdapter
 from .wal import WALog
 
 __all__ = ["Frame", "BufferPool"]
+
+#: How long a transaction waits for the db-writers to clean a frame (and
+#: a throttled mutator for the dirty ratio to drop) before it falls back
+#: to an inline flush (or proceeds), so a stalled writer pool can never
+#: wedge the system.
+CLEAN_WAIT_TIMEOUT_US = 10_000.0
 
 
 class Frame:
@@ -57,7 +63,6 @@ class BufferPool:
         wal: WALog,
         capacity: int,
         foreground_flush: bool = True,
-        clean_wait_timeout_us: float = 10_000.0,
         dirty_throttle_fraction: Optional[float] = None,
         telemetry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
@@ -75,10 +80,8 @@ class BufferPool:
         #: True: a transaction that evicts a dirty victim writes it back
         #: itself.  False (Shore-MT style, used by the Figure 4 bench):
         #: it waits for a background db-writer to produce a clean frame,
-        #: falling back to an inline flush after ``clean_wait_timeout_us``
-        #: so a stalled writer pool can never wedge the system.
+        #: falling back to an inline flush after ``CLEAN_WAIT_TIMEOUT_US``.
         self.foreground_flush = foreground_flush
-        self.clean_wait_timeout_us = clean_wait_timeout_us
         #: When set (e.g. 0.5), mutators calling :meth:`throttle` wait
         #: while more than this fraction of frames is dirty and background
         #: writers are active — the checkpoint/log-recycling back-pressure
@@ -97,7 +100,6 @@ class BufferPool:
         #: rig's storage traffic byte-identical.
         self.heat_hints = heat_hints
         self.heat_threshold = heat_threshold
-        self.throttle_waits = 0
         self.frames: "OrderedDict[int, Frame]" = OrderedDict()
         # Resident dirty frames, maintained at each dirty/clean transition
         # so throttle() and the db-writers' idle scans are O(1) instead of
@@ -106,7 +108,9 @@ class BufferPool:
         self._loading: Dict[int, Event] = {}
         self._reserved = 0
         self._unpin_waiters: Deque[Event] = deque()
-        self._clean_waiters: Deque[Event] = deque()
+        # Evictions waiting for a clean frame and throttled mutators: one
+        # queue, because their relative wake order is part of the schedule.
+        self._clean_queue = WaitQueue(sim)
         self._dirty_listener: Optional[Callable[[int, Frame], None]] = None
         #: Set by DbWriterPool while background cleaners run; gates the
         #: wait-for-clean-frame eviction path.
@@ -116,7 +120,6 @@ class BufferPool:
         self.misses = 0
         self.evictions = 0
         self.dirty_eviction_stalls = 0
-        self.clean_waits = 0
         self.flushes = 0
         self.telemetry = telemetry or MetricsRegistry()
         self.trace = (
@@ -277,17 +280,13 @@ class BufferPool:
     def _throttle_wait(self):
         """Generator: the engaged-throttle path of :meth:`throttle`."""
         limit = self.dirty_throttle_fraction * self.capacity
-        while self.dirty_count > limit:
-            self.throttle_waits += 1
-            cleaned = self.sim.event()
-            self._clean_waiters.append(cleaned)
-            deadline = self.sim.timeout(self.clean_wait_timeout_us)
-            fired = yield self.sim.any_of([cleaned, deadline])
-            if cleaned not in fired:
-                try:
-                    self._clean_waiters.remove(cleaned)
-                except ValueError:
-                    pass
+
+        def recheck():
+            return CLEAN_WAIT_TIMEOUT_US if self._dirty_total > limit else None
+
+        while self._dirty_total > limit:
+            if not (yield self._clean_queue.park(recheck,
+                                                 CLEAN_WAIT_TIMEOUT_US)):
                 return  # timed out: proceed rather than wedge
 
     # -- flushing ----------------------------------------------------------------------
@@ -356,8 +355,7 @@ class BufferPool:
             if frame.dirty_seq == seq:
                 frame.dirty = False
                 self._dirty_total -= 1
-                while self._clean_waiters:
-                    self._clean_waiters.popleft().succeed()
+                self._clean_queue.notify_all()
             elif self._dirty_listener is not None:
                 # Re-dirtied mid-flush: make sure a writer comes back for
                 # it (the original enqueue has been consumed).
@@ -378,20 +376,28 @@ class BufferPool:
                 yield from self._wait_for_unpin()
                 continue
             if victim.dirty:
-                if not self.foreground_flush and self.background_writers_active:
+                if self._waits_for_writers():
                     # Shore-MT style: wait for the db-writers to clean a
                     # frame; bounded by a timeout fallback.
-                    self.clean_waits += 1
-                    cleaned = self.sim.event()
-                    self._clean_waiters.append(cleaned)
-                    deadline = self.sim.timeout(self.clean_wait_timeout_us)
-                    fired = yield self.sim.any_of([cleaned, deadline])
-                    if cleaned in fired:
+                    picked = [victim]
+
+                    def recheck():
+                        # Would the loop re-pick and wait again?  Then do
+                        # so in place, keeping the re-picked victim: the
+                        # fallback flushes the latest wait's victim.
+                        if len(self.frames) + self._reserved < self.capacity:
+                            return None
+                        frame = self._pick_victim()
+                        if frame is None or not frame.dirty \
+                                or not self._waits_for_writers():
+                            return None
+                        picked[0] = frame
+                        return CLEAN_WAIT_TIMEOUT_US
+
+                    if (yield self._clean_queue.park(recheck,
+                                                     CLEAN_WAIT_TIMEOUT_US)):
                         continue  # a frame went clean: re-pick
-                    try:
-                        self._clean_waiters.remove(cleaned)
-                    except ValueError:
-                        pass
+                    victim = picked[0]
                 # Foreground write-back: the stall db-writers should prevent.
                 self.dirty_eviction_stalls += 1
                 self._tm_stalls.inc()
@@ -401,6 +407,9 @@ class BufferPool:
             del self.frames[victim.page_id]
             self.evictions += 1
             self._tm_evictions.inc()
+
+    def _waits_for_writers(self) -> bool:
+        return not self.foreground_flush and self.background_writers_active
 
     def _pick_victim(self) -> Optional[Frame]:
         """Oldest unpinned frame (LRU order), dirty or clean."""

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional
 from ..core.badblock import DegradedModeError
 from ..core.storage import emit_host_op
 from ..flash.errors import PowerCutError
-from ..sim import LatencyRecorder, Simulator
+from ..sim import LatencyRecorder, Simulator, WaitQueue
 from ..telemetry import LiveBlame, MetricsRegistry, OpContext
 
 __all__ = [
@@ -190,7 +190,8 @@ class DeviceFrontend:
         self._write_seq = 0
         #: Highest write seq destaged to media per lpn (barrier bookkeeping).
         self._last_destaged: Dict[int, int] = {}
-        self._drain_waiters: List = []
+        #: Writes held at the dirty watermark, woken by every drain.
+        self._drain_queue = WaitQueue(sim)
 
         # -- hazard registry ---------------------------------------------
         #: lpn -> Event fired when the in-flight backing write/trim lands.
@@ -451,7 +452,7 @@ class DeviceFrontend:
         self._cache.clear()
         self._dirty_fifo.clear()
         self._tm_dirty.set(0)
-        self._broadcast_drain()
+        self._drain_queue.notify_all()
         for event in self._parked_workers:
             if not event.triggered:
                 event.succeed()
@@ -535,16 +536,8 @@ class DeviceFrontend:
         deadline_at = start + cfg.write_deadline_us
 
         # Backpressure: volatile acks only below the dirty watermark.
-        while len(self._cache) >= cfg.dirty_limit and lpn not in self._cache:
-            remaining = deadline_at - self.sim.now
-            if remaining <= 0:
-                self._shed("write", "dirty watermark held past deadline")
-            drained = self.sim.event()
-            self._drain_waiters.append(drained)
-            t0 = self.sim.now
-            yield self.sim.any_of([drained, self.sim.timeout(remaining)])
-            ctx.charge("cache_flush_us", self.sim.now - t0)
-            self._check_power()
+        if len(self._cache) >= cfg.dirty_limit and lpn not in self._cache:
+            yield from self._wait_drain(lpn, deadline_at, ctx)
         self._check_power()
 
         self._write_seq += 1
@@ -611,7 +604,7 @@ class DeviceFrontend:
                 # The trim supersedes the cached version — committed now.
                 del self._cache[lpn]
                 self._tm_dirty.set(len(self._cache))
-                self._broadcast_drain()
+                self._drain_queue.notify_all()
             done = self._begin_mutation(lpn)
             try:
                 yield from self._wait_readers(lpn, ctx)
@@ -629,6 +622,38 @@ class DeviceFrontend:
             monitor.note_op(self.sim.now, "trim", self.sim.now - start)
         if tracing:
             emit_host_op(trace, "trim", ctx, before, self.sim.now - start)
+
+    def _wait_drain(self, lpn: int, deadline_at: float, ctx: OpContext):
+        """Generator: hold a write while the dirty set sits at the
+        watermark (and ``lpn`` is not cached), shedding once
+        ``deadline_at`` passes.  Every wakeup charges its wait to
+        ``cache_flush_us``."""
+        sim = self.sim
+        cache = self._cache
+        limit = self.config.dirty_limit
+        since = [0.0]  # when the current wait began
+
+        def recheck():
+            # The loop below, run in place: charge the wait, then re-park
+            # with the deadline recomputed — unless the loop would leave.
+            if self._powered_off or len(cache) < limit or lpn in cache:
+                return None
+            now = sim.now
+            remaining = deadline_at - now
+            if remaining <= 0:
+                return None
+            ctx.charge("cache_flush_us", now - since[0])
+            since[0] = now
+            return remaining
+
+        while len(cache) >= limit and lpn not in cache:
+            remaining = deadline_at - sim.now
+            if remaining <= 0:
+                self._shed("write", "dirty watermark held past deadline")
+            since[0] = sim.now
+            yield self._drain_queue.park(recheck, remaining)
+            ctx.charge("cache_flush_us", sim.now - since[0])
+            self._check_power()
 
     def flush_barrier(self, ctx: Optional[OpContext] = None):
         """Generator: the durability point.
@@ -687,12 +712,6 @@ class DeviceFrontend:
             if not event.triggered:
                 event.succeed()
                 return
-
-    def _broadcast_drain(self) -> None:
-        waiters, self._drain_waiters = self._drain_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
 
     def _pick_dirty(self) -> Optional[int]:
         fifo = self._dirty_fifo
@@ -772,7 +791,7 @@ class DeviceFrontend:
             if current is entry and entry.seq == snap_seq:
                 del self._cache[lpn]
                 self._tm_dirty.set(len(self._cache))
-                self._broadcast_drain()
+                self._drain_queue.notify_all()
             elif current is entry:
                 # Re-dirtied mid-destage: back onto the FIFO it goes.
                 self._dirty_fifo.append(lpn)

@@ -13,6 +13,7 @@ from .core import (
     Process,
     Simulator,
     Timeout,
+    WaitQueue,
 )
 from .resources import Resource, Store
 from .stats import (
@@ -32,6 +33,7 @@ __all__ = [
     "Process",
     "Simulator",
     "Timeout",
+    "WaitQueue",
     "Resource",
     "Store",
     "LatencyRecorder",

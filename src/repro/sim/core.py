@@ -43,6 +43,7 @@ __all__ = [
     "Granted",
     "Interrupt",
     "Simulator",
+    "WaitQueue",
 ]
 
 _UNSET = object()
@@ -319,6 +320,199 @@ class AllOf(_Condition):
 
     def _satisfied(self) -> bool:
         return len(self._fired) == len(self._events)
+
+
+# States of a parked episode (see WaitQueue).
+_PARKED, _NOTIFIED, _WOKEN, _DONE = range(4)
+
+
+class _Parked:
+    """One parked episode: a process waiting on a :class:`WaitQueue`.
+
+    ``when``/``seq`` is the current deadline key.  ``lead`` is the heap
+    entry that will fire it (lazily re-pushed to the current key);
+    ``tail`` the entry that carries the episode to ``far_when``/
+    ``far_seq``, the latest key it ever had (see WaitQueue)."""
+
+    __slots__ = ("event", "recheck", "state", "when", "seq",
+                 "far_when", "far_seq", "lead", "tail")
+
+    def __init__(self, event: Event, recheck):
+        self.event = event
+        self.recheck = recheck
+        self.state = _PARKED
+        self.lead = self.tail = None
+
+
+class _Deadline:
+    """A heap entry standing in for a parked episode's ``Timeout``."""
+
+    __slots__ = ("callbacks", "parked", "when", "seq")
+
+
+class _Hop:
+    """A fast-lane entry carrying one broadcast's herd."""
+
+    __slots__ = ("callbacks", "batch")
+
+
+class WaitQueue:
+    """Processes parked on one broadcast condition, with a deadline each.
+
+    ``yield queue.park(recheck, delay)`` suspends the caller until
+    :meth:`notify_all` wakes it (value ``True``) or ``delay`` passes
+    first (value ``False``).  It replaces the loop::
+
+        while blocked():
+            woken = sim.event(); waiters.append(woken)
+            fired = yield sim.any_of([woken, sim.timeout(delay)])
+            if woken not in fired: break      # deadline
+
+    with a bit-identical schedule at a fraction of the events:
+
+    * ``notify_all`` schedules one fast-lane entry for the whole herd;
+      dispatching it schedules a second, which visits the herd in park
+      order.  These are exactly the slots where the loop's per-waiter
+      ``woken`` events fire, then their ``AnyOf``s — each set is
+      scheduled back to back, so nothing interleaves inside it.
+    * At its slot, a waiter's ``recheck()`` decides what the loop would
+      do next.  ``None``: the parked event fires inline, resuming the
+      process exactly where the ``AnyOf`` callback did.  A delay: the
+      loop would park again, so the waiter re-parks in place at the
+      queue's tail, its generator never resumed, its deadline moved to
+      ``(now + delay, next seq)`` — the key a fresh ``Timeout`` would
+      take at that moment.  ``recheck`` must run the loop's side effects
+      in the loop's order.
+    * Each episode keeps one heap entry, re-armed lazily: a stale entry
+      that pops re-pushes at the current key, and a re-arm that lands
+      *earlier* than the pushed entry (an absolute deadline recomputed
+      as ``now + (deadline - now)`` may round one ulp low) is pushed at
+      once.  A deadline fires the event with ``False`` one hop later, as
+      the ``AnyOf`` did.  The episode's last entry pops at the latest key
+      it ever had, where the loop's last dead ``Timeout`` popped, so a
+      drained simulator ends on the same clock.
+    * A parked process that is interrupted is dropped at its next visit
+      and never re-armed.
+    """
+
+    __slots__ = ("sim", "_parked", "_expire_cbs", "_woken_cbs",
+                 "_wake_cbs")
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        self._parked: deque = deque()
+        # Shared one-callback lists: the dispatcher only iterates them.
+        self._expire_cbs = [self._expire]
+        self._woken_cbs = [self._woken]
+        self._wake_cbs = [self._wake]
+
+    def park(self, recheck, delay: float) -> Event:
+        """Event that fires ``True`` on a wake-up ``recheck`` lets
+        through, or ``False`` once ``delay`` passes first."""
+        parked = _Parked(Event(self.sim), recheck)
+        self._arm(parked, delay)
+        self._parked.append(parked)
+        return parked.event
+
+    def notify_all(self) -> None:
+        """Wake every process parked right now (no-op when none is)."""
+        parked = self._parked
+        if not parked:
+            return
+        batch = list(parked)
+        parked.clear()
+        for waiter in batch:
+            waiter.state = _NOTIFIED
+        hop = _Hop()
+        hop.callbacks = self._woken_cbs
+        hop.batch = batch
+        self.sim._schedule(hop)
+
+    def _arm(self, parked: _Parked, delay: float) -> None:
+        if not delay > 0:
+            raise ValueError(f"park delay must be positive, got {delay}")
+        sim = self.sim
+        sim._seq += 1
+        when = sim._now + delay
+        seq = parked.seq = sim._seq
+        parked.when = when
+        # The fresh seq outranks every pushed key, so comparing times
+        # orders the keys.
+        lead = parked.lead
+        if lead is None or when < lead.when:
+            lead = parked.lead = self._push(_Deadline(), parked, when, seq)
+        if parked.tail is None or when >= parked.far_when:
+            parked.far_when = when
+            parked.far_seq = seq
+            parked.tail = lead
+
+    def _push(self, entry: _Deadline, parked: _Parked, when: float,
+              seq: int) -> _Deadline:
+        entry.callbacks = self._expire_cbs
+        entry.parked = parked
+        entry.when = when
+        entry.seq = seq
+        heapq.heappush(self.sim._queue, (when, seq, entry))
+        return entry
+
+    def _expire(self, entry: _Deadline) -> None:
+        parked = entry.parked
+        if entry is parked.lead:
+            if entry.seq != parked.seq:
+                # Re-armed since this push: move on to the current key.
+                self._push(entry, parked, parked.when, parked.seq)
+                return
+            parked.lead = None
+            state = parked.state
+            if state is _PARKED or state is _NOTIFIED:
+                if state is _PARKED:
+                    self._parked.remove(parked)
+                parked.state = _DONE
+                if parked.event.callbacks:  # else: interrupted, dropped
+                    parked.event.succeed(False)
+        if entry is parked.tail and entry.when < parked.far_when:
+            # Only the clock is left to match: a later seq at the same
+            # time would pop as the same no-op.
+            self._push(entry, parked, parked.far_when, parked.far_seq)
+
+    def _woken(self, hop: _Hop) -> None:
+        """First hop: the slots of the loop's ``woken`` events."""
+        woken = []
+        for parked in hop.batch:
+            if parked.state is not _NOTIFIED:
+                continue  # its deadline fired first
+            if parked.event.callbacks:
+                parked.state = _WOKEN
+                woken.append(parked)
+            else:
+                parked.state = _DONE
+                parked.lead = None
+        if woken:
+            hop.callbacks = self._wake_cbs
+            hop.batch = woken
+            self.sim._schedule(hop)
+
+    def _wake(self, hop: _Hop) -> None:
+        """Second hop: the slots of the loop's ``AnyOf``s, in park order."""
+        for parked in hop.batch:
+            event = parked.event
+            callbacks = event.callbacks
+            if not callbacks:  # interrupted since the broadcast
+                parked.state = _DONE
+                parked.lead = None
+                continue
+            delay = parked.recheck()
+            if delay is None:
+                parked.state = _DONE
+                parked.lead = None
+                event._value = True
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+            else:
+                parked.state = _PARKED
+                self._parked.append(parked)
+                self._arm(parked, delay)
 
 
 class Simulator:

@@ -33,6 +33,12 @@ RIG_GOLDEN_COMMITS = 553
 RIG_GOLDEN_DIGEST = (
     "dcd83cbb9f8ab1d296a778e922d9958aa4efcb825758f7aff8aa5c140cf1b005"
 )
+# Events the kernel dispatches for the same run.  Not part of the digest
+# contract (a host optimisation may lower it), but deterministic, so it
+# pins the host cost: recorded when broadcast waits moved onto the
+# kernel's WaitQueue (22,684 with per-waiter events).  A rise means a
+# wake-all herd or an extra hop came back.
+RIG_GOLDEN_EVENTS = 21854
 
 SEED = 5
 DIES = 4
@@ -42,9 +48,9 @@ DURATION_US = 120_000.0
 def run_golden_rig():
     """Build the 4-die TPC-B rig at 85 % utilisation, load it, run it.
 
-    Returns ``(digest, commits, sim_us)``; the digest covers the whole
-    run, load included, because the registry accumulates from the first
-    command.
+    Returns ``(digest, commits, sim_us, events)``; the digest and the
+    event count cover the whole run, load included, because the registry
+    accumulates from the first command.
     """
     footprint = measure_workload_footprint(
         TPCB(sf=8, accounts_per_branch=400))
@@ -69,12 +75,14 @@ def run_golden_rig():
     payload = (rig.telemetry.to_json()
                + f"|now={rig.sim.now!r}|commits={stats.commits}")
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return digest, stats.commits, rig.sim.now - sim_before
+    return (digest, stats.commits, rig.sim.now - sim_before,
+            rig.sim.events_processed)
 
 
 class TestGoldenRig:
     def test_small_tpcb_rig_reproduces_recorded_run(self):
-        digest, commits, sim_us = run_golden_rig()
+        digest, commits, sim_us, events = run_golden_rig()
         assert digest == RIG_GOLDEN_DIGEST
         assert commits == RIG_GOLDEN_COMMITS
         assert sim_us == pytest.approx(RIG_GOLDEN_SIM_US)
+        assert events == RIG_GOLDEN_EVENTS

@@ -3,8 +3,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.sim import AnyOf, Granted, Interrupt, Resource, Simulator, Store
+from repro.sim import (
+    AnyOf,
+    Granted,
+    Interrupt,
+    Resource,
+    Simulator,
+    Store,
+    WaitQueue,
+)
 
 
 def test_timeout_advances_clock():
@@ -470,3 +480,202 @@ def test_events_processed_counts_dispatches():
     sim.run_process(proc())
     # startup resume + zero-delay timeout + delayed timeout
     assert sim.events_processed == 3
+
+
+# -- WaitQueue: bit-identical to the AnyOf re-wait loop it replaces -----------
+
+
+def herd_scenario(spec, use_queue):
+    """Parkers wait on one broadcast condition, run either through the
+    ``Event`` + ``Timeout`` + ``AnyOf`` re-wait loop or a ``WaitQueue``.
+
+    The condition is a shared level: broadcasters lower it, every parker
+    that gets through raises it (and may broadcast itself), so a wakeup's
+    outcome depends on who ran before it in the herd.  Relative deadlines
+    end the wait (the buffer pool's shape); absolute ones loop until the
+    remaining time is spent (the front end's).  Returns the
+    ``(now, pid, outcome, level)`` log, the drained clock and the number
+    of events dispatched.
+    """
+    sim = Simulator()
+    queue = WaitQueue(sim)
+    waiters = []  # the loop's per-waiter wake events
+    level = [spec["level"]]
+    log = []
+
+    def broadcast():
+        if use_queue:
+            queue.notify_all()
+            return
+        woken, waiters[:] = list(waiters), []
+        for event in woken:
+            event.succeed()
+
+    def parker(pid, start, threshold, span, absolute, bump, chain):
+        def blocked():
+            return level[0] > threshold
+
+        try:
+            yield sim.timeout(start)
+            deadline_at = sim.now + span
+
+            def wait_left():
+                return deadline_at - sim.now if absolute else span
+
+            def recheck():
+                if not blocked():
+                    return None
+                left = wait_left()
+                return left if left > 0 else None
+
+            while blocked():
+                left = wait_left()
+                if left <= 0:
+                    log.append((sim.now, pid, "expired", level[0]))
+                    return
+                if use_queue:
+                    woke = yield queue.park(recheck, left)
+                else:
+                    woken = sim.event()
+                    waiters.append(woken)
+                    fired = yield sim.any_of([woken, sim.timeout(left)])
+                    woke = woken in fired
+                    if not woke:
+                        try:
+                            waiters.remove(woken)
+                        except ValueError:
+                            pass
+                if not woke:
+                    log.append((sim.now, pid, "deadline", level[0]))
+                    if not absolute:
+                        return
+            level[0] += bump
+            log.append((sim.now, pid, "through", level[0]))
+            if chain:
+                broadcast()
+        except Interrupt:
+            log.append((sim.now, pid, "interrupted", level[0]))
+
+    def broadcaster(times):
+        for when, drop in times:
+            yield sim.timeout(when)
+            level[0] -= drop
+            broadcast()
+
+    def interrupter(procs, when, pid):
+        yield sim.timeout(when)
+        if procs[pid].is_alive and pid not in interrupted:
+            interrupted.add(pid)  # one interrupt per process
+            procs[pid].interrupt("stop")
+
+    interrupted = set()
+    procs = [sim.process(parker(pid, *args))
+             for pid, args in enumerate(spec["parkers"])]
+    for times in spec["broadcasts"]:
+        sim.process(broadcaster(times))
+    for when, pid in spec["interrupts"]:
+        sim.process(interrupter(procs, when, pid % len(procs)))
+    sim.run()
+    return log, sim.now, sim.events_processed
+
+
+# Whole times collide (a deadline on a broadcast's timestamp); tenths
+# make ``now + (deadline - now)`` round off an ulp from ``deadline``.
+_time = st.integers(0, 6) | st.integers(0, 60).map(lambda n: n / 10)
+_parker = st.tuples(
+    _time,                                                # start
+    st.integers(0, 6),                                    # threshold
+    st.integers(1, 25) | st.integers(1, 30).map(lambda n: n / 10),  # span
+    st.booleans(),                                        # absolute
+    st.integers(0, 3),                                    # bump
+    st.booleans(),                                        # chain
+)
+_herd = st.fixed_dictionaries({
+    "level": st.integers(0, 12),
+    "parkers": st.lists(_parker, min_size=1, max_size=7),
+    "broadcasts": st.lists(
+        st.lists(st.tuples(_time, st.integers(0, 3)), max_size=6),
+        max_size=3),
+    "interrupts": st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=2),
+})
+
+
+def _spec(level, parkers, *broadcasters):
+    return {"level": level, "parkers": list(parkers),
+            "broadcasts": [list(times) for times in broadcasters],
+            "interrupts": []}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_herd)
+# Re-parked, then through: the drained clock ends on the last re-park's
+# dead deadline (11), not the first (10).
+@example(_spec(5, [(0, 3, 10, False, 0, False)], [(1, 1), (1, 1)]))
+# The re-park at 0.2 recomputes 0.9 as 0.8999999999999999: that deadline
+# fires first, ahead of the broadcast at 0.9 scheduled before the park.
+@example(_spec(5, [(0, 0, 0.9, True, 0, False)], [(0.9, 1)], [(0.2, 0)]))
+def test_wait_queue_replays_the_anyof_rewait_loop(spec):
+    assert herd_scenario(spec, use_queue=True)[:2] \
+        == herd_scenario(spec, use_queue=False)[:2]
+
+
+def test_wait_queue_collapses_a_herd_into_two_hops():
+    spec = _spec(9, [(0, 0, 50, False, 0, False)] * 8, [(1, 1)] * 8)
+    log, now, events = herd_scenario(spec, use_queue=True)
+    loop_log, loop_now, loop_events = herd_scenario(spec, use_queue=False)
+    assert (log, now) == (loop_log, loop_now)
+    # Each of eight broadcasts re-parks all eight parkers: the loop pays
+    # a wake event, an AnyOf and a dead Timeout per re-park, the queue two
+    # hops per broadcast and one deadline entry per parker.
+    assert events < loop_events / 3
+
+
+def test_notify_all_on_empty_queue_schedules_nothing():
+    sim = Simulator()
+    WaitQueue(sim).notify_all()
+    sim.run()
+    assert sim.events_processed == 0
+    assert sim.now == 0
+
+
+@pytest.mark.parametrize("between_hops", [False, True])
+def test_interrupted_parked_process_is_never_rearmed(between_hops):
+    sim = Simulator()
+    queue = WaitQueue(sim)
+    rechecks = []
+    log = []
+
+    def recheck():
+        rechecks.append(sim.now)
+        return 10  # would park again forever
+
+    def parker():
+        try:
+            yield queue.park(recheck, 10)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+
+    def driver(target):
+        yield sim.timeout(3)
+        if between_hops:
+            # Resumes after the broadcast's first hop, before its second.
+            queue.notify_all()
+            yield sim.timeout(0)
+        target.interrupt()
+        queue.notify_all()
+        yield sim.timeout(4)
+        queue.notify_all()
+
+    sim.process(driver(sim.process(parker())))
+    sim.run()
+    assert log == [("interrupted", 3)]
+    assert rechecks == []
+    # Only the deadline pushed at park time is left: it pops as a no-op.
+    assert sim.now == 10
+
+
+def test_park_rejects_a_non_positive_delay():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        WaitQueue(sim).park(lambda: None, 0)
