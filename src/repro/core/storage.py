@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..flash.executor import SimExecutor, SyncExecutor
-from ..sim import LatencyRecorder, Resource, Simulator
+from ..sim import Resource, Simulator
 from ..telemetry import COST_BUCKETS, OpContext
 from .manager import NoFTLStorageManager
 
@@ -67,15 +67,16 @@ class NoFTLStorage:
         self.region_locks = [
             Resource(sim, capacity=1) for __ in range(manager.num_regions)
         ]
-        self.read_latency = LatencyRecorder("noftl-read")
-        self.write_latency = LatencyRecorder("noftl-write")
         self.telemetry = manager.telemetry
         self.trace = manager.trace
         self.telemetry.set_clock(lambda: sim.now)
-        self._tm_read_us = self.telemetry.histogram(
+        #: Host read / write latencies: the registry's histograms
+        #: themselves (per registry, so a cold start on the same registry
+        #: keeps appending to them).
+        self.read_latency = self.telemetry.histogram(
             "noftl.read_us", layer="core"
         )
-        self._tm_write_us = self.telemetry.histogram(
+        self.write_latency = self.telemetry.histogram(
             "noftl.write_us", layer="core"
         )
         self._tm_lock_waits = self.telemetry.counter(
@@ -112,8 +113,7 @@ class NoFTLStorage:
         yield self.sim.timeout(self.interface_overhead_us)
         data = yield from self.executor.run(self.manager.read(lpn), ctx=ctx)
         elapsed = self.sim.now - start
-        self.read_latency.record(elapsed)
-        self._tm_read_us.observe(elapsed)
+        self.read_latency.observe(elapsed)
         if tracing:
             emit_host_op(trace, "read", ctx, before, elapsed)
         return data
@@ -149,8 +149,7 @@ class NoFTLStorage:
         finally:
             lock.release()
         elapsed = self.sim.now - start
-        self.write_latency.record(elapsed)
-        self._tm_write_us.observe(elapsed)
+        self.write_latency.observe(elapsed)
         if tracing:
             emit_host_op(trace, "write", ctx, before, elapsed)
 

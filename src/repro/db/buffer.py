@@ -21,7 +21,7 @@ from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Optional
 
 from ..sim import Event, Granted, Simulator, WaitQueue
-from ..telemetry import EventTrace, MetricsRegistry, OpContext
+from ..telemetry import CounterView, EventTrace, MetricsRegistry, OpContext
 from .page import BTreeNodePage, decode_page
 from .storage import StorageAdapter
 from .wal import WALog
@@ -115,12 +115,6 @@ class BufferPool:
         #: Set by DbWriterPool while background cleaners run; gates the
         #: wait-for-clean-frame eviction path.
         self.background_writers_active = False
-        # statistics
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_eviction_stalls = 0
-        self.flushes = 0
         self.telemetry = telemetry or MetricsRegistry()
         self.trace = (
             trace if trace is not None else EventTrace(clock=self.telemetry.now)
@@ -136,6 +130,7 @@ class BufferPool:
         self._tm_flush_us = self.telemetry.histogram(
             "db.flush_us", layer="db")
         self.telemetry.register_collector("db.buffer", self.snapshot)
+        CounterView.start_all(self)
         # One reusable pre-completed grant for the hit path.  Every fetch
         # call site is ``yield from buffer.fetch(...)``, which consumes
         # the Granted synchronously in the same bytecode evaluation that
@@ -160,7 +155,6 @@ class BufferPool:
         if frame is not None and not frame.evicting:
             frame.pin_count += 1
             self.frames.move_to_end(page_id)
-            self.hits += 1
             self._tm_hits.value += 1
             if self.heat_hints:
                 frame.heat += 1
@@ -177,7 +171,6 @@ class BufferPool:
             if frame is not None and not frame.evicting:
                 frame.pin_count += 1
                 self.frames.move_to_end(page_id)
-                self.hits += 1
                 self._tm_hits.inc()
                 if self.heat_hints:
                     frame.heat += 1
@@ -193,7 +186,6 @@ class BufferPool:
             done = self.sim.event()
             self._loading[page_id] = done
             try:
-                self.misses += 1
                 self._tm_misses.inc()
                 yield from self._make_room(ctx)
                 self._reserved += 1
@@ -360,7 +352,6 @@ class BufferPool:
                 # Re-dirtied mid-flush: make sure a writer comes back for
                 # it (the original enqueue has been consumed).
                 self._dirty_listener(frame.page_id, frame)
-            self.flushes += 1
             self._tm_flush_us.observe(self.telemetry.now() - start)
         finally:
             frame.flush_event = None
@@ -399,13 +390,11 @@ class BufferPool:
                         continue  # a frame went clean: re-pick
                     victim = picked[0]
                 # Foreground write-back: the stall db-writers should prevent.
-                self.dirty_eviction_stalls += 1
                 self._tm_stalls.inc()
                 yield from self._flush_frame(victim, ctx)
                 continue  # re-pick: state may have changed while flushing
             victim.evicting = True
             del self.frames[victim.page_id]
-            self.evictions += 1
             self._tm_evictions.inc()
 
     def _waits_for_writers(self) -> bool:
@@ -425,6 +414,14 @@ class BufferPool:
         yield event
 
     # -- introspection ---------------------------------------------------------------------
+
+    # Per-pool counts over the registry tallies (``flushes`` counts the
+    # ``db.flush_us`` samples).
+    hits = CounterView("_tm_hits.value")
+    misses = CounterView("_tm_misses.value")
+    evictions = CounterView("_tm_evictions.value")
+    dirty_eviction_stalls = CounterView("_tm_stalls.value")
+    flushes = CounterView("_tm_flush_us.count")
 
     @property
     def dirty_count(self) -> int:

@@ -49,8 +49,8 @@ from typing import Dict, List, Optional
 from ..core.badblock import DegradedModeError
 from ..core.storage import emit_host_op
 from ..flash.errors import PowerCutError
-from ..sim import LatencyRecorder, Simulator, WaitQueue
-from ..telemetry import LiveBlame, MetricsRegistry, OpContext
+from ..sim import Simulator, WaitQueue
+from ..telemetry import CounterView, LiveBlame, MetricsRegistry, OpContext
 
 __all__ = [
     "FrontendConfig",
@@ -225,9 +225,7 @@ class DeviceFrontend:
         for wid in range(self.config.destage_workers):
             sim.process(self._destage_worker(wid))
 
-        # -- latency + telemetry ------------------------------------------
-        self.ack_latency = LatencyRecorder("frontend-ack")
-        self.read_latency = LatencyRecorder("frontend-read")
+        # -- telemetry ----------------------------------------------------
         tm = self.telemetry
         self._tm_acks = tm.counter("frontend.acks", layer="device")
         self._tm_coalesced = tm.counter("frontend.coalesced", layer="device")
@@ -247,27 +245,15 @@ class DeviceFrontend:
         self._tm_dirty = tm.gauge("frontend.dirty_pages", layer="device")
         self._tm_barrier_us = tm.histogram("frontend.barrier_us", layer="device")
         tm.register_collector("frontend.state", self._collect_state)
+        # The per-object counts (ack_count, shed_counts, ...) read these.
+        CounterView.start_all(self)
+        self._shed_base = tm.series("frontend.sheds", "cls", layer="device")
 
         #: Opt-in :class:`repro.telemetry.health.LoadWindowEngine`; set by
         #: ``HealthMonitor.attach_frontend``.  Entirely passive — the
         #: engine schedules nothing, so attaching it never perturbs event
         #: order (digests of rigs without it are untouched by design).
         self.load_monitor = None
-
-        # shed tallies kept locally too, so the siege report can compare
-        # "sheds raised" against "sheds observed by callers" without a
-        # registry in the loop.
-        self.shed_counts: Dict[str, int] = {
-            cls: 0 for cls in ADMISSION_CLASSES
-        }
-        self.shed_counts["write"] = 0
-        self.volatile_lost = 0
-        self.hazard_stalls = 0
-        self.destage_count = 0
-        self.barrier_count = 0
-        self.ack_count = 0
-        self.coalesced_count = 0
-        self.degraded_destages = 0
 
     # -- adapter facade --------------------------------------------------
 
@@ -378,7 +364,6 @@ class DeviceFrontend:
         self._pump()
 
     def _shed(self, cls: str, reason: str = "deadline passed"):
-        self.shed_counts[cls] = self.shed_counts.get(cls, 0) + 1
         self._tm_sheds.labels(cls).inc()
         monitor = self.load_monitor
         if monitor is not None:
@@ -392,7 +377,6 @@ class DeviceFrontend:
         ``lpn``; charges the stall to ``queue_hazard_us``."""
         event = self._mutators.get(lpn)
         while event is not None:
-            self.hazard_stalls += 1
             self._tm_hazard_stalls.inc()
             start = self.sim.now
             yield event
@@ -408,7 +392,6 @@ class DeviceFrontend:
             if drain is None:
                 drain = self.sim.event()
                 self._reader_drain[lpn] = drain
-            self.hazard_stalls += 1
             self._tm_hazard_stalls.inc()
             start = self.sim.now
             yield drain
@@ -446,9 +429,7 @@ class DeviceFrontend:
         injector = getattr(self.array, "fault_injector", None)
         if injector is not None:
             self._cut_op = getattr(injector, "ops", 0)
-        lost = len(self._cache)
-        self.volatile_lost += lost
-        self._tm_volatile_lost.inc(lost)
+        self._tm_volatile_lost.inc(len(self._cache))
         self._cache.clear()
         self._dirty_fifo.clear()
         self._tm_dirty.set(0)
@@ -515,7 +496,6 @@ class DeviceFrontend:
             finally:
                 self._release("read")
         elapsed = self.sim.now - start
-        self.read_latency.record(elapsed)
         monitor = self.load_monitor
         if monitor is not None:
             monitor.note_op(self.sim.now, "read", elapsed)
@@ -555,16 +535,13 @@ class DeviceFrontend:
                 entry.stuck = False
                 if not entry.destaging:
                     self._dirty_fifo.append(lpn)
-            self.coalesced_count += 1
             self._tm_coalesced.inc()
-        self.ack_count += 1
         self._tm_acks.inc()
         self._tm_dirty.set(len(self._cache))
         self._wake_worker()
         if cfg.ack_latency_us:
             yield self.sim.timeout(cfg.ack_latency_us)
         elapsed = self.sim.now - start
-        self.ack_latency.record(elapsed)
         monitor = self.load_monitor
         if monitor is not None:
             monitor.note_op(
@@ -697,7 +674,6 @@ class DeviceFrontend:
                 )
         elapsed = self.sim.now - start
         ctx.charge("cache_flush_us", elapsed)
-        self.barrier_count += 1
         self._tm_barriers.inc()
         self._tm_barrier_us.observe(elapsed)
         monitor = self.load_monitor
@@ -747,7 +723,6 @@ class DeviceFrontend:
                 # entry stays dirty + stuck; a later flush_barrier retries
                 # and propagates the failure to whoever needs durability.
                 entry.stuck = True
-                self.degraded_destages += 1
                 self._tm_destage_degraded.inc()
 
     def _destage_entry(self, lpn: int, entry: _CacheEntry, cls: str, ctx):
@@ -785,7 +760,6 @@ class DeviceFrontend:
                 self._release(cls)
             if snap_seq > self._last_destaged.get(lpn, -1):
                 self._last_destaged[lpn] = snap_seq
-            self.destage_count += 1
             self._tm_destages.inc()
             current = self._cache.get(lpn)
             if current is entry and entry.seq == snap_seq:
@@ -824,6 +798,24 @@ class DeviceFrontend:
 
     # -- reporting ---------------------------------------------------------
 
+    ack_count = CounterView("_tm_acks.value")
+    coalesced_count = CounterView("_tm_coalesced.value")
+    destage_count = CounterView("_tm_destages.value")
+    barrier_count = CounterView("_tm_barriers.value")
+    hazard_stalls = CounterView("_tm_hazard_stalls.value")
+    degraded_destages = CounterView("_tm_destage_degraded.value")
+    volatile_lost = CounterView("_tm_volatile_lost.value")
+
+    @property
+    def shed_counts(self) -> Dict[str, int]:
+        """Sheds per admission class and ``write``, zeros included (the
+        registry series appears only at a class's first shed)."""
+        counts = dict.fromkeys(ADMISSION_CLASSES + ("write",), 0)
+        series = self.telemetry.series("frontend.sheds", "cls", layer="device")
+        for cls, value in series.items():
+            counts[cls] = value - self._shed_base.get(cls, 0)
+        return counts
+
     @property
     def sheds_total(self) -> int:
         return sum(self.shed_counts.values())
@@ -836,7 +828,7 @@ class DeviceFrontend:
             "destages": self.destage_count,
             "barriers": self.barrier_count,
             "hazard_stalls": self.hazard_stalls,
-            "sheds": dict(self.shed_counts),
+            "sheds": self.shed_counts,
             "sheds_total": self.sheds_total,
             "degraded_destages": self.degraded_destages,
             "volatile_lost": self.volatile_lost,

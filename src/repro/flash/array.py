@@ -100,7 +100,11 @@ def page_checksum(data: Any) -> Optional[int]:
 
 @dataclass
 class ArrayCounters:
-    """Command counters — the raw material of the paper's Figure 3 table."""
+    """Command totals — the raw material of the paper's Figure 3 table.
+
+    A value, built on demand by :attr:`FlashArray.counters` from the
+    registry counters the array bumps; nothing updates it.
+    """
 
     reads: int = 0
     programs: int = 0
@@ -202,7 +206,8 @@ class FlashArray:
         self._poisoned = bytearray(npages)
         self._data: List[Any] = [None] * npages
         self._oob: List[Any] = [None] * npages
-        self.counters = ArrayCounters(per_die_ops=[0] * geometry.total_dies)
+        # Pause time occupies no die, so no flash.busy_us series sees it.
+        self._pause_us = 0.0
 
         # Hot-path constants: address divisors and the per-command-class
         # latencies, which are pure functions of geometry + timing.
@@ -342,6 +347,28 @@ class FlashArray:
         """
         self._powered_off = False
 
+    @property
+    def counters(self) -> ArrayCounters:
+        """Command totals read from this array's ``flash.commands`` and
+        ``flash.busy_us`` counters, plus Pause time.
+
+        The counters are per registry: arrays that share one registry
+        share them, and each reads the combined totals."""
+        totals = dict.fromkeys(FLASH_OPS, 0)
+        per_die_ops = [0] * len(self._tm_busy)
+        for (op, die, __), counter in self._tm_ops_of.items():
+            totals[op] += counter.value
+            per_die_ops[die] += counter.value
+        return ArrayCounters(
+            reads=totals["read"],
+            programs=totals["program"],
+            erases=totals["erase"],
+            copybacks=totals["copyback"],
+            oob_reads=totals["oob_read"],
+            per_die_ops=per_die_ops,
+            busy_us=sum(counter.value for counter in self._tm_busy) + self._pause_us,
+        )
+
     # -- accounting ----------------------------------------------------------------
 
     def _account(
@@ -353,9 +380,9 @@ class FlashArray:
         oob: Any = None,
     ) -> None:
         """Per-command telemetry: origin-labelled counter, busy time, and
-        (when tracing) one ``flash.cmd`` event.  Called before failure
-        checks raise, so attempted-but-failed commands are counted exactly
-        as the raw :class:`ArrayCounters` count them.  ``oob`` is the
+        (when tracing) one ``flash.cmd`` event.  Called before a failed
+        program or copyback raises, so attempted-but-failed commands are
+        counted.  ``oob`` is the
         *effective* OOB of a program/copyback (after the copyback source
         fallback), handed to the health hook so the WA ledger can resolve
         the lpn being written."""
@@ -413,7 +440,6 @@ class FlashArray:
                 extra = result.latency_us * (factor - 1.0)
                 result.latency_us += extra
                 result.extra["fault_extra_us"] = extra
-                self.counters.busy_us += extra
                 self._tm_busy[result.die].inc(extra)
         return result
 
@@ -440,10 +466,7 @@ class FlashArray:
         die = pbn // self._blocks_per_die
         self.fault_injector.check_read(ppn, pbn, die)
         self._verify_checksum(ppn)
-        self.counters.reads += 1
-        self.counters.per_die_ops[die] += 1
         latency = self._read_latency_us
-        self.counters.busy_us += latency
         self._account(command, "read", die, latency)
         return CommandResult(
             command,
@@ -474,10 +497,7 @@ class FlashArray:
             if failed and self.checksum and command.data is not None:
                 self._poisoned[ppn] = 1
         self._oob[ppn] = command.oob
-        self.counters.programs += 1
-        self.counters.per_die_ops[die] += 1
         latency = self._program_latency_us
-        self.counters.busy_us += latency
         self._account(command, "program", die, latency, oob=command.oob)
         if failed:
             raise ProgramError(ppn, pbn)
@@ -498,10 +518,7 @@ class FlashArray:
             raise EraseError(pbn, self.erase_counts[pbn])
         self.erase_counts[pbn] += 1
         self._wipe_block(pbn)
-        self.counters.erases += 1
-        self.counters.per_die_ops[die] += 1
         latency = self._erase_latency_us
-        self.counters.busy_us += latency
         self._account(command, "erase", die, latency)
         if (self.max_erase_cycles is not None and self.erase_counts[pbn] > self.max_erase_cycles):
             self._bad[pbn] = True
@@ -544,10 +561,7 @@ class FlashArray:
                 self._poisoned[dst] = 1
         oob = command.oob if command.oob is not None else self._oob[src]
         self._oob[dst] = oob
-        self.counters.copybacks += 1
-        self.counters.per_die_ops[die] += 1
         latency = self._copyback_latency_us
-        self.counters.busy_us += latency
         self._account(command, "copyback", die, latency, oob=oob)
         if failed:
             raise ProgramError(dst, dst_pbn)
@@ -558,7 +572,7 @@ class FlashArray:
                              data=self.geometry.describe())
 
     def _pause(self, command: Pause) -> CommandResult:
-        self.counters.busy_us += command.duration_us
+        self._pause_us += command.duration_us
         return CommandResult(command, latency_us=command.duration_us)
 
     def _read_oob(self, command: ReadOob) -> CommandResult:
@@ -572,10 +586,7 @@ class FlashArray:
         # fail its OOB read too, or a cold-start scan would happily adopt
         # the mapping of a page whose payload is garbage.
         self._verify_checksum(ppn)
-        self.counters.oob_reads += 1
-        self.counters.per_die_ops[die] += 1
         latency = self._oob_latency_us
-        self.counters.busy_us += latency
         self._account(command, "oob_read", die, latency)
         return CommandResult(command, latency_us=latency, die=die, oob=self._oob[ppn])
 

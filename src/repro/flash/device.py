@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..sim import LatencyRecorder, Resource, Simulator
+from ..sim import Resource, Simulator
 from ..telemetry import MAINTENANCE_ORIGINS
 from .array import FlashArray
 from .commands import (
@@ -89,10 +89,6 @@ class SyncFlashDevice:
     def elapsed_us(self) -> float:
         return max(self.die_busy_us) if self.die_busy_us else 0.0
 
-    @property
-    def counters(self):
-        return self.array.counters
-
 
 class SimFlashDevice:
     """DES command execution with die and channel contention.
@@ -125,8 +121,6 @@ class SimFlashDevice:
             self.channel_resources[self.geometry.channel_of_die(die)]
             for die in range(self.geometry.total_dies)
         ]
-        self.latency = LatencyRecorder("flash-commands")
-        self._die_busy_us: List[float] = [0.0] * self.geometry.total_dies
         # Cumulative die-held time split by who held it (host work vs
         # maintenance origins).  A waiter samples the maintenance column
         # before and after its queue wait: the delta is the part of its
@@ -154,16 +148,12 @@ class SimFlashDevice:
         self._program_transfer_us = (timing.cmd_overhead_us + self._page_transfer_us)
         self._program_cell_us = timing.program_us
 
-    @property
-    def counters(self):
-        return self.array.counters
-
     def die_utilization(self) -> List[float]:
         """Per-die busy fraction of elapsed simulated time."""
         now = self.sim.now
         if now <= 0:
-            return [0.0] * len(self._die_busy_us)
-        return [busy / now for busy in self._die_busy_us]
+            return [0.0] * len(self._die_busy_by_class)
+        return [(busy["host"] + busy["maintenance"]) / now for busy in self._die_busy_by_class]
 
     def execute(self, command: FlashCommand):
         """DES generator executing one command with resource contention."""
@@ -216,10 +206,8 @@ class SimFlashDevice:
         finally:
             die_resource.release()
             held = self.sim.now - acquired
-            self._die_busy_us[die] += held
             busy_by_class["maintenance" if is_maintenance else "host"] += held
         total = self.sim.now - start
-        self.latency.record(total)
         self._tm_service.observe(total)
         result.extra["observed_us"] = total
         if wait > 0:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from array import array as _array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional
 
 from ..flash.commands import Copyback, Pause, ProgramPage, ReadPage
 from ..flash.errors import DieOutageError, UncorrectableError
 from ..flash.geometry import Geometry
-from ..telemetry import EventTrace, MetricsRegistry
+from ..telemetry import Counter, CounterView, EventTrace, MetricsRegistry
 
 __all__ = [
     "FTLStats",
@@ -28,6 +28,7 @@ __all__ = [
     "read_page_with_retry",
     "READ_RETRY_LIMIT",
     "OUTAGE_RETRY_LIMIT",
+    "RETRY_BACKOFF_US",
     "UNMAPPED",
 ]
 
@@ -40,6 +41,9 @@ READ_RETRY_LIMIT = 4
 #: Pause-retry rounds a command waits out while its die sits in an outage
 #: window before the outage error propagates.
 OUTAGE_RETRY_LIMIT = 150
+#: Base Pause of the retry backoff: linear in the ECC attempt, doubling
+#: per outage round (capped at 2 ms).
+RETRY_BACKOFF_US = 50.0
 
 
 @dataclass
@@ -50,29 +54,52 @@ class FTLStats:
     collection / merges, regardless of mechanism; ``gc_copybacks`` is the
     subset done by COPYBACK (no bus transfer).  Together with ``erases``
     these are exactly the two rows of the paper's Figure 3 table.
+
+    The fields that have a registry series are not counted here: each
+    is a :class:`~repro.telemetry.CounterView` of the counter its owner
+    attached with :meth:`bind` (until then, a private one).
     """
 
     host_reads: int = 0
     host_writes: int = 0
     host_trims: int = 0
-    gc_relocations: int = 0
     gc_copybacks: int = 0
     gc_reads: int = 0
     gc_programs: int = 0
     gc_erases: int = 0
     map_reads: int = 0       # DFTL: translation-page reads
     map_programs: int = 0    # DFTL: translation-page programs
-    merges_full: int = 0     # FASTer
-    merges_switch: int = 0   # FASTer
-    merges_partial: int = 0  # FASTer
-    second_chances: int = 0  # FASTer isolation-area migrations
     wl_moves: int = 0
     grown_bad_blocks: int = 0
-    read_retries: int = 0    # reads that needed another attempt (ECC/outage)
-    scrubs: int = 0          # pages relocated after a retried read
-    program_remaps: int = 0  # in-flight writes remapped after ProgramError
-    relocation_skips: int = 0  # GC/merge pages skipped as unreadable
-    extra: Dict[str, int] = field(default_factory=dict)
+
+    gc_relocations = CounterView("_tm_gc_relocations.value")
+    # FASTer merges by kind, and isolation-area (second-chance) migrations.
+    merges_full = CounterView("_tm_merges_full.value")
+    merges_switch = CounterView("_tm_merges_switch.value")
+    merges_partial = CounterView("_tm_merges_partial.value")
+    second_chances = CounterView("_tm_second_chances.value")
+    # Reads that needed another attempt (ECC), pages relocated after a
+    # retried read, writes remapped after a ProgramError, and GC/merge
+    # pages skipped as unreadable.
+    read_retries = CounterView("_tm_read_retries.value")
+    scrubs = CounterView("_tm_scrubs.value")
+    program_remaps = CounterView("_tm_program_remaps.value")
+    relocation_skips = CounterView("_tm_relocation_skips.value")
+
+    def __post_init__(self):
+        for name, view in vars(FTLStats).items():
+            if isinstance(view, CounterView):
+                setattr(self, f"_tm_{name}", Counter(name, ()))
+                view.start(self)
+
+    def bind(self, **counters: Counter) -> None:
+        """Make each named field read its registry counter from now on.
+        Binding a field to the counter it already reads changes nothing,
+        so spaces sharing one stats object may each bind their handles."""
+        for name, counter in counters.items():
+            if getattr(self, f"_tm_{name}") is not counter:
+                setattr(self, f"_tm_{name}", counter)
+                vars(FTLStats)[name].start(self)
 
     @property
     def write_amplification(self) -> float:
@@ -124,8 +151,9 @@ class BaseFTL:
         self.telemetry.register_collector(f"ftl.{type(self).__name__}", self.stats.snapshot)
         # Shared recovery counters: every FTL's read path retries through
         # these, so chaos dashboards see one family per layer.
-        self._tm_read_retries = self.telemetry.counter("ftl.read_retries", layer="ftl")
+        read_retries = self.telemetry.counter("ftl.read_retries", layer="ftl")
         self._tm_relocation_skips = self.telemetry.counter("ftl.gc.relocation_skips", layer="ftl")
+        self.stats.bind(read_retries=read_retries, relocation_skips=self._tm_relocation_skips)
 
     @property
     def name(self) -> str:
@@ -391,23 +419,21 @@ class VictimBuckets:
         self._min = len(self._buckets)
 
 
-def read_page_with_retry(ppn: int, *, stats: Optional[FTLStats] = None,
-                         counter=None, retries: int = READ_RETRY_LIMIT,
-                         outage_retries: int = OUTAGE_RETRY_LIMIT,
-                         backoff_us: float = 50.0):
+def read_page_with_retry(ppn: int, *, stats: FTLStats):
     """READ PAGE with bounded retry; returns ``(result, ecc_retries)``.
 
     A flash-command generator.  Two failure classes are handled:
 
     * :class:`UncorrectableError` (ECC) — re-read after a linear backoff
-      Pause, up to ``retries`` extra attempts, then re-raise.  Transient
-      read disturb clears on retry; a persistent media defect exhausts the
-      budget and propagates to the caller.
+      Pause, up to :data:`READ_RETRY_LIMIT` extra attempts, then re-raise.
+      Transient read disturb clears on retry; a persistent media defect
+      exhausts the budget and propagates to the caller.
     * :class:`DieOutageError` — the die rejected the command with no state
       change; wait out the window with an escalating Pause (op-count
-      windows advance on Pause commands too), up to ``outage_retries``.
+      windows advance on Pause commands too), up to
+      :data:`OUTAGE_RETRY_LIMIT` rounds.
 
-    ``stats.read_retries`` and ``counter`` count every extra ECC attempt.
+    ``stats.read_retries`` counts every extra ECC attempt.
     """
     ecc = 0
     waits = 0
@@ -417,24 +443,18 @@ def read_page_with_retry(ppn: int, *, stats: Optional[FTLStats] = None,
             return result, ecc
         except UncorrectableError:
             ecc += 1
-            if stats is not None:
-                stats.read_retries += 1
-            if counter is not None:
-                counter.inc()
-            if ecc > retries:
+            stats._tm_read_retries.inc()
+            if ecc > READ_RETRY_LIMIT:
                 raise
-            yield Pause(duration_us=backoff_us * ecc)
+            yield Pause(duration_us=RETRY_BACKOFF_US * ecc)
         except DieOutageError:
             waits += 1
-            if waits > outage_retries:
+            if waits > OUTAGE_RETRY_LIMIT:
                 raise
-            yield Pause(duration_us=min(backoff_us * (2 ** min(waits, 5)), 2000.0))
+            yield Pause(duration_us=min(RETRY_BACKOFF_US * (2 ** min(waits, 5)), 2000.0))
 
 
-def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int,
-                  stats: FTLStats, oob=None, counter=None,
-                  retries: int = READ_RETRY_LIMIT,
-                  outage_retries: int = OUTAGE_RETRY_LIMIT):
+def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int, stats: FTLStats, oob=None):
     """Move one valid page, preferring COPYBACK when planes match.
 
     A flash-command generator; returns ``True`` when the page moved and
@@ -444,8 +464,7 @@ def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int,
     before consuming the copyback destination slot, so the read-retry +
     program fallback can reuse the same ``dst_ppn``.
 
-    Updates the relocation counters that Figure 3 reports; ``counter`` is
-    the caller's ``ftl.relocations`` telemetry counter, bumped alongside.
+    Updates the relocation counters that Figure 3 reports.
     """
     if geometry.same_plane(src_ppn, dst_ppn):
         try:
@@ -453,18 +472,13 @@ def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int,
         except (UncorrectableError, DieOutageError):
             pass  # fall through to the read/program path with retries
         else:
-            stats.gc_relocations += 1
+            stats._tm_gc_relocations.inc()
             stats.gc_copybacks += 1
-            if counter is not None:
-                counter.inc()
             return True
     try:
-        result, __ = yield from read_page_with_retry(
-            src_ppn, stats=stats, retries=retries,
-            outage_retries=outage_retries,
-        )
+        result, __ = yield from read_page_with_retry(src_ppn, stats=stats)
     except UncorrectableError:
-        stats.relocation_skips += 1
+        stats._tm_relocation_skips.inc()
         return False
     stats.gc_reads += 1
     waits = 0
@@ -476,11 +490,9 @@ def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int,
         except DieOutageError:
             # Rejected before the slot was consumed; wait out the window.
             waits += 1
-            if waits > outage_retries:
+            if waits > OUTAGE_RETRY_LIMIT:
                 raise
-            yield Pause(duration_us=min(50.0 * (2 ** min(waits, 5)), 2000.0))
-    stats.gc_relocations += 1
+            yield Pause(duration_us=min(RETRY_BACKOFF_US * (2 ** min(waits, 5)), 2000.0))
+    stats._tm_gc_relocations.inc()
     stats.gc_programs += 1
-    if counter is not None:
-        counter.inc()
     return True

@@ -34,7 +34,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..flash.commands import tag_commands
 from ..flash.geometry import Geometry
-from ..telemetry import EventTrace, MetricsRegistry, OpContext
+from ..telemetry import CounterView, EventTrace, MetricsRegistry, OpContext
 from .base import UNMAPPED, BaseFTL, MappingState, read_page_with_retry
 from .pagespace import PageMappedSpace
 
@@ -100,12 +100,11 @@ class DFTL(BaseFTL):
         self.space.rebind_hook = self._gc_rebind
         # CMT: lpn -> dirty flag, in LRU order (oldest first).
         self._cmt: "OrderedDict[int, bool]" = OrderedDict()
-        self.cmt_hits = 0
-        self.cmt_misses = 0
         self._tm_cmt_hits = self.telemetry.counter(
             "ftl.map_cache", layer="ftl", ftl="DFTL", event="hit")
         self._tm_cmt_misses = self.telemetry.counter(
             "ftl.map_cache", layer="ftl", ftl="DFTL", event="miss")
+        CounterView.start_all(self)
         # Translation pages whose on-flash copy is stale because GC moved
         # data pages; drained by the outermost rebind so the
         # GC -> TP-write -> GC cascade stays iterative, never recursive.
@@ -132,9 +131,7 @@ class DFTL(BaseFTL):
         ppn = self.mapping.lookup(lpn)
         if ppn == UNMAPPED:
             return None
-        result, __ = yield from read_page_with_retry(
-            ppn, stats=self.stats, counter=self._tm_read_retries
-        )
+        result, __ = yield from read_page_with_retry(ppn, stats=self.stats)
         return result.data
 
     def write(self, lpn: int, data=None):
@@ -165,11 +162,9 @@ class DFTL(BaseFTL):
     def _ensure_cached(self, lpn: int):
         """Generator: make ``lpn``'s mapping resident in the CMT."""
         if lpn in self._cmt:
-            self.cmt_hits += 1
             self._tm_cmt_hits.inc()
             self._cmt.move_to_end(lpn)
             return
-        self.cmt_misses += 1
         self._tm_cmt_misses.inc()
         while len(self._cmt) >= self.cmt_entries:
             victim_lpn, dirty = self._cmt.popitem(last=False)
@@ -179,8 +174,7 @@ class DFTL(BaseFTL):
         if self._tp_exists(tvpn):
             self.stats.map_reads += 1
             yield from read_page_with_retry(
-                self.mapping.lookup(self._tp_lpn(tvpn)),
-                stats=self.stats, counter=self._tm_read_retries,
+                self.mapping.lookup(self._tp_lpn(tvpn)), stats=self.stats
             )
         self._cmt[lpn] = False  # clean
 
@@ -190,8 +184,7 @@ class DFTL(BaseFTL):
         if self._tp_exists(tvpn):
             self.stats.map_reads += 1
             yield from read_page_with_retry(
-                self.mapping.lookup(self._tp_lpn(tvpn)),
-                stats=self.stats, counter=self._tm_read_retries,
+                self.mapping.lookup(self._tp_lpn(tvpn)), stats=self.stats
             )
         self.stats.map_programs += 1
         # The translation-page program runs under the adopting host
@@ -238,6 +231,9 @@ class DFTL(BaseFTL):
             self._rebind_active = False
 
     # -- introspection ---------------------------------------------------------------
+
+    cmt_hits = CounterView("_tm_cmt_hits.value")
+    cmt_misses = CounterView("_tm_cmt_misses.value")
 
     @property
     def maintenance_active(self) -> bool:

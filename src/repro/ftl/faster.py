@@ -142,6 +142,13 @@ class FASTer(BaseFTL):
             "ftl.log.reclaim_us", layer="ftl", ftl="FASTer")
         self._tm_merge_us = self.telemetry.histogram("ftl.merge.full_us", layer="ftl", ftl="FASTer")
         self._tm_relocations = self.telemetry.counter("ftl.relocations", layer="ftl")
+        self.stats.bind(
+            gc_relocations=self._tm_relocations,
+            merges_full=self._tm_merges["full"],
+            merges_switch=self._tm_merges["switch"],
+            merges_partial=self._tm_merges["partial"],
+            second_chances=self._tm_second_chances,
+        )
 
     # -- host interface ---------------------------------------------------------
 
@@ -151,9 +158,7 @@ class FASTer(BaseFTL):
         ppn = self._newest_ppn(lpn)
         if ppn is None:
             return None
-        result, __ = yield from read_page_with_retry(
-            ppn, stats=self.stats, counter=self._tm_read_retries
-        )
+        result, __ = yield from read_page_with_retry(ppn, stats=self.stats)
         return result.data
 
     def write(self, lpn: int, data=None):
@@ -258,7 +263,6 @@ class FASTer(BaseFTL):
         if old_pbn == UNMAPPED:
             old_pbn = None
         if partial and old_pbn is not None:
-            self.stats.merges_partial += 1
             self._tm_merges["partial"].inc()
             # Fill the tail of the SW block from the newest versions.  The
             # written bitmap is read for the *old* block here and only
@@ -274,20 +278,16 @@ class FASTer(BaseFTL):
                         continue
                     src = self.geometry.ppn_of(old_pbn, offset)
                 dst = self.geometry.ppn_of(pbn, offset)
-                ok = yield from relocate_page(self.geometry, src, dst,
-                                              self.stats, oob={"lpn": lpn},
-                                              counter=self._tm_relocations)
+                ok = yield from relocate_page(self.geometry, src, dst, self.stats, oob={"lpn": lpn})
                 if from_log:
                     # Consume the entry even when unreadable: leaving it
                     # would wedge the log reclaim on a dead page forever.
                     consumed.append((lpn, src))
                 if not ok:
-                    self._tm_relocation_skips.inc()
                     continue  # page lost to media; recorded, not merged
                 written.add(offset)
         else:
             consumed = []
-            self.stats.merges_switch += 1
             self._tm_merges["switch"].inc()
         # New block first, then retire log entries (see _full_merge_locked).
         self.block_map[lbn] = pbn
@@ -404,22 +404,17 @@ class FASTer(BaseFTL):
             src = self.geometry.ppn_of(victim, offset)
             if self._log_map[lpn] != src:
                 continue  # consumed by a merge above
-            self.stats.second_chances += 1
             self._tm_second_chances.inc()
             # Read the payload first (a yield), then allocate + bind +
             # program atomically so concurrent appenders keep the log
             # block's program order ascending.
-            self.stats.gc_relocations += 1
             self._tm_relocations.inc()
             self.stats.gc_reads += 1
             try:
-                result, __ = yield from read_page_with_retry(
-                    src, stats=self.stats, counter=self._tm_read_retries
-                )
+                result, __ = yield from read_page_with_retry(src, stats=self.stats)
             except UncorrectableError:
                 # Unreadable after retries: drop the entry (its block must
                 # still be reclaimable) and record the loss.
-                self.stats.relocation_skips += 1
                 self._tm_relocation_skips.inc()
                 if self._log_map[lpn] == src:
                     self._consume_log_entry(lpn)
@@ -457,7 +452,6 @@ class FASTer(BaseFTL):
     def _full_merge(self, lbn: int, parent_ctx=None, parent_span=None):
         """Gather the newest version of every page of ``lbn`` into a fresh
         block — the expensive operation FASTer tries to avoid."""
-        self.stats.merges_full += 1
         self._tm_merges["full"].inc()
         if lbn in self._merging:
             return  # a concurrent reclaim is already merging this block
@@ -494,15 +488,12 @@ class FASTer(BaseFTL):
                     continue
                 src = self.geometry.ppn_of(old_pbn, offset)
             dst = self.geometry.ppn_of(new_pbn, offset)
-            ok = yield from relocate_page(self.geometry, src, dst, self.stats,
-                                          oob={"lpn": lpn},
-                                          counter=self._tm_relocations)
+            ok = yield from relocate_page(self.geometry, src, dst, self.stats, oob={"lpn": lpn})
             if from_log:
                 # Consume unreadable entries too, or the reclaim that
                 # triggered this merge can never retire its victim.
                 consumed.append((lpn, src))
             if not ok:
-                self._tm_relocation_skips.inc()
                 continue  # page lost to media; recorded, not merged
             written.add(offset)
         # Install the new block *first*, then retire the consumed log

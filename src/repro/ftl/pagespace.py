@@ -226,11 +226,19 @@ class PageMappedSpace:
         self._tm_wl_us = self.telemetry.histogram("ftl.wl.migrate_us", layer="ftl")
         self._tm_relocations = self.telemetry.counter("ftl.relocations", layer="ftl")
         prefix = metric_prefix
-        self._tm_read_retries = self.telemetry.counter(f"{prefix}.read_retries", layer=prefix)
+        read_retries = self.telemetry.counter(f"{prefix}.read_retries", layer=prefix)
         self._tm_scrubs = self.telemetry.counter(f"{prefix}.scrubs", layer=prefix)
         self._tm_program_remaps = self.telemetry.counter(f"{prefix}.program_remaps", layer=prefix)
         self._tm_relocation_skips = self.telemetry.counter(
             f"{prefix}.gc.relocation_skips", layer=prefix
+        )
+        # The registry counters are the tallies; the shared stats read them.
+        stats.bind(
+            gc_relocations=self._tm_relocations,
+            read_retries=read_retries,
+            scrubs=self._tm_scrubs,
+            program_remaps=self._tm_program_remaps,
+            relocation_skips=self._tm_relocation_skips,
         )
 
     # -- placement -----------------------------------------------------------------
@@ -274,8 +282,7 @@ class PageMappedSpace:
         ppn = self.mapping.lookup(lpn)
         if ppn == UNMAPPED:
             return None
-        result, retried = yield from read_page_with_retry(
-            ppn, stats=self.stats, counter=self._tm_read_retries)
+        result, retried = yield from read_page_with_retry(ppn, stats=self.stats)
         if retried:
             yield from self._scrub_page(lpn, ppn, result.data)
         return result.data
@@ -330,7 +337,6 @@ class PageMappedSpace:
                 yield Pause(duration_us=min(50.0 * (2 ** min(waits, 5)), 2000.0))
             except ProgramError:
                 remaps += 1
-                self.stats.program_remaps += 1
                 self._tm_program_remaps.inc()
                 if remaps > max_remaps:
                     raise
@@ -392,24 +398,17 @@ class PageMappedSpace:
                 except RuntimeError:
                     return  # no free slots; leave remaining pages pinned
                 try:
-                    moved = yield from relocate_page(
-                        self.geometry, src, dst, self.stats,
-                        oob=oob,
-                        counter=self._tm_relocations,
-                    )
+                    moved = yield from relocate_page(self.geometry, src, dst, self.stats, oob=oob)
                 except ProgramError:
                     # The evacuation destination failed too; quarantine it
                     # and try another block, boundedly.
                     failures += 1
-                    self.stats.program_remaps += 1
                     self._tm_program_remaps.inc()
                     self._quarantine_block(plane_id, self.geometry.block_of_ppn(dst))
                     if failures > max_failures:
                         return
                     continue
-                if not moved:
-                    self._tm_relocation_skips.inc()
-                elif self.mapping.lookup(lpn) == src:
+                if moved and self.mapping.lookup(lpn) == src:
                     self.mapping.bind(lpn, dst)
                 break
 
@@ -435,7 +434,6 @@ class PageMappedSpace:
         # Reads are lock-free: only rebind if the mapping is unchanged.
         if self.mapping.lookup(lpn) == src_ppn:
             self.mapping.bind(lpn, dst)
-            self.stats.scrubs += 1
             self._tm_scrubs.inc()
 
     def trim(self, lpn: int) -> None:
@@ -592,23 +590,16 @@ class PageMappedSpace:
                     # write.
                     try:
                         if self.use_copyback:
-                            ok = yield from relocate_page(
-                                self.geometry, src, dst, self.stats,
-                                counter=self._tm_relocations,
-                            )
+                            ok = yield from relocate_page(self.geometry, src, dst, self.stats)
                         else:
                             ok = True
                             try:
-                                result, __ = yield from read_page_with_retry(
-                                    src, stats=self.stats,
-                                    counter=self._tm_read_retries,
-                                )
+                                result, __ = yield from read_page_with_retry(src, stats=self.stats)
                             except UncorrectableError:
-                                self.stats.relocation_skips += 1
+                                self._tm_relocation_skips.inc()
                                 ok = False
                             if ok:
                                 yield ProgramPage(ppn=dst, data=result.data, oob=result.oob)
-                                self.stats.gc_relocations += 1
                                 self._tm_relocations.inc()
                                 self.stats.gc_reads += 1
                                 self.stats.gc_programs += 1
@@ -617,7 +608,6 @@ class PageMappedSpace:
                         # slot is consumed and its block is untrustworthy.
                         # Quarantine it and redo the copy elsewhere.
                         dst_failures += 1
-                        self.stats.program_remaps += 1
                         self._tm_program_remaps.inc()
                         self._quarantine_block(plane.plane_id, self.geometry.block_of_ppn(dst))
                         if dst_failures > 4:
@@ -630,7 +620,6 @@ class PageMappedSpace:
                     # media error on its next read).  NAND allows skipping
                     # the allocated dst page, so the hole is legal.
                     skipped += 1
-                    self._tm_relocation_skips.inc()
                     continue
                 if l2p[lpn] == src:
                     mapping.bind(lpn, dst)

@@ -19,7 +19,6 @@ from .resources import Resource, Store
 from .stats import (
     LatencyRecorder,
     RunningStats,
-    TimeWeightedValue,
     percentile,
     percentiles,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "Store",
     "LatencyRecorder",
     "RunningStats",
-    "TimeWeightedValue",
     "percentile",
     "percentiles",
 ]

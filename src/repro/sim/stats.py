@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import math
-import random
-import zlib
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 __all__ = [
     "RunningStats",
     "LatencyRecorder",
     "percentile",
     "percentiles",
-    "TimeWeightedValue",
 ]
 
 
@@ -92,37 +89,19 @@ class RunningStats:
 class LatencyRecorder:
     """Records individual latency samples and summarises their distribution.
 
-    By default keeps raw samples (the tier-1 experiments are small enough)
-    so that exact percentiles and outlier counts can be reported, which is
-    what the paper's latency-predictability argument needs.  Long chaos /
-    synthetic runs can cap memory with ``max_samples``: once more than
-    that many samples arrive, the recorder switches to uniform reservoir
-    sampling (Vitter's Algorithm R, deterministically seeded from the
-    recorder name), so percentiles become estimates over an unbiased
-    subsample while ``count``/``mean``/``maximum`` stay exact via the
-    running stats.
+    Keeps every raw sample (the experiments here are small enough), so
+    percentiles and outlier counts are exact, which is what the paper's
+    latency-predictability argument needs.
     """
 
-    def __init__(self, name: str = "", max_samples: Optional[int] = None):
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
+    def __init__(self, name: str = ""):
         self.name = name
-        self.max_samples = max_samples
         self.samples: List[float] = []
         self.stats = RunningStats()
-        self._rng = (
-            random.Random(zlib.crc32(name.encode("utf-8")))
-            if max_samples is not None else None
-        )
 
     def record(self, latency: float) -> None:
         self.stats.add(latency)
-        if self.max_samples is None or len(self.samples) < self.max_samples:
-            self.samples.append(latency)
-        else:
-            slot = self._rng.randrange(self.stats.count)
-            if slot < self.max_samples:
-                self.samples[slot] = latency
+        self.samples.append(latency)
 
     @property
     def count(self) -> int:
@@ -147,7 +126,7 @@ class LatencyRecorder:
         if not self.samples:
             return {"name": self.name, "count": 0}
         p50, p95, p99, p999 = percentiles(self.samples, (50, 95, 99, 99.9))
-        out = {
+        return {
             "name": self.name,
             "count": self.count,
             "mean": self.mean,
@@ -157,33 +136,3 @@ class LatencyRecorder:
             "p999": p999,
             "max": self.maximum,
         }
-        if self.max_samples is not None and self.count > len(self.samples):
-            out["retained"] = len(self.samples)
-        return out
-
-
-class TimeWeightedValue:
-    """Tracks the time-weighted average of a piecewise-constant value.
-
-    Used e.g. for average queue depth or buffer-pool dirty ratio over a run.
-    """
-
-    def __init__(self, now: float = 0.0, value: float = 0.0):
-        self._last_time = now
-        self._value = value
-        self._area = 0.0
-        self._start = now
-
-    def update(self, now: float, value: float) -> None:
-        if now < self._last_time:
-            raise ValueError("time went backwards")
-        self._area += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = value
-
-    def average(self, now: float) -> float:
-        span = now - self._start
-        if span <= 0:
-            return self._value
-        area = self._area + self._value * (now - self._last_time)
-        return area / span

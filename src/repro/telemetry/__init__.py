@@ -45,6 +45,7 @@ from .health import (
 from .registry import (
     FLASH_OPS,
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -55,6 +56,7 @@ from .trace import EventTrace, Span, TraceEvent, load_jsonl
 __all__ = [
     "FLASH_OPS",
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

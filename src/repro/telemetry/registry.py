@@ -15,14 +15,16 @@ trio, with two project-specific twists:
   from the owning :class:`~repro.sim.Simulator` (``set_clock``), so
   latency numbers are in simulated microseconds, not wall time.
 
-Histograms are built on the existing :mod:`repro.sim.stats` primitives
-(:class:`~repro.sim.stats.LatencyRecorder`), keeping one percentile
-implementation for the whole repo.
+A histogram *is* a :class:`~repro.sim.stats.LatencyRecorder` with labels,
+keeping one percentile implementation for the whole repo.  Each event is
+tallied once, here: objects that expose a per-object count read it
+through a :class:`CounterView` instead of keeping a second counter.
 """
 
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.stats import LatencyRecorder
@@ -30,6 +32,7 @@ from ..sim.stats import LatencyRecorder
 __all__ = [
     "Counter",
     "CounterVec",
+    "CounterView",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -101,46 +104,61 @@ class Gauge:
         return {"name": self.name, "labels": dict(self.labels), "value": self.value}
 
 
-class Histogram:
-    """Latency/size distribution built on :class:`LatencyRecorder`.
+class Histogram(LatencyRecorder):
+    """Latency/size distribution: a :class:`LatencyRecorder` with labels.
 
-    By default keeps raw samples (experiments here are small), so ``pct``
-    is exact and matches :func:`repro.sim.stats.percentile` by
-    construction.  A ``max_samples`` bound (usually set registry-wide via
-    ``MetricsRegistry(histogram_max_samples=...)``) switches the backing
-    recorder to reservoir sampling for long runs.
+    Keeps raw samples, so ``pct`` is exact and matches
+    :func:`repro.sim.stats.percentile` by construction.
     """
 
-    __slots__ = ("name", "labels", "_recorder")
-
-    def __init__(self, name: str, labels: LabelSet,
-                 max_samples: Optional[int] = None):
-        self.name = name
+    def __init__(self, name: str, labels: LabelSet):
+        super().__init__(name)
         self.labels = labels
-        self._recorder = LatencyRecorder(name, max_samples=max_samples)
 
-    def observe(self, value: float) -> None:
-        self._recorder.record(value)
-
-    @property
-    def count(self) -> int:
-        return self._recorder.count
-
-    @property
-    def mean(self) -> float:
-        return self._recorder.mean
-
-    @property
-    def samples(self) -> List[float]:
-        return self._recorder.samples
-
-    def pct(self, q: float) -> float:
-        return self._recorder.pct(q)
+    observe = LatencyRecorder.record
 
     def as_dict(self) -> dict:
-        summary = self._recorder.summary()
+        summary = self.summary()
         summary.pop("name", None)
         return {"name": self.name, "labels": dict(self.labels), **summary}
+
+
+class CounterView:
+    """Read-only per-object count over a registry instrument.
+
+    ``hits = CounterView("_tm_hits.value")`` on a class makes ``obj.hits``
+    read ``obj._tm_hits.value`` (a dotted path, so ``"_tm_flush_us.count"``
+    counts a histogram's samples) minus its reading when :meth:`start`
+    ran for ``obj``.  The instrument is the one tally of the event; the
+    view only scopes it to its object.  Instruments are per registry,
+    and a cold start builds a new owner on the same registry, so an
+    owner's count is the growth since the owner started counting.
+    """
+
+    __slots__ = ("_read", "_base")
+
+    def __init__(self, path: str):
+        self._read = attrgetter(path)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._base = f"_{name}_base"
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return self._read(obj) - getattr(obj, self._base)
+
+    def start(self, obj) -> None:
+        """Count ``obj``'s events from the instrument's reading now."""
+        setattr(obj, self._base, self._read(obj))
+
+    @staticmethod
+    def start_all(obj) -> None:
+        """:meth:`start` every view declared on ``obj``'s class."""
+        for klass in type(obj).__mro__:
+            for view in vars(klass).values():
+                if isinstance(view, CounterView):
+                    view.start(obj)
 
 
 class CounterVec:
@@ -203,8 +221,7 @@ class MetricsRegistry:
     the registry — the dashboards refresh these in a loop.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 histogram_max_samples: Optional[int] = None):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._counters: Dict[str, Dict[LabelSet, Counter]] = {}
         self._gauges: Dict[str, Dict[LabelSet, Gauge]] = {}
         self._histograms: Dict[str, Dict[LabelSet, Histogram]] = {}
@@ -212,7 +229,6 @@ class MetricsRegistry:
         self._gauge_merge: Dict[str, str] = dict(GAUGE_MERGE_DEFAULTS)
         self._seq = 0
         self._clock = clock
-        self.histogram_max_samples = histogram_max_samples
 
     # -- clock ----------------------------------------------------------------
 
@@ -250,9 +266,7 @@ class MetricsRegistry:
         key = _labelset(labels)
         instrument = family.get(key)
         if instrument is None:
-            instrument = family[key] = Histogram(
-                name, key, max_samples=self.histogram_max_samples
-            )
+            instrument = family[key] = Histogram(name, key)
         return instrument
 
     def counter_vec(self, name: str, label_names: Iterable[str],
@@ -343,15 +357,22 @@ class MetricsRegistry:
         this one (multi-device benches building one fleet artifact).
 
         Counters sum; histogram samples are re-observed into the local
-        instrument (so a local reservoir bound still applies); gauges
+        instrument; gauges
         combine under their declared :meth:`set_gauge_merge` policy —
         ``sum`` unless overridden, so queue-depth/dirty gauges report the
         fleet total instead of whichever shard merged last.  Merge each
         source once into a fresh rollup registry: re-merging a shard
         double-counts its counters and summed gauges by design.
         Collectors are not merged — they are bound to live objects owned
-        by the source rig and must not outlive it.
+        by the source rig and must not outlive it.  This registry's own
+        collectors are read once, before the fold: their objects count
+        through the instruments the fold adds to (see
+        :class:`CounterView`), so from then on they report their objects
+        as of the first merge.
         """
+        self._collectors = {
+            name: (lambda frozen=fn(): frozen) for name, fn in self._collectors.items()
+        }
         for name, family in other._counters.items():
             for labelset, counter in family.items():
                 self.counter(name, **dict(labelset)).inc(counter.value)

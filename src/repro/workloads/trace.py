@@ -151,8 +151,8 @@ def replay_trace(trace: IOTrace, target, honor_trims: bool = True,
                 raise ValueError(f"unknown trace op kind: {op.kind!r}")
     else:
         raise TypeError(f"unsupported replay target: {target!r}")
-    # Flash command totals come from the telemetry registry (the array's
-    # legacy ``counters`` attribute agrees — see test_telemetry.py).
+    # Flash command totals come from the telemetry registry (which is
+    # what the array's ``counters`` view reads too).
     registry = array.telemetry
     return ReplayReport(
         target=name,

@@ -24,7 +24,7 @@ from repro.flash import (
     UncorrectableError,
 )
 from repro.ftl import FASTer, PageMapFTL
-from repro.ftl.base import READ_RETRY_LIMIT
+from repro.ftl.base import READ_RETRY_LIMIT, relocate_page
 from repro.sim import Simulator
 from repro.workloads import TPCC, run_workload
 
@@ -223,6 +223,29 @@ class TestTransientReadRecovery:
         with pytest.raises(UncorrectableError):
             storage.read(3)
         assert manager.stats.read_retries >= READ_RETRY_LIMIT
+
+
+class TestRelocationRetryTally:
+    def test_fallback_read_retry_reaches_the_registry(self):
+        # The copyback's read leg and the first fallback READ PAGE hit the
+        # ECC fault, the second read succeeds: one retry, which the
+        # registry series and stats.read_retries must both count.
+        array, manager, storage = _sync_noftl()
+        storage.write(0, data=b"moving")
+        src = manager.mapping.lookup(0)
+        dst = src + 1  # the next, still erased, page of the same block
+        array.fault_injector.add_spec(
+            FaultSpec(kind="transient_read", ppn=src, count=2))
+        executor = SyncExecutor(SyncFlashDevice(array))
+        moved = executor.run(relocate_page(GEO, src, dst, manager.stats))
+        assert moved
+        assert manager.stats.read_retries == 1
+        assert manager.telemetry.value("noftl.read_retries") == 1
+        assert manager.stats.gc_copybacks == 0
+        assert manager.stats.gc_programs == 1
+        assert manager.stats.gc_relocations == 1
+        assert manager.telemetry.value("ftl.relocations") == 1
+        assert array.peek_oob(dst) == array.peek_oob(src)
 
 
 class TestProgramFailureRemap:

@@ -47,7 +47,7 @@ class TestPause:
             return sim.now
 
         assert sim.run_process(proc()) == 50.0
-        assert all(busy == 0 for busy in device._die_busy_us)
+        assert all(busy == 0 for busy in device.die_utilization())
 
     def test_pause_in_operation_generator(self):
         array = FlashArray(GEO, SLC_TIMING)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import LatencyRecorder, Resource, RunningStats, Simulator, Store
-from repro.sim import TimeWeightedValue, percentile
+from repro.sim import percentile
 
 
 class TestResource:
@@ -192,14 +192,3 @@ class TestStats:
         assert summary["max"] == 100.0
         assert summary["p50"] == 1.0
         assert rec.outliers_over(10) == 1
-
-    def test_time_weighted_average(self):
-        tw = TimeWeightedValue(now=0, value=0)
-        tw.update(10, 1)   # value 0 for t in [0,10)
-        tw.update(20, 0)   # value 1 for t in [10,20)
-        assert tw.average(20) == pytest.approx(0.5)
-
-    def test_time_weighted_rejects_time_travel(self):
-        tw = TimeWeightedValue(now=5)
-        with pytest.raises(ValueError):
-            tw.update(1, 0)

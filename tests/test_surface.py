@@ -49,9 +49,6 @@ ALLOWLIST: Dict[str, str] = {
     "Store": "the DES kernel's blocking FIFO queue, the message-passing "
     "counterpart of Resource",
     "Store.put": "Store's producer side",
-    "TimeWeightedValue": "time-weighted mean of a level signal, the "
-    "sim.stats companion of RunningStats",
-    "TimeWeightedValue.average": "TimeWeightedValue's reading",
 }
 
 

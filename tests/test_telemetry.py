@@ -2,19 +2,29 @@
 cross-layer wiring (flash -> FTL -> NoFTL -> DBMS -> bench)."""
 
 import json
+import random
 
 import pytest
 
 from repro.bench.reporting import emit, export_metrics
-from repro.bench.rigs import build_sync_noftl, geometry_for_footprint
-from repro.core import NoFTLConfig
+from repro.bench.rigs import (
+    DEMO_GEOMETRY,
+    attach_database,
+    build_noftl_rig,
+    build_sync_noftl,
+    geometry_for_footprint,
+    measure_workload_footprint,
+    sized_geometry,
+)
+from repro.core import NoFTLConfig, NoFTLStorageManager
+from repro.device import FrontendConfig
 from repro.sim.stats import percentile
 from repro.telemetry import (
     EventTrace,
     MetricsRegistry,
     sum_per_die,
 )
-from repro.workloads import replay_trace
+from repro.workloads import TPCB, replay_trace, run_workload
 from repro.bench.fig3 import record_trace
 
 
@@ -203,3 +213,96 @@ class TestStackSmoke:
         # FTL-layer instruments landed in the same registry.
         assert registry.value("ftl.gc.collections") > 0
         assert registry.value("ftl.relocations") == report.relocations > 0
+
+
+class TestOneTally:
+    """Each event is counted once, by a registry instrument; the per-object
+    counters of the array, FTL stats, buffer pool and front end read it."""
+
+    @pytest.fixture(scope="class")
+    def rig(self):
+        workload = TPCB(sf=8, accounts_per_branch=400)
+        footprint = measure_workload_footprint(workload)
+        geometry = sized_geometry(footprint, 2, utilization=0.85,
+                                  headroom_pages=footprint // 2)
+        rig = build_noftl_rig(
+            geometry=geometry, config=NoFTLConfig(num_regions=2, op_ratio=0.12),
+            seed=3, frontend_config=FrontendConfig())
+        db = attach_database(rig, buffer_capacity=max(64, footprint // 4),
+                             foreground_flush=False)
+        db.start_writers(2, policy="region")
+        rig.sim.run_process(workload.load(db))
+        run_workload(rig.sim, db, workload, duration_us=120_000,
+                     num_terminals=4, rng=random.Random(3), preloaded=True)
+        return rig
+
+    def test_storage_latencies_are_the_histograms(self, rig):
+        registry = rig.telemetry
+        assert rig.storage.read_latency is registry.histograms_named("noftl.read_us")[0]
+        assert rig.storage.write_latency is registry.histograms_named("noftl.write_us")[0]
+        assert rig.storage.write_latency.count > 0
+
+    def test_array_counters_are_the_command_totals(self, rig):
+        registry = rig.telemetry
+        counters = rig.array.counters
+        for field, op in (("reads", "read"), ("programs", "program"),
+                          ("erases", "erase"), ("copybacks", "copyback"),
+                          ("oob_reads", "oob_read")):
+            assert getattr(counters, field) == registry.value("flash.commands", op=op)
+        assert counters.copybacks > 0
+        assert counters.per_die_ops == [
+            registry.value("flash.commands", die=die)
+            for die in range(rig.geometry.total_dies)
+        ]
+        # Pause occupies no die: the only busy time outside flash.busy_us.
+        assert counters.busy_us >= registry.value("flash.busy_us") > 0
+
+    def test_views_equal_their_series(self, rig):
+        registry = rig.telemetry
+        stats = rig.manager.stats
+        assert stats.gc_relocations == registry.value("ftl.relocations") > 0
+        for field in ("read_retries", "scrubs", "program_remaps"):
+            assert getattr(stats, field) == registry.value(f"noftl.{field}")
+        assert stats.relocation_skips == registry.value("noftl.gc.relocation_skips")
+        pool = rig.db.buffer
+        assert pool.hits == registry.value("db.buffer.lookups", event="hit") > 0
+        assert pool.misses == registry.value("db.buffer.lookups", event="miss") > 0
+        assert pool.evictions == registry.value("db.buffer.evictions")
+        assert pool.dirty_eviction_stalls == registry.value("db.buffer.dirty_eviction_stalls")
+        assert pool.flushes == registry.histograms_named("db.flush_us")[0].count > 0
+        frontend = rig.frontend
+        for view, series in (("ack_count", "frontend.acks"),
+                             ("coalesced_count", "frontend.coalesced"),
+                             ("destage_count", "frontend.destages"),
+                             ("barrier_count", "frontend.barriers"),
+                             ("hazard_stalls", "frontend.hazard_stalls"),
+                             ("degraded_destages", "frontend.destage_degraded"),
+                             ("volatile_lost", "frontend.volatile_lost")):
+            assert getattr(frontend, view) == registry.value(series)
+        assert frontend.ack_count > 0
+        sheds = registry.series("frontend.sheds", "cls")
+        assert frontend.shed_counts == {
+            cls: sheds.get(cls, 0)
+            for cls in ("read", "barrier", "trim", "destage", "write")
+        }
+
+    def test_a_new_owner_counts_from_its_construction(self, rig):
+        # A cold start builds a new manager on the same registry: its
+        # views start at zero although the registry counters do not.
+        registry = rig.telemetry
+        fresh = NoFTLStorageManager(rig.geometry, NoFTLConfig(num_regions=2, op_ratio=0.12),
+                                    telemetry=registry)
+        assert registry.value("ftl.relocations") > 0
+        assert fresh.stats.gc_relocations == 0
+        assert fresh.stats.snapshot() == NoFTLStorageManager(rig.geometry).stats.snapshot()
+
+    def test_merge_keeps_collectors_on_their_own_run(self):
+        registry = MetricsRegistry()
+        manager = NoFTLStorageManager(DEMO_GEOMETRY, telemetry=registry)
+        registry.counter("ftl.relocations", layer="ftl").inc(2)
+        assert manager.stats.gc_relocations == 2
+        other = MetricsRegistry()
+        other.counter("ftl.relocations", layer="ftl").inc(5)
+        registry.merge_from(other)
+        assert registry.value("ftl.relocations") == 7
+        assert registry.snapshot()["collectors"]["noftl.stats"]["gc_relocations"] == 2
