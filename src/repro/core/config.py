@@ -46,6 +46,8 @@ class NoFTLConfig:
         read+program.
     wear_level_delta
         Static wear-leveling trigger (erase-count spread); None disables.
+    wear_level_check_every
+        Host writes per plane between spread checks.
     honor_trims
         Apply DBMS deallocation hints (free-space-manager integration);
         turning this off reproduces black-box behaviour for ablation.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional
 
 from ..flash.commands import Copyback, Pause, ProgramPage, ReadPage
-from ..flash.errors import DieOutageError, UncorrectableError
+from ..flash.errors import DieOutageError, FlashError, UncorrectableError
 from ..flash.geometry import Geometry
 from ..telemetry import Counter, CounterView, EventTrace, MetricsRegistry
 
@@ -25,7 +25,9 @@ __all__ = [
     "BlockPool",
     "VictimBuckets",
     "relocate_page",
+    "relocate_via_host",
     "read_page_with_retry",
+    "outage_backoff_us",
     "READ_RETRY_LIMIT",
     "OUTAGE_RETRY_LIMIT",
     "RETRY_BACKOFF_US",
@@ -419,7 +421,7 @@ class VictimBuckets:
         self._min = len(self._buckets)
 
 
-def read_page_with_retry(ppn: int, *, stats: FTLStats):
+def read_page_with_retry(ppn: int, *, stats: FTLStats, failed: Optional[FlashError] = None):
     """READ PAGE with bounded retry; returns ``(result, ecc_retries)``.
 
     A flash-command generator.  Two failure classes are handled:
@@ -433,25 +435,40 @@ def read_page_with_retry(ppn: int, *, stats: FTLStats):
       windows advance on Pause commands too), up to
       :data:`OUTAGE_RETRY_LIMIT` rounds.
 
+    Hot callers yield the first READ PAGE themselves and hand over only
+    when it raises: ``failed`` is that error (one of the two classes
+    above), and the retry starts from it exactly as if this generator
+    had issued the attempt.
+
     ``stats.read_retries`` counts every extra ECC attempt.
     """
     ecc = 0
     waits = 0
     while True:
-        try:
-            result = yield ReadPage(ppn=ppn)
-            return result, ecc
-        except UncorrectableError:
+        if failed is None:
+            try:
+                result = yield ReadPage(ppn)
+                return result, ecc
+            except (UncorrectableError, DieOutageError) as exc:
+                failed = exc
+        if isinstance(failed, UncorrectableError):
             ecc += 1
             stats._tm_read_retries.inc()
             if ecc > READ_RETRY_LIMIT:
-                raise
-            yield Pause(duration_us=RETRY_BACKOFF_US * ecc)
-        except DieOutageError:
+                raise failed
+            yield Pause(RETRY_BACKOFF_US * ecc)
+        else:  # DieOutageError
             waits += 1
             if waits > OUTAGE_RETRY_LIMIT:
-                raise
-            yield Pause(duration_us=min(RETRY_BACKOFF_US * (2 ** min(waits, 5)), 2000.0))
+                raise failed
+            yield Pause(outage_backoff_us(waits))
+        failed = None
+
+
+def outage_backoff_us(waits: int) -> float:
+    """Pause before retry round ``waits`` of a command rejected by a die
+    outage: :data:`RETRY_BACKOFF_US` doubling per round, capped at 2 ms."""
+    return min(RETRY_BACKOFF_US * (2 ** min(waits, 5)), 2000.0)
 
 
 def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int, stats: FTLStats, oob=None):
@@ -475,6 +492,18 @@ def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int, stats: FTLStat
             stats._tm_gc_relocations.inc()
             stats.gc_copybacks += 1
             return True
+    return (yield from relocate_via_host(src_ppn, dst_ppn, stats, oob))
+
+
+def relocate_via_host(src_ppn: int, dst_ppn: int, stats: FTLStats, oob=None):
+    """Move one valid page through the host: READ PAGE (with retry), then
+    PAGE PROGRAM of ``dst_ppn``, waiting die outages out.
+
+    The fallback of :func:`relocate_page` and of GC's inline COPYBACK,
+    and the whole move when a space runs without copyback.  Returns ``False`` (and counts a
+    relocation skip) when the source is unreadable after retries; a
+    :class:`ProgramError` of the destination propagates to the caller.
+    """
     try:
         result, __ = yield from read_page_with_retry(src_ppn, stats=stats)
     except UncorrectableError:
@@ -484,15 +513,14 @@ def relocate_page(geometry: Geometry, src_ppn: int, dst_ppn: int, stats: FTLStat
     waits = 0
     while True:
         try:
-            yield ProgramPage(ppn=dst_ppn, data=result.data,
-                              oob=oob if oob is not None else result.oob)
+            yield ProgramPage(dst_ppn, result.data, oob if oob is not None else result.oob)
             break
         except DieOutageError:
             # Rejected before the slot was consumed; wait out the window.
             waits += 1
             if waits > OUTAGE_RETRY_LIMIT:
                 raise
-            yield Pause(duration_us=min(RETRY_BACKOFF_US * (2 ** min(waits, 5)), 2000.0))
+            yield Pause(outage_backoff_us(waits))
     stats._tm_gc_relocations.inc()
     stats.gc_programs += 1
     return True

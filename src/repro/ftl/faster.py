@@ -41,7 +41,14 @@ from ..flash.commands import (
 from ..flash.errors import BlockWornOut, DieOutageError, UncorrectableError
 from ..flash.geometry import Geometry
 from ..telemetry import EventTrace, MetricsRegistry, OpContext
-from .base import UNMAPPED, BaseFTL, read_page_with_retry, relocate_page
+from .base import (
+    OUTAGE_RETRY_LIMIT,
+    UNMAPPED,
+    BaseFTL,
+    outage_backoff_us,
+    read_page_with_retry,
+    relocate_page,
+)
 
 __all__ = ["FASTer"]
 
@@ -557,9 +564,9 @@ class FASTer(BaseFTL):
                 break
             except DieOutageError:
                 waits += 1
-                if waits > 150:
+                if waits > OUTAGE_RETRY_LIMIT:
                     raise
-                yield Pause(duration_us=min(50.0 * (2 ** min(waits, 5)), 2000.0))
+                yield Pause(outage_backoff_us(waits))
             except BlockWornOut:
                 self.stats.grown_bad_blocks += 1
                 return

@@ -21,9 +21,11 @@ from array import array as _array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..flash.commands import (
+    Copyback,
     EraseBlock,
     Pause,
     ProgramPage,
+    ReadPage,
     stamp_context,
     tag_commands,
 )
@@ -44,8 +46,10 @@ from .base import (
     FTLStats,
     MappingState,
     VictimBuckets,
+    outage_backoff_us,
     read_page_with_retry,
     relocate_page,
+    relocate_via_host,
 )
 from .streams import CODE_CLASSES, STREAM_CODES, gc_stream_of_code
 
@@ -80,7 +84,8 @@ class _Plane:
         self._mapping = mapping
         # stream -> [pbn, next_offset]; None until first allocation
         self.active: Dict[str, Optional[list]] = {_HOT: None, _COLD: None}
-        self.erases_since_wl = 0
+        # Host writes since the last wear-level spread check.
+        self.writes_since_wl_check = 0
 
     def occupy(self, pbn: int) -> None:
         """A filled block leaves its active point: index it for GC."""
@@ -128,6 +133,9 @@ class PageMappedSpace:
         Static wear-leveling trigger: when the erase-count spread inside a
         plane exceeds this, the coldest occupied block is refreshed.
         ``None`` disables.
+    wear_level_check_every
+        Host writes per plane between spread checks (with
+        ``wear_level_delta`` set).
     metric_prefix
         Namespace for the recovery telemetry counters (``read_retries``,
         ``scrubs``, ``program_remaps``, ``gc.relocation_skips``): ``"ftl"``
@@ -279,12 +287,15 @@ class PageMappedSpace:
         exhausts the budget and the :class:`UncorrectableError`
         propagates to the host.
         """
-        ppn = self.mapping.lookup(lpn)
+        ppn = self.mapping.l2p[lpn]
         if ppn == UNMAPPED:
             return None
-        result, retried = yield from read_page_with_retry(ppn, stats=self.stats)
-        if retried:
-            yield from self._scrub_page(lpn, ppn, result.data)
+        try:
+            result = yield ReadPage(ppn)
+        except (UncorrectableError, DieOutageError) as exc:
+            result, retried = yield from read_page_with_retry(ppn, stats=self.stats, failed=exc)
+            if retried:
+                yield from self._scrub_page(lpn, ppn, result.data)
         return result.data
 
     def write(self, lpn: int, data=None, stream: str = _HOT):
@@ -296,13 +307,17 @@ class PageMappedSpace:
         waited out — the rejected command consumed nothing.
         """
         plane_id = self.plane_of_lpn(lpn)
-        # ensure_space yields nothing unless the pool is below the low
-        # water mark or wear leveling is on: skip the generator otherwise.
-        if (
-            len(self._planes[plane_id].pool) < self.gc_low_water
-            or self.wear_level_delta is not None
+        plane = self._planes[plane_id]
+        # ensure_space runs GC below the low-water mark and counts this
+        # write towards the next wear-level spread check.  Enter it only
+        # when one of the two is due; otherwise just count the write.
+        if len(plane.pool) < self.gc_low_water or (
+            self.wear_level_delta is not None
+            and plane.writes_since_wl_check + 1 >= self.wear_level_check_every
         ):
             yield from self.ensure_space(plane_id)
+        elif self.wear_level_delta is not None:
+            plane.writes_since_wl_check += 1
         stream = stream if self.separate_streams else _HOT
         ppn = self._allocate(plane_id, stream)
         # OOB carries the logical page number and a monotonically increasing
@@ -314,39 +329,53 @@ class PageMappedSpace:
         if code:
             oob["cls"] = code
         self.mapping.lpn_class[lpn] = code
-        ppn = yield from self._program_with_remap(plane_id, stream, ppn, data, oob)
+        try:
+            yield ProgramPage(ppn, data, oob)
+        except (DieOutageError, ProgramError) as exc:
+            ppn = yield from self._program_with_remap(plane_id, stream, ppn, data, oob, exc)
         self.mapping.bind(lpn, ppn)
         return ppn
 
-    def _program_with_remap(self, plane_id: PlaneId, stream: str, ppn: int,
-                            data, oob, max_remaps: int = 8):
-        """Generator: program ``ppn``, remapping to fresh blocks on
-        :class:`ProgramError`.  Returns the ppn that actually holds the
-        data."""
+    def _program_with_remap(
+        self,
+        plane_id: PlaneId,
+        stream: str,
+        ppn: int,
+        data,
+        oob,
+        failed: FlashError,
+        max_remaps: int = 8,
+    ):
+        """Generator: recover a PAGE PROGRAM of ``ppn`` that raised
+        ``failed``.  A :class:`DieOutageError` is waited out and the same
+        ppn retried; a :class:`ProgramError` remaps the write to a fresh
+        block.  Returns the ppn that actually holds the data."""
         remaps = 0
         waits = 0
         while True:
-            try:
-                yield ProgramPage(ppn=ppn, data=data, oob=oob)
-                return ppn
-            except DieOutageError:
+            if isinstance(failed, DieOutageError):
                 # Rejected before the slot was consumed: retry same ppn.
                 waits += 1
                 if waits > OUTAGE_RETRY_LIMIT:
-                    raise
-                yield Pause(duration_us=min(50.0 * (2 ** min(waits, 5)), 2000.0))
-            except ProgramError:
+                    raise failed
+                yield Pause(outage_backoff_us(waits))
+            else:  # ProgramError
                 remaps += 1
                 self._tm_program_remaps.inc()
                 if remaps > max_remaps:
-                    raise
-                failed_pbn = self.geometry.block_of_ppn(ppn)
-                self._quarantine_block(plane_id, failed_pbn)
+                    raise failed
+                bad_pbn = self.geometry.block_of_ppn(ppn)
+                self._quarantine_block(plane_id, bad_pbn)
                 yield from tag_commands(
-                    self._evacuate_block(plane_id, stream, failed_pbn),
+                    self._evacuate_block(plane_id, stream, bad_pbn),
                     OpContext("evacuation"),
                 )
                 ppn = self._allocate(plane_id, stream)
+            try:
+                yield ProgramPage(ppn, data, oob)
+                return ppn
+            except (DieOutageError, ProgramError) as exc:
+                failed = exc
 
     def _route_maintenance(self, lpn: int, fallback: str):
         """(stream, oob) for relocating ``lpn`` during maintenance work
@@ -541,10 +570,12 @@ class PageMappedSpace:
         """Generator: relocate the victim's valid pages, erase it.
 
         Every flash command issued here — relocations, erases, and any
-        translation-page maintenance done by the ``rebind_hook`` — is
-        tagged with a fresh maintenance context (``origin``), so the
-        executor charges its time to the GC bucket of whichever host
-        request ended up running it inline.
+        translation-page maintenance done by the ``rebind_hook`` — carries
+        a fresh maintenance context (``origin``), so the executor charges
+        its time to the GC bucket of whichever host request ended up
+        running it inline.  The per-page copybacks are stamped as they
+        are built; the rarer generators (read/program fallback, erase,
+        hook) run under :func:`tag_commands`.
         """
         plane.collecting.add(victim)
         moved = []
@@ -556,13 +587,15 @@ class PageMappedSpace:
                              parent=parent, ctx=ctx,
                              plane=plane.plane_id, victim=victim,
                              valid=valid_count) as span:
-            yield from tag_commands(self._collect_body(plane, victim, moved), ctx)
+            yield from self._collect_body(plane, victim, moved, ctx)
             span.note(moved=len(moved))
         if self.rebind_hook is not None and moved:
             yield from tag_commands(self.rebind_hook(moved), ctx)
 
-    def _collect_body(self, plane: _Plane, victim: int, moved: list):
+    def _collect_body(self, plane: _Plane, victim: int, moved: list, ctx: OpContext):
         skipped = 0
+        stats = self.stats
+        relocations = self._tm_relocations
         mapping = self.mapping
         l2p = mapping.l2p
         lpn_class = mapping.lpn_class
@@ -590,19 +623,21 @@ class PageMappedSpace:
                     # write.
                     try:
                         if self.use_copyback:
-                            ok = yield from relocate_page(self.geometry, src, dst, self.stats)
-                        else:
-                            ok = True
+                            # The victim and every GC frontier lie in this
+                            # plane, so COPYBACK always applies; a flash
+                            # error falls back to a read + program.
                             try:
-                                result, __ = yield from read_page_with_retry(src, stats=self.stats)
-                            except UncorrectableError:
-                                self._tm_relocation_skips.inc()
-                                ok = False
-                            if ok:
-                                yield ProgramPage(ppn=dst, data=result.data, oob=result.oob)
-                                self._tm_relocations.inc()
-                                self.stats.gc_reads += 1
-                                self.stats.gc_programs += 1
+                                yield stamp_context(Copyback(src, dst), ctx)
+                            except (UncorrectableError, DieOutageError):
+                                ok = yield from tag_commands(
+                                    relocate_via_host(src, dst, stats), ctx
+                                )
+                            else:
+                                ok = True
+                                relocations.value += 1
+                                stats.gc_copybacks += 1
+                        else:
+                            ok = yield from tag_commands(relocate_via_host(src, dst, stats), ctx)
                     except ProgramError:
                         # The relocation destination failed to program; the
                         # slot is consumed and its block is untrustworthy.
@@ -637,7 +672,7 @@ class PageMappedSpace:
                 if self.on_grown_bad is not None:
                     self.on_grown_bad(victim)
             else:
-                yield from self._erase_into_pool(plane, victim)
+                yield from tag_commands(self._erase_into_pool(plane, victim), ctx)
             if len(classes_seen) > 1:
                 # Heap/wal (or any cross-class) co-location: the thing
                 # write streams exist to eliminate in steady state.
@@ -657,7 +692,7 @@ class PageMappedSpace:
                 waits += 1
                 if waits > OUTAGE_RETRY_LIMIT:
                     raise
-                yield Pause(duration_us=min(50.0 * (2 ** min(waits, 5)), 2000.0))
+                yield Pause(outage_backoff_us(waits))
             except BlockWornOut:
                 # Wear-out or injected erase failure: the array marked the
                 # block bad; retire it from this space.
@@ -678,10 +713,10 @@ class PageMappedSpace:
         """Static wear leveling: refresh the coldest occupied block when the
         in-plane erase spread exceeds the threshold, so its low-wear block
         re-enters the pool and absorbs future hot writes."""
-        plane.erases_since_wl += 1
-        if plane.erases_since_wl < self.wear_level_check_every:
+        plane.writes_since_wl_check += 1
+        if plane.writes_since_wl_check < self.wear_level_check_every:
             return
-        plane.erases_since_wl = 0
+        plane.writes_since_wl_check = 0
         if not plane.occupied or len(plane.pool) < self.gc_low_water:
             return
         erase_counts = self.erase_counts

@@ -18,6 +18,7 @@ from repro.flash import (
     FaultSpec,
     FlashArray,
     Geometry,
+    ProgramPage,
     SLC_TIMING,
     SyncExecutor,
     SyncFlashDevice,
@@ -293,6 +294,49 @@ class TestDieOutage:
             storage.write(lpn, data=(lpn, step))
             oracle[lpn] = (lpn, step)
         assert array.fault_injector.injected_counts().get("die_outage", 0) > 0
+        for lpn, expected in oracle.items():
+            assert storage.read(lpn) == expected
+
+    @staticmethod
+    def _overwrite(storage, manager):
+        rng = random.Random(6)
+        span = int(manager.logical_pages * 0.9)
+        oracle = {}
+        for step in range(span * 5):
+            lpn = rng.randrange(span)
+            storage.write(lpn, data=(lpn, step))
+            oracle[lpn] = (lpn, step)
+        return oracle
+
+    def _first_gc_program_on_die0(self):
+        """Op count of the first GC-origin PAGE PROGRAM on die 0 in a
+        fault-free no-copyback run of :meth:`_overwrite`."""
+        array, manager, storage = _sync_noftl(use_copyback=False)
+        apply = array.apply
+        hits = []
+
+        def spy(command):
+            result = apply(command)
+            if (not hits and isinstance(command, ProgramPage) and result.die == 0
+                    and command.ctx is not None and command.ctx.origin == "gc"):
+                hits.append(array.fault_injector.ops)
+            return result
+
+        array.apply = spy
+        self._overwrite(storage, manager)
+        assert hits, "the run never relocated a page on die 0"
+        return hits[0]
+
+    @pytest.mark.parametrize("use_copyback", [False, True], ids=["read-program", "copyback"])
+    def test_outage_on_a_gc_relocation_is_waited_out(self, use_copyback):
+        # The no-copyback GC arm (ablation E10) relocates by READ PAGE +
+        # PAGE PROGRAM; a die outage on that program must be waited out
+        # like any other, not escape the host write that ran the GC.
+        op = self._first_gc_program_on_die0()
+        plan = FaultPlan([FaultSpec(kind="die_outage", die=0, window=(op, op + 1))], seed=0)
+        array, manager, storage = _sync_noftl(plan=plan, use_copyback=use_copyback)
+        oracle = self._overwrite(storage, manager)
+        assert array.fault_injector.injected_counts() == {"die_outage": 1}
         for lpn, expected in oracle.items():
             assert storage.read(lpn) == expected
 
