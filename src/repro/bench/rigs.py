@@ -260,7 +260,11 @@ def build_sync_noftl(
     array = FlashArray(geometry, timing, store_data=store_data,
                        rng=random.Random(seed), telemetry=telemetry,
                        fault_plan=fault_plan)
-    executor = SyncExecutor(SyncFlashDevice(array))
+    device = SyncFlashDevice(array)
+    # Replay has no simulator: spans time themselves on the flash clock,
+    # the serialised command latency the replay reports already use.
+    telemetry.set_clock(lambda: device.serial_us)
+    executor = SyncExecutor(device)
     manager = NoFTLStorageManager(
         geometry, config or NoFTLConfig(op_ratio=0.12),
         factory_bad_blocks=array.factory_bad_blocks(),
@@ -283,7 +287,9 @@ def build_sync_blockdev(
     telemetry = telemetry or MetricsRegistry()
     array = FlashArray(geometry, timing, store_data=store_data,
                        rng=random.Random(seed), telemetry=telemetry)
-    executor = SyncExecutor(SyncFlashDevice(array))
+    device = SyncFlashDevice(array)
+    telemetry.set_clock(lambda: device.serial_us)
+    executor = SyncExecutor(device)
     ftl = make_ftl(ftl_name, geometry, rng=random.Random(seed + 1),
                    bad_blocks=array.factory_bad_blocks(),
                    telemetry=telemetry, **ftl_kwargs)

@@ -36,7 +36,7 @@ from ..flash.geometry import Geometry
 from ..ftl.base import UNMAPPED, FTLStats, MappingState
 from ..ftl.pagespace import PageMappedSpace
 from ..ftl.streams import CODE_CLASSES, FOREGROUND_STREAMS, stream_for
-from ..telemetry import EventTrace, MetricsRegistry, OpContext, data_class_of
+from ..telemetry import EventTrace, MetricsRegistry, OpContext, data_class_of, trace_or_quiet
 from .badblock import BadBlockManager
 from .config import NoFTLConfig
 from .regions import RegionManager
@@ -101,9 +101,7 @@ class NoFTLStorageManager:
         self.config = config or NoFTLConfig()
         self.stats = FTLStats()
         self.telemetry = telemetry or MetricsRegistry()
-        self.trace = (
-            trace if trace is not None else EventTrace(clock=self.telemetry.now)
-        )
+        self.trace = trace_or_quiet(trace, self.telemetry.now)
         self.telemetry.register_collector("noftl.stats", self.stats.snapshot)
         self.telemetry.register_collector("noftl.occupancy", self.occupancy)
         self.logical_pages = int(

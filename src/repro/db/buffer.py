@@ -21,7 +21,7 @@ from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Optional
 
 from ..sim import Event, Granted, Simulator, WaitQueue
-from ..telemetry import CounterView, EventTrace, MetricsRegistry, OpContext
+from ..telemetry import CounterView, EventTrace, MetricsRegistry, OpContext, trace_or_quiet
 from .page import BTreeNodePage, decode_page
 from .storage import StorageAdapter
 from .wal import WALog
@@ -35,11 +35,17 @@ __all__ = ["Frame", "BufferPool"]
 CLEAN_WAIT_TIMEOUT_US = 10_000.0
 
 
+def _one_bucket(page_id: int) -> int:
+    """Every page in one db-writer bucket: the pool before any writer
+    pool partitions it, and the global policy's shared pool."""
+    return 0
+
+
 class Frame:
     """One resident page."""
 
     __slots__ = ("page_id", "page", "pin_count", "dirty", "dirty_seq",
-                 "hint", "heat", "flush_event", "evicting")
+                 "hint", "heat", "flush_event", "evicting", "writer")
 
     def __init__(self, page_id: int, page, hint: str = "hot"):
         self.page_id = page_id
@@ -51,6 +57,8 @@ class Frame:
         self.heat = 0
         self.flush_event: Optional[Event] = None
         self.evicting = False
+        #: The db-writer bucket the page counts against while dirty.
+        self.writer = 0
 
 
 class BufferPool:
@@ -101,10 +109,12 @@ class BufferPool:
         self.heat_hints = heat_hints
         self.heat_threshold = heat_threshold
         self.frames: "OrderedDict[int, Frame]" = OrderedDict()
-        # Resident dirty frames, maintained at each dirty/clean transition
-        # so throttle() and the db-writers' idle scans are O(1) instead of
-        # O(frames).
-        self._dirty_total = 0
+        # Resident dirty frames per db-writer bucket (one bucket until a
+        # writer pool partitions the pool, see partition_writers),
+        # maintained at each dirty/clean transition so throttle() and the
+        # db-writers' idle scans are O(1) instead of O(frames).
+        self.writer_dirty = [0]
+        self._writer_of: Callable[[int], int] = _one_bucket
         self._loading: Dict[int, Event] = {}
         self._reserved = 0
         self._unpin_waiters: Deque[Event] = deque()
@@ -116,9 +126,7 @@ class BufferPool:
         #: wait-for-clean-frame eviction path.
         self.background_writers_active = False
         self.telemetry = telemetry or MetricsRegistry()
-        self.trace = (
-            trace if trace is not None else EventTrace(clock=self.telemetry.now)
-        )
+        self.trace = trace_or_quiet(trace, self.telemetry.now)
         self._tm_hits = self.telemetry.counter(
             "db.buffer.lookups", layer="db", event="hit")
         self._tm_misses = self.telemetry.counter(
@@ -144,6 +152,22 @@ class BufferPool:
         """``listener(page_id, frame)`` fires when a clean page turns dirty
         (db-writer framework hook)."""
         self._dirty_listener = listener
+
+    def partition_writers(self, buckets: int = 1,
+                          writer_of: Optional[Callable[[int], int]] = None) -> None:
+        """Count dirty frames per db-writer bucket: ``writer_of(page_id)``
+        names a page's bucket in ``range(buckets)`` (default: one bucket).
+        Each page's bucket is fixed when it turns dirty; resident dirty
+        frames are recounted here.  ``writer_dirty[b]`` then lets writer
+        *b* skip an idle scan and stop a busy one at its own last dirty
+        frame."""
+        writer_of = writer_of or _one_bucket
+        self._writer_of = writer_of
+        self.writer_dirty = [0] * buckets
+        for page_id, frame in self.frames.items():
+            if frame.dirty:
+                frame.writer = writer_of(page_id)
+                self.writer_dirty[frame.writer] += 1
 
     # -- pin / unpin ----------------------------------------------------------------
 
@@ -232,7 +256,7 @@ class BufferPool:
                 yield frame.flush_event
             if frame.dirty:
                 frame.dirty = False
-                self._dirty_total -= 1
+                self.writer_dirty[frame.writer] -= 1
             self.frames.pop(page_id, None)
 
     def unpin(self, page_id: int) -> None:
@@ -252,7 +276,8 @@ class BufferPool:
         if self.heat_hints:
             frame.heat += 1
         if was_clean:
-            self._dirty_total += 1
+            writer = frame.writer = self._writer_of(page_id)
+            self.writer_dirty[writer] += 1
             if self._dirty_listener is not None:
                 self._dirty_listener(page_id, frame)
 
@@ -274,9 +299,9 @@ class BufferPool:
         limit = self.dirty_throttle_fraction * self.capacity
 
         def recheck():
-            return CLEAN_WAIT_TIMEOUT_US if self._dirty_total > limit else None
+            return CLEAN_WAIT_TIMEOUT_US if self.dirty_count > limit else None
 
-        while self._dirty_total > limit:
+        while self.dirty_count > limit:
             if not (yield self._clean_queue.park(recheck,
                                                  CLEAN_WAIT_TIMEOUT_US)):
                 return  # timed out: proceed rather than wedge
@@ -346,7 +371,7 @@ class BufferPool:
                                           ctx=ctx)
             if frame.dirty_seq == seq:
                 frame.dirty = False
-                self._dirty_total -= 1
+                self.writer_dirty[frame.writer] -= 1
                 self._clean_queue.notify_all()
             elif self._dirty_listener is not None:
                 # Re-dirtied mid-flush: make sure a writer comes back for
@@ -425,7 +450,7 @@ class BufferPool:
 
     @property
     def dirty_count(self) -> int:
-        return self._dirty_total
+        return sum(self.writer_dirty)
 
     def snapshot(self) -> dict:
         return {

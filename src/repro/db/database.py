@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sim import Simulator
-from ..telemetry import EventTrace, MetricsRegistry
+from ..telemetry import EventTrace, MetricsRegistry, trace_or_quiet
 from .btree import BTreeIndex
 from .buffer import BufferPool
 from .flusher import DbWriterPool
@@ -62,9 +62,7 @@ class Database:
             or MetricsRegistry()
         )
         self.telemetry.set_clock(lambda: sim.now)
-        self.trace = (
-            trace if trace is not None else EventTrace(clock=self.telemetry.now)
-        )
+        self.trace = trace_or_quiet(trace, self.telemetry.now)
         self._tm_commit_us = self.telemetry.histogram(
             "db.txn_commit_us", layer="db")
         self.wal = WALog(sim, flush_latency_us=wal_flush_latency_us,

@@ -29,11 +29,14 @@ from typing import List, Optional
 
 from ..core.badblock import DegradedModeError
 from ..sim import Interrupt, Simulator
-from ..telemetry import EventTrace, MetricsRegistry, OpContext
+from ..telemetry import EventTrace, MetricsRegistry, OpContext, trace_or_quiet
 
 __all__ = ["DbWriterPool"]
 
 _POLICIES = ("global", "region")
+
+#: Pages one writer picks per cleaning round.
+BATCH_SIZE = 4
 
 
 class DbWriterPool:
@@ -46,7 +49,6 @@ class DbWriterPool:
         storage,
         num_writers: int,
         policy: str = "global",
-        batch_size: int = 4,
         idle_poll_us: float = 500.0,
         barrier_rounds: int = 0,
         telemetry: Optional[MetricsRegistry] = None,
@@ -56,14 +58,11 @@ class DbWriterPool:
             raise ValueError(f"policy must be one of {_POLICIES}")
         if num_writers < 1:
             raise ValueError("num_writers must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.sim = sim
         self.buffer_pool = buffer_pool
         self.storage = storage
         self.num_writers = num_writers
         self.policy = policy
-        self.batch_size = batch_size
         self.idle_poll_us = idle_poll_us
         #: Every N cleaning rounds a writer issues the storage adapter's
         #: durability barrier, bounding how long cleaned pages may sit in
@@ -78,9 +77,7 @@ class DbWriterPool:
         self.pages_refused: List[int] = [0] * num_writers
         self.telemetry = telemetry or getattr(
             buffer_pool, "telemetry", None) or MetricsRegistry()
-        self.trace = (
-            trace if trace is not None else EventTrace(clock=self.telemetry.now)
-        )
+        self.trace = trace_or_quiet(trace, self.telemetry.now)
         # Per-(writer, region) flush counters: the die-affinity picture —
         # under the region policy each writer's column collapses onto its
         # own regions; under the global policy every writer hits them all.
@@ -89,6 +86,13 @@ class DbWriterPool:
         self._tm_round_us = self.telemetry.histogram(
             "db.flusher.round_us", layer="db", policy=policy)
         self.telemetry.register_collector("db.flusher", self.snapshot)
+        # Each writer reads its own dirty count: under the region policy
+        # writer i counts the pages of the regions it owns; under the
+        # global policy all writers share one bucket of the whole pool.
+        if policy == "global":
+            buffer_pool.partition_writers()
+        else:
+            buffer_pool.partition_writers(num_writers, self.writer_of_page)
         self._stopping = False
         buffer_pool.background_writers_active = True
         self._processes = [
@@ -98,46 +102,29 @@ class DbWriterPool:
 
     # -- assignment -----------------------------------------------------------------
 
-    def writer_of_region(self, region: int) -> int:
-        """Which writer owns a region under the region policy."""
-        return region % self.num_writers
-
-    def _owns(self, index: int, page_id: int) -> bool:
-        if self.policy == "global":
-            # Shared responsibility for the whole pool: work-conserving,
-            # but writers inevitably meet on the same dies/region locks.
-            return True
-        region = self.storage.region_of_page(page_id)
-        return self.writer_of_region(region) == index
+    def writer_of_page(self, page_id: int) -> int:
+        """Which writer owns a page under the region policy."""
+        return self.storage.region_of_page(page_id) % self.num_writers
 
     # -- the writer process ------------------------------------------------------------
 
     def _candidates(self, index: int) -> List[int]:
-        """Dirty, unpinned, unclaimed frames in LRU (eviction) order."""
-        remaining = self.buffer_pool.dirty_count
+        """Dirty, unpinned, unclaimed frames this writer owns, in LRU
+        (eviction) order."""
+        bucket = 0 if self.policy == "global" else index
+        remaining = self.buffer_pool.writer_dirty[bucket]
         if not remaining:
-            return []  # idle poll on a clean pool: skip the frame scan
+            return []  # idle poll, nothing of ours dirty: skip the scan
         picked = []
-        batch_size = self.batch_size
-        # Hoisted ownership test: under the global policy every page
-        # matches, so the per-frame _owns call (policy string compare +
-        # region lookup) is dropped from the scan entirely.
-        global_policy = self.policy == "global"
-        if not global_policy:
-            region_of_page = self.storage.region_of_page
-            num_writers = self.num_writers
         for page_id, frame in self.buffer_pool.frames.items():
-            if frame.dirty:
-                if frame.pin_count == 0 and frame.flush_event is None \
-                        and (global_policy
-                             or region_of_page(page_id) % num_writers
-                             == index):
+            if frame.dirty and frame.writer == bucket:
+                if frame.pin_count == 0 and frame.flush_event is None:
                     picked.append(page_id)
-                    if len(picked) >= batch_size:
+                    if len(picked) >= BATCH_SIZE:
                         break
                 remaining -= 1
                 if not remaining:
-                    break  # every dirty frame has been considered
+                    break  # every dirty frame of ours has been considered
         return picked
 
     def _flushed_counter(self, index: int, region: int):

@@ -38,6 +38,7 @@ _SLOTTED_SUB = struct.Struct("<HH")        # nslots, free_ptr
 _SLOT = struct.Struct("<HH")               # offset, length
 _TOMBSTONE = 0xFFFF
 _TOMB_SLOT = _SLOT.pack(_TOMBSTONE, 0)
+_DIRECTORY = _COMMON.size + _SLOTTED_SUB.size  # first slot entry
 
 
 class PageFormatError(Exception):
@@ -50,16 +51,26 @@ class SlottedPage:
     Records are opaque byte strings addressed by slot number; slots are
     stable across compaction (the directory never shrinks), which is what
     makes RIDs durable.
+
+    A page read from storage decodes lazily: :meth:`from_bytes` keeps the
+    wire image and the slot count, :meth:`get` and same-length
+    :meth:`update` work on the image's slot directory, and any other
+    operation materialises the record list once.  Most buffer misses on
+    the OLTP path read or overwrite one record before the page is evicted
+    again, so they never pay for decoding the rest.
     """
 
     def __init__(self, page_id: int, page_bytes: int):
-        min_size = _COMMON.size + _SLOTTED_SUB.size + _SLOT.size + 8
+        min_size = _DIRECTORY + _SLOT.size + 8
         if page_bytes < min_size:
             raise ValueError(f"page_bytes {page_bytes} too small")
         self.page_id = page_id
         self.page_bytes = page_bytes
         self.lsn = 0
-        self._records: List[Optional[bytes]] = []
+        #: The record list; None while a page read from storage has not
+        #: been decoded (``_nslots`` then holds the directory size).
+        self._records: Optional[List[Optional[bytes]]] = []
+        self._nslots = 0
         # Live payload bytes, maintained incrementally by every mutator —
         # used_bytes()/free_space() run on each insert/update and on the
         # buffer pool's admission checks, so an O(records) recount here
@@ -74,21 +85,44 @@ class SlottedPage:
         self._image: Optional[bytearray] = None
         self._offsets: Optional[List[int]] = None
 
+    def _decoded(self) -> List[Optional[bytes]]:
+        """The record list, decoded from the wire image on first use."""
+        records = self._records
+        if records is not None:
+            return records
+        image = self._image
+        records = []
+        offsets = []
+        payload_bytes = 0
+        for offset, length in _SLOT.iter_unpack(
+            image[_DIRECTORY:_DIRECTORY + self._nslots * _SLOT.size]
+        ):
+            if offset == _TOMBSTONE:
+                records.append(None)
+                offsets.append(-1)
+            else:
+                records.append(bytes(image[offset:offset + length]))
+                offsets.append(offset)
+                payload_bytes += length
+        self._records = records
+        self._offsets = offsets
+        self._payload_bytes = payload_bytes
+        return records
+
     # -- capacity accounting -------------------------------------------------
 
     @property
     def live_records(self) -> int:
-        return sum(1 for record in self._records if record is not None)
+        return sum(1 for record in self._decoded() if record is not None)
 
     def used_bytes(self) -> int:
-        return (_COMMON.size + _SLOTTED_SUB.size
-                + _SLOT.size * len(self._records) + self._payload_bytes)
+        records = self._records
+        if records is None:
+            records = self._decoded()
+        return _DIRECTORY + _SLOT.size * len(records) + self._payload_bytes
 
     def free_space(self) -> int:
         return self.page_bytes - self.used_bytes()
-
-    def fits(self, record: bytes) -> bool:
-        return self.free_space() >= len(record) + _SLOT.size
 
     # -- record operations -----------------------------------------------------
 
@@ -99,37 +133,58 @@ class SlottedPage:
         record = bytes(record)
         if len(record) >= _TOMBSTONE:
             raise ValueError("record too large for slot encoding")
+        free = self.free_space()
+        records = self._records  # decoded by free_space()
         # reuse a tombstoned slot when possible (needs no directory growth)
-        if self.free_space() >= len(record):
-            for slot, existing in enumerate(self._records):
-                if existing is None:
-                    self._records[slot] = record
-                    self._payload_bytes += len(record)
-                    self._image = None
-                    return slot
-        if not self.fits(record):
+        if free >= len(record) and None in records:
+            slot = records.index(None)
+            records[slot] = record
+            self._payload_bytes += len(record)
+            self._image = None
+            return slot
+        if free < len(record) + _SLOT.size:
             return None
-        self._records.append(record)
+        records.append(record)
         self._payload_bytes += len(record)
         self._image = None
-        return len(self._records) - 1
+        return len(records) - 1
 
     def get(self, slot: int) -> Optional[bytes]:
         """The record at ``slot`` (None if deleted)."""
         self._check_slot(slot)
-        return self._records[slot]
+        records = self._records
+        if records is not None:
+            return records[slot]
+        image = self._image
+        offset, length = _SLOT.unpack_from(image, _DIRECTORY + _SLOT.size * slot)
+        if offset == _TOMBSTONE:
+            return None
+        return bytes(image[offset:offset + length])
 
     def update(self, slot: int, record: bytes) -> bool:
         """Replace the record at ``slot``; False when the page is too full."""
         self._check_slot(slot)
-        old = self._records[slot]
+        records = self._records
+        if records is None:
+            image = self._image
+            offset, length = _SLOT.unpack_from(image, _DIRECTORY + _SLOT.size * slot)
+            if offset == _TOMBSTONE:
+                raise KeyError(f"slot {slot} is deleted")
+            record = bytes(record)
+            if len(record) == length:
+                # Same-length overwrite of an undecoded page: patch the
+                # wire image, which stays the page's canonical form.
+                image[offset:offset + length] = record
+                return True
+            records = self._decoded()
+        old = records[slot]
         if old is None:
             raise KeyError(f"slot {slot} is deleted")
         record = bytes(record)
         growth = len(record) - len(old)
         if growth > self.free_space():
             return False
-        self._records[slot] = record
+        records[slot] = record
         self._payload_bytes += growth
         image = self._image
         if image is not None:
@@ -144,10 +199,11 @@ class SlottedPage:
 
     def delete(self, slot: int) -> None:
         self._check_slot(slot)
-        if self._records[slot] is None:
+        records = self._decoded()
+        if records[slot] is None:
             raise KeyError(f"slot {slot} already deleted")
-        self._payload_bytes -= len(self._records[slot])
-        self._records[slot] = None
+        self._payload_bytes -= len(records[slot])
+        records[slot] = None
         self._image = None
 
     def ensure_slot(self, slot: int, record) -> None:
@@ -155,13 +211,14 @@ class SlottedPage:
         the directory as needed — physical redo's page surgery."""
         if slot < 0:
             raise IndexError(f"slot {slot} out of range")
-        while len(self._records) <= slot:
-            self._records.append(None)
-        old = self._records[slot]
+        records = self._decoded()
+        while len(records) <= slot:
+            records.append(None)
+        old = records[slot]
         if old is not None:
             self._payload_bytes -= len(old)
         new = bytes(record) if record is not None else None
-        self._records[slot] = new
+        records[slot] = new
         if new is not None:
             self._payload_bytes += len(new)
         self._image = None
@@ -170,23 +227,26 @@ class SlottedPage:
         """Put a record back into its original (tombstoned) slot — undo of
         a delete.  The slot must currently be empty."""
         self._check_slot(slot)
-        if self._records[slot] is not None:
+        records = self._decoded()
+        if records[slot] is not None:
             raise KeyError(f"slot {slot} is occupied")
         record = bytes(record)
         if self.free_space() < len(record):
             raise ValueError("no room to restore record")
-        self._records[slot] = record
+        records[slot] = record
         self._payload_bytes += len(record)
         self._image = None
 
     def iter_records(self):
         """(slot, record) pairs of live records."""
-        for slot, record in enumerate(self._records):
+        for slot, record in enumerate(self._decoded()):
             if record is not None:
                 yield slot, record
 
     def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < len(self._records):
+        records = self._records
+        count = self._nslots if records is None else len(records)
+        if not 0 <= slot < count:
             raise IndexError(f"slot {slot} out of range")
 
     # -- serialisation ------------------------------------------------------------
@@ -206,7 +266,6 @@ class SlottedPage:
         """Recompute the canonical byte image and the slot offset table."""
         out = bytearray(self.page_bytes)
         _SLOTTED_SUB.pack_into(out, _COMMON.size, len(self._records), 0)
-        directory = _COMMON.size + _SLOTTED_SUB.size
         payload_end = self.page_bytes
         # Build the slot directory and the payload area as two joined
         # bytes objects instead of a pack_into / slice-assign per slot:
@@ -228,7 +287,7 @@ class SlottedPage:
         if parts:
             parts.reverse()
             out[payload_end:] = b"".join(parts)
-        out[directory:directory + _SLOT.size * len(entries)] = b"".join(entries)
+        out[_DIRECTORY:_DIRECTORY + _SLOT.size * len(entries)] = b"".join(entries)
         self._image = out
         self._offsets = offsets
         return out
@@ -241,26 +300,13 @@ class SlottedPage:
         nslots, __ = _SLOTTED_SUB.unpack_from(raw, _COMMON.size)
         page = cls(page_id, len(raw))
         page.lsn = lsn
-        directory = _COMMON.size + _SLOTTED_SUB.size
-        records = page._records
-        offsets = []
-        payload_bytes = 0
-        for offset, length in _SLOT.iter_unpack(
-                raw[directory:directory + nslots * _SLOT.size]):
-            if offset == _TOMBSTONE:
-                records.append(None)
-                offsets.append(-1)
-            else:
-                records.append(bytes(raw[offset:offset + length]))
-                offsets.append(offset)
-                payload_bytes += length
-        page._payload_bytes = payload_bytes
-        # Prime the image cache with the decoded bytes: every page in the
-        # stack was produced by to_bytes(), so the raw form *is* the
-        # canonical serialisation and a read-modify-write cycle that only
-        # touches record payloads never pays a rebuild.
+        # Keep the wire image undecoded: every page in the stack was
+        # produced by to_bytes(), so the raw form *is* the canonical
+        # serialisation, and a read-modify-write cycle that only touches
+        # record payloads never decodes or rebuilds the page.
+        page._records = None
+        page._nslots = nslots
         page._image = bytearray(raw)
-        page._offsets = offsets
         return page
 
 

@@ -16,7 +16,7 @@ from typing import Deque, Dict, Iterable, List, Optional
 from ..flash.commands import Copyback, Pause, ProgramPage, ReadPage
 from ..flash.errors import DieOutageError, FlashError, UncorrectableError
 from ..flash.geometry import Geometry
-from ..telemetry import Counter, CounterView, EventTrace, MetricsRegistry
+from ..telemetry import Counter, CounterView, EventTrace, MetricsRegistry, trace_or_quiet
 
 __all__ = [
     "FTLStats",
@@ -146,10 +146,11 @@ class BaseFTL:
         self.logical_pages = int(geometry.total_pages * (1.0 - op_ratio))
         self.stats = FTLStats()
         # Telemetry: shared registry/trace when the rig provides them,
-        # private ones otherwise, so instrumentation is always live.  The
-        # collector exposes the classic FTLStats counters in snapshots.
+        # otherwise a private registry (always live) and a disabled trace
+        # (tracing is opt-in).  The collector exposes the classic FTLStats
+        # counters in snapshots.
         self.telemetry = telemetry or MetricsRegistry()
-        self.trace = trace if trace is not None else EventTrace(clock=self.telemetry.now)
+        self.trace = trace_or_quiet(trace, self.telemetry.now)
         self.telemetry.register_collector(f"ftl.{type(self).__name__}", self.stats.snapshot)
         # Shared recovery counters: every FTL's read path retries through
         # these, so chaos dashboards see one family per layer.

@@ -38,7 +38,7 @@ from ..flash.errors import (
     UncorrectableError,
 )
 from ..flash.geometry import Geometry
-from ..telemetry import EventTrace, MetricsRegistry, OpContext
+from ..telemetry import EventTrace, MetricsRegistry, OpContext, trace_or_quiet
 from .base import (
     OUTAGE_RETRY_LIMIT,
     UNMAPPED,
@@ -226,7 +226,7 @@ class PageMappedSpace:
         # Telemetry: GC victim quality, collection/wear-level spans, and
         # back-off waits behind an in-flight collection.
         self.telemetry = telemetry or MetricsRegistry()
-        self.trace = trace if trace is not None else EventTrace(clock=self.telemetry.now)
+        self.trace = trace_or_quiet(trace, self.telemetry.now)
         self._tm_gc_runs = self.telemetry.counter("ftl.gc.collections", layer="ftl")
         self._tm_gc_waits = self.telemetry.counter("ftl.gc.backoff_waits", layer="ftl")
         self._tm_victim_valid = self.telemetry.histogram("ftl.gc.victim_valid", layer="ftl")

@@ -51,7 +51,7 @@ from .registry import (
     MetricsRegistry,
     sum_per_die,
 )
-from .trace import EventTrace, Span, TraceEvent, load_jsonl
+from .trace import EventTrace, Span, TraceEvent, load_jsonl, trace_or_quiet
 
 __all__ = [
     "FLASH_OPS",
@@ -65,6 +65,7 @@ __all__ = [
     "Span",
     "TraceEvent",
     "load_jsonl",
+    "trace_or_quiet",
     "OpContext",
     "ORIGINS",
     "MAINTENANCE_ORIGINS",

@@ -7,6 +7,10 @@ structured fields, timestamped in simulated time.  The buffer is a fixed
 ring (old events fall off; a ``dropped`` counter records how many), so
 tracing is always safe to leave enabled on multi-minute simulated runs.
 
+Tracing is opt-in: a component built without a trace gets a disabled one
+from :func:`trace_or_quiet`, whose spans still time their histograms but
+emit nothing.  Pass an ``EventTrace()`` to a rig (or component) to record.
+
 An optional JSONL sink streams every event to disk as it is emitted —
 useful for post-mortem analysis of a single bench.
 """
@@ -17,7 +21,7 @@ import json
 from collections import deque
 from typing import Callable, Deque, List, Optional, TextIO, Union
 
-__all__ = ["TraceEvent", "EventTrace", "Span", "load_jsonl"]
+__all__ = ["TraceEvent", "EventTrace", "Span", "load_jsonl", "trace_or_quiet"]
 
 
 class TraceEvent:
@@ -54,6 +58,9 @@ class Span:
     processes, and an ambient stack would mis-parent spans.  A ``ctx=``
     (an :class:`~repro.telemetry.context.OpContext`) merges its identity
     fields (origin, path, txn/writer ids) into the events.
+
+    On a disabled trace a span only times its histogram: no span id, no
+    context fields, no events.
     """
 
     __slots__ = (
@@ -70,7 +77,7 @@ class Span:
         self.start = 0.0
         self.span_id = 0
         self.parent_id = parent.span_id if isinstance(parent, Span) else parent
-        if ctx is not None:
+        if ctx is not None and trace.enabled:
             for key, value in ctx.fields().items():
                 self.fields.setdefault(key, value)
 
@@ -79,20 +86,23 @@ class Span:
         self.fields.update(fields)
 
     def __enter__(self) -> "Span":
-        self.start = self.trace.now()
-        self.span_id = self.trace.next_span_id()
-        if self.parent_id:
-            self.fields.setdefault("parent", self.parent_id)
-        self.trace.emit(self.kind + ":begin", span=self.span_id, **self.fields)
+        trace = self.trace
+        self.start = trace.now()
+        if trace.enabled:
+            self.span_id = trace.next_span_id()
+            if self.parent_id:
+                self.fields.setdefault("parent", self.parent_id)
+            trace.emit(self.kind + ":begin", span=self.span_id, **self.fields)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = self.trace.now() - self.start
-        fields = dict(self.fields)
-        fields["duration_us"] = duration
-        if exc_type is not None:
-            fields["error"] = exc_type.__name__
-        self.trace.emit(self.kind + ":end", span=self.span_id, **fields)
+        if self.span_id:
+            fields = dict(self.fields)
+            fields["duration_us"] = duration
+            if exc_type is not None:
+                fields["error"] = exc_type.__name__
+            self.trace.emit(self.kind + ":end", span=self.span_id, **fields)
         if self.histogram is not None:
             self.histogram.observe(duration)
 
@@ -176,6 +186,15 @@ class EventTrace:
             "emitted": self.emitted,
             "dropped": self.dropped,
         }
+
+
+def trace_or_quiet(trace: Optional[EventTrace], clock: Callable[[], float]) -> EventTrace:
+    """``trace``, or a disabled trace on ``clock`` when none was given.
+
+    Components fall back to this, so a rig records events only when its
+    builder hands it an enabled :class:`EventTrace`.
+    """
+    return trace if trace is not None else EventTrace(clock=clock, enabled=False)
 
 
 def load_jsonl(path) -> List[dict]:

@@ -1,8 +1,11 @@
 """Tests for the buffer pool: pinning, eviction, WAL rule, dirty listener."""
 
+import random
+
 import pytest
 
-from repro.db import BufferPool, RAMStorageAdapter, SlottedPage, WALog
+from repro.db import BufferPool, DbWriterPool, RAMStorageAdapter, SlottedPage, WALog
+from repro.db.flusher import BATCH_SIZE
 from repro.sim import Simulator
 
 PAGE_BYTES = 256
@@ -231,3 +234,107 @@ class TestDirtyAndFlush:
         snap = pool.snapshot()
         assert snap["capacity"] == 4
         assert "hit_ratio" in snap
+
+
+def _full_scan(writers, index):
+    """Reference: the db-writer candidate scan over the whole pool that
+    the per-writer dirty counts replaced."""
+    picked = []
+    for page_id, frame in writers.buffer_pool.frames.items():
+        if frame.dirty and frame.pin_count == 0 and frame.flush_event is None \
+                and (writers.policy == "global"
+                     or writers.storage.region_of_page(page_id)
+                     % writers.num_writers == index):
+            picked.append(page_id)
+            if len(picked) >= BATCH_SIZE:
+                break
+    return picked
+
+
+def _recount(writers):
+    """Per-writer dirty counts recomputed from the resident frames."""
+    pool = writers.buffer_pool
+    counts = [0] * len(pool.writer_dirty)
+    for page_id, frame in pool.frames.items():
+        if frame.dirty:
+            counts[0 if writers.policy == "global"
+                   else writers.storage.region_of_page(page_id)
+                   % writers.num_writers] += 1
+    return counts
+
+
+class TestWriterDirtyCounts:
+    """Differential check of the db-writers' per-writer dirty counts: each
+    candidate scan picks exactly what the full-pool scan picks, and each
+    count equals a recount, under churn that covers every dirty/clean
+    transition — mutations, write-backs (writer, eviction, checkpoint),
+    purges, and pages re-dirtied while a write-back is in flight."""
+
+    PAGES = 48
+    MUTATORS = 4
+
+    @pytest.mark.parametrize("policy", ["global", "region"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_candidates_match_the_full_scan(self, policy, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        storage = RAMStorageAdapter(sim, logical_pages=256, latency_us=40.0,
+                                    num_regions=4)
+        pool = BufferPool(sim, storage, WALog(sim, flush_latency_us=20), 16)
+        seed_pages(sim, pool, self.PAGES)
+        writers = DbWriterPool(sim, pool, storage, 3, policy,
+                               idle_poll_us=60.0)
+        scans = []
+        original = writers._candidates
+
+        def checked(index):
+            assert pool.writer_dirty == _recount(writers)
+            picked = original(index)
+            assert picked == _full_scan(writers, index)
+            scans.append(picked)
+            return picked
+
+        writers._candidates = checked
+        redirtied_mid_flush = [0]
+        purged = [0]
+
+        def mutator(pages):
+            for __ in range(120):
+                page_id = rng.choice(pages)
+                if rng.random() < 0.1:
+                    yield from pool.purge_page(page_id)
+                    purged[0] += 1
+                else:
+                    frame = yield from pool.fetch(page_id)
+                    frame.page.update(0, frame.page.get(0)[::-1])
+                    if frame.dirty and frame.flush_event is not None:
+                        redirtied_mid_flush[0] += 1
+                    pool.mark_dirty(page_id)
+                    pool.unpin(page_id)
+                assert pool.writer_dirty == _recount(writers)
+                yield sim.timeout(rng.uniform(0.0, 30.0))
+
+        for first in range(self.MUTATORS):
+            sim.process(mutator(list(range(first, self.PAGES, self.MUTATORS))))
+        sim.run(until=sim.now + 20_000.0)
+        sim.run_process(pool.flush_all())
+        assert pool.writer_dirty == _recount(writers) == [0] * len(pool.writer_dirty)
+        writers.stop()
+        sim.run()
+        assert purged[0] and redirtied_mid_flush[0]
+        assert any(scans) and not all(scans)
+
+    def test_counts_survive_repartitioning(self):
+        sim, storage, __, pool = make_pool(capacity=8)
+        seed_pages(sim, pool, 6)
+
+        def dirty_all():
+            for page_id in range(6):
+                yield from pool.fetch(page_id)
+                pool.mark_dirty(page_id)
+                pool.unpin(page_id)
+
+        sim.run_process(dirty_all())
+        assert pool.writer_dirty == [6]
+        pool.partition_writers(2, lambda page_id: page_id % 2)
+        assert pool.writer_dirty == [3, 3]

@@ -32,7 +32,7 @@ class TestSlottedPage:
             records += 1
         assert records > 0
         assert page.insert(b"x" * 16) is None
-        assert not page.fits(b"x" * 16)
+        assert page.free_space() < 16 + 4  # no room for record + slot entry
 
     def test_update_in_place(self):
         page = self.make()
@@ -169,3 +169,59 @@ def test_btree_node_roundtrip_property(pairs):
     clone = BTreeNodePage.from_bytes(node.to_bytes())
     assert clone.keys == node.keys
     assert clone.values == node.values
+
+
+_RECORDS = st.one_of(st.binary(min_size=4, max_size=4), st.binary(max_size=24))
+_SLOTS = st.integers(-1, 12)
+_PAGE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), _SLOTS),
+        st.tuples(st.just("update"), _SLOTS, _RECORDS),
+        st.tuples(st.just("insert"), _RECORDS),
+        st.tuples(st.just("delete"), _SLOTS),
+        st.tuples(st.just("ensure_slot"), _SLOTS, st.one_of(st.none(), _RECORDS)),
+        st.tuples(st.just("restore"), _SLOTS, _RECORDS),
+        st.tuples(st.just("iter_records")),
+        st.tuples(st.just("live_records")),
+        st.tuples(st.just("free_space")),
+    ),
+    max_size=12,
+)
+
+
+def _apply(page, op):
+    """One operation's outcome: its value, or the exception type raised."""
+    name, *args = op
+    try:
+        if name == "iter_records":
+            return list(page.iter_records())
+        if name == "live_records":
+            return page.live_records
+        return getattr(page, name)(*args)
+    except (IndexError, KeyError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.none(), _RECORDS), max_size=10),
+       st.integers(0, 2**32), _PAGE_OPS)
+def test_lazy_decode_matches_eager_decode(initial, lsn, ops):
+    """A page read from storage decodes lazily; it must answer every
+    operation exactly as the same page decoded up front, and serialise
+    to the same bytes after each one."""
+    source = SlottedPage(5, 256)
+    for record in initial:
+        slot = source.insert(record if record is not None else b"dead")
+        if record is None and slot is not None:
+            source.delete(slot)
+    source.lsn = lsn
+    raw = source.to_bytes()
+    lazy = SlottedPage.from_bytes(raw)
+    eager = SlottedPage.from_bytes(raw)
+    list(eager.iter_records())  # materialise the record list
+    assert lazy.to_bytes() == eager.to_bytes() == raw
+    for op in ops:
+        assert _apply(lazy, op) == _apply(eager, op), op
+        assert lazy.to_bytes() == eager.to_bytes(), op
+    assert lazy.free_space() == eager.free_space()
+    assert list(lazy.iter_records()) == list(eager.iter_records())

@@ -15,6 +15,7 @@ from repro.flash import (
 )
 from repro.ftl import PageMapFTL
 from repro.sim import Simulator
+from repro.telemetry import EventTrace
 
 GEO = Geometry(
     channels=2,
@@ -27,11 +28,11 @@ GEO = Geometry(
 )
 
 
-def make_blockdev(ncq_depth=32, controller_slots=1):
+def make_blockdev(ncq_depth=32, controller_slots=1, trace=None):
     sim = Simulator()
     array = FlashArray(GEO, SLC_TIMING)
     executor = SimExecutor(SimFlashDevice(sim, array))
-    ftl = PageMapFTL(GEO, op_ratio=0.25)
+    ftl = PageMapFTL(GEO, op_ratio=0.25, trace=trace)
     return sim, BlockDevice(sim, ftl, executor, ncq_depth=ncq_depth,
                             controller_slots=controller_slots)
 
@@ -104,7 +105,7 @@ class TestBlockDeviceDES:
         """DATASET MANAGEMENT is symmetric with read/write: it pays the
         interface overhead, records a latency sample, and emits a
         ``host.op`` trace event — it is not a free mapping mutation."""
-        sim, device = make_blockdev()
+        sim, device = make_blockdev(trace=EventTrace())
 
         def proc():
             yield from device.write(5, data=b"five")

@@ -21,6 +21,7 @@ from repro.bench.rigs import (
     sized_geometry,
 )
 from repro.core import NoFTLConfig
+from repro.telemetry import EventTrace
 from repro.workloads import TPCB, run_workload
 
 # Captured on the seed kernel; identical on the fast-lane kernel.
@@ -45,12 +46,11 @@ DIES = 4
 DURATION_US = 120_000.0
 
 
-def run_golden_rig():
-    """Build the 4-die TPC-B rig at 85 % utilisation, load it, run it.
+def load_golden_rig(trace=None):
+    """Build the 4-die TPC-B rig at 85 % utilisation and load it.
 
-    Returns ``(digest, commits, sim_us, events)``; the digest and the
-    event count cover the whole run, load included, because the registry
-    accumulates from the first command.
+    Returns ``(rig, db, workload)``.  ``trace`` opts the rig in to event
+    tracing; by default it is built quiet, like every rig.
     """
     footprint = measure_workload_footprint(
         TPCB(sf=8, accounts_per_branch=400))
@@ -60,18 +60,35 @@ def run_golden_rig():
         geometry=geometry,
         config=NoFTLConfig(num_regions=DIES, op_ratio=0.12),
         seed=SEED,
+        trace=trace,
     )
     db = attach_database(rig, buffer_capacity=max(64, footprint // 4),
                          foreground_flush=False)
     db.start_writers(2, policy="region")
     workload = TPCB(sf=8, accounts_per_branch=400)
     rig.sim.run_process(workload.load(db))
+    return rig, db, workload
+
+
+def run_golden_window(rig, db, workload):
+    """The measured window: four TPC-B terminals for ``DURATION_US``."""
+    return run_workload(rig.sim, db, workload,
+                        duration_us=DURATION_US,
+                        num_terminals=4,
+                        rng=random.Random(SEED),
+                        preloaded=True)
+
+
+def run_golden_rig(trace=None):
+    """Load the golden rig and run its window.
+
+    Returns ``(digest, commits, sim_us, events)``; the digest and the
+    event count cover the whole run, load included, because the registry
+    accumulates from the first command.
+    """
+    rig, db, workload = load_golden_rig(trace)
     sim_before = rig.sim.now
-    stats = run_workload(rig.sim, db, workload,
-                         duration_us=DURATION_US,
-                         num_terminals=4,
-                         rng=random.Random(SEED),
-                         preloaded=True)
+    stats = run_golden_window(rig, db, workload)
     payload = (rig.telemetry.to_json()
                + f"|now={rig.sim.now!r}|commits={stats.commits}")
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -86,3 +103,9 @@ class TestGoldenRig:
         assert commits == RIG_GOLDEN_COMMITS
         assert sim_us == pytest.approx(RIG_GOLDEN_SIM_US)
         assert events == RIG_GOLDEN_EVENTS
+
+    def test_tracing_is_passive(self):
+        """An opted-in trace records the run without moving it."""
+        trace = EventTrace()
+        assert run_golden_rig(trace) == run_golden_rig()
+        assert trace.emitted > 0

@@ -1,4 +1,5 @@
-"""Deterministic host-cost witness: Python calls per op on a replay rig.
+"""Deterministic host-cost witnesses: Python calls per op on a replay rig
+and per commit on the golden DES rig.
 
 Wall-clock throughput of a pure-Python simulator is noisy, but the number
 of Python function calls a deterministic run makes is exact: a fixed
@@ -13,10 +14,14 @@ Python 3.12 inlines some of them, and they are not calls in the source.
 Every generator resume is a call here, so an extra ``yield from`` layer
 on the per-command path shows up at once.
 
-:data:`CALLS_PER_OP` is the recorded value; the bound allows 2 % above
-it.  A change that lowers the count should lower the record with it.
-If an interpreter changes the count, skip the test on that version
-rather than loosen the bound.
+The second witness counts the same calls per commit over the measured
+window of :mod:`tests.test_golden_rig`'s TPC-B rig: the whole
+DBMS-on-NoFTL path (kernel, buffer pool, db-writers, NoFTL, flash).
+
+:data:`CALLS_PER_OP` and :data:`CALLS_PER_COMMIT` are the recorded
+values; the bound allows 2 % above each.  A change that lowers a count
+should lower its record with it.  If an interpreter changes the count,
+skip the test on that version rather than loosen the bound.
 """
 
 import cProfile
@@ -27,12 +32,17 @@ import random
 import repro
 from repro.bench.rigs import build_sync_noftl, geometry_for_footprint
 from repro.core import NoFTLConfig
+from tests.test_golden_rig import load_golden_rig, run_golden_window
 
 PAGES = 6000
 WARM_OPS = 10_000
 WINDOW_OPS = 4_000
 #: Recorded calls per op over the window.
-CALLS_PER_OP = 41.5245
+CALLS_PER_OP = 41.1245
+#: Recorded calls per commit over the golden rig's window (600.29 before
+#: tracing became opt-in and the db-writers counted their own dirty
+#: frames).
+CALLS_PER_COMMIT = 562.3761
 TOLERANCE = 0.02
 
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
@@ -71,6 +81,14 @@ def _replay(storage, ops):
             storage.trim(lpn)
 
 
+def _repro_calls(profile: cProfile.Profile) -> int:
+    calls = 0
+    for (path, __, name), stat in pstats.Stats(profile).stats.items():
+        if path.startswith(_REPRO_ROOT) and name not in _COMPREHENSIONS:
+            calls += stat[1]  # total calls, recursive ones included
+    return calls
+
+
 def _calls_per_op() -> float:
     storage, ops = _rig_and_ops()
     _replay(storage, ops[:WARM_OPS])
@@ -78,11 +96,16 @@ def _calls_per_op() -> float:
     profile.enable()
     _replay(storage, ops[WARM_OPS:])
     profile.disable()
-    calls = 0
-    for (path, __, name), stat in pstats.Stats(profile).stats.items():
-        if path.startswith(_REPRO_ROOT) and name not in _COMPREHENSIONS:
-            calls += stat[1]  # total calls, recursive ones included
-    return calls / WINDOW_OPS
+    return _repro_calls(profile) / WINDOW_OPS
+
+
+def _calls_per_commit() -> float:
+    rig, db, workload = load_golden_rig()
+    profile = cProfile.Profile()
+    profile.enable()
+    stats = run_golden_window(rig, db, workload)
+    profile.disable()
+    return _repro_calls(profile) / stats.commits
 
 
 def test_calls_per_op_is_exact_and_within_the_record():
@@ -90,4 +113,12 @@ def test_calls_per_op_is_exact_and_within_the_record():
     assert first == second, "the call count is not deterministic"
     assert first <= CALLS_PER_OP * (1 + TOLERANCE), (
         f"{first:.4f} calls per op, recorded {CALLS_PER_OP}"
+    )
+
+
+def test_calls_per_commit_is_exact_and_within_the_record():
+    first, second = _calls_per_commit(), _calls_per_commit()
+    assert first == second, "the call count is not deterministic"
+    assert first <= CALLS_PER_COMMIT * (1 + TOLERANCE), (
+        f"{first:.4f} calls per commit, recorded {CALLS_PER_COMMIT}"
     )

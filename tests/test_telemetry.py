@@ -10,9 +10,11 @@ from repro.bench.reporting import emit, export_metrics
 from repro.bench.rigs import (
     DEMO_GEOMETRY,
     attach_database,
+    build_blockdev_rig,
     build_noftl_rig,
     build_sync_noftl,
     geometry_for_footprint,
+    geometry_with_dies,
     measure_workload_footprint,
     sized_geometry,
 )
@@ -213,6 +215,68 @@ class TestStackSmoke:
         # FTL-layer instruments landed in the same registry.
         assert registry.value("ftl.gc.collections") > 0
         assert registry.value("ftl.relocations") == report.relocations > 0
+
+
+class TestOptInTracing:
+    """Tracing is opt-in: rigs built without a trace record nothing, and
+    spans still time their histograms on the rig's clock."""
+
+    @staticmethod
+    def _tpcb(rig, writers=0):
+        db = attach_database(rig, buffer_capacity=64, foreground_flush=writers == 0)
+        if writers:
+            db.start_writers(writers, policy="region")
+        workload = TPCB(sf=2, accounts_per_branch=100)
+        rig.sim.run_process(workload.load(db))
+        stats = run_workload(rig.sim, db, workload, duration_us=60_000,
+                             num_terminals=4, rng=random.Random(3),
+                             preloaded=True)
+        assert stats.commits > 0
+        return db
+
+    def test_default_rigs_emit_no_events(self):
+        noftl = build_noftl_rig(seed=3)
+        db = self._tpcb(noftl, writers=2)
+        faster = build_blockdev_rig("faster", geometry=geometry_with_dies(2), seed=3)
+        self._tpcb(faster)
+        storage, __ = build_sync_noftl(geometry_for_footprint(600, utilization=0.85, dies=2))
+        for lpn in range(3000):
+            storage.write(lpn % 600)
+        assert storage.manager.telemetry.value("ftl.gc.collections") > 0
+        traces = [noftl.trace, noftl.manager.trace, db.trace, db.buffer.trace,
+                  db.writers.trace, faster.trace, faster.db.trace,
+                  storage.manager.trace]
+        traces += [region.space.trace for region in noftl.manager.regions.regions]
+        traces += [region.space.trace for region in storage.manager.regions.regions]
+        for trace in traces:
+            assert not trace.enabled
+            assert trace.emitted == 0 and len(trace) == 0
+
+    def test_sync_gc_spans_time_on_the_flash_clock(self):
+        """On a replay rig each ``gc.collect`` sample is the summed flash
+        latency of that collection's commands, not a count of clock
+        reads."""
+        storage, array = build_sync_noftl(
+            geometry_for_footprint(600, utilization=0.85, dies=2), seed=4)
+        device = storage.executor.device
+        per_collection = {}  # maintenance ctx -> summed latency, in order
+        execute = device.execute
+
+        def logged(command):
+            result = execute(command)
+            ctx = command.ctx
+            if ctx is not None and ctx.origin in ("gc", "wear-level"):
+                per_collection[ctx] = per_collection.get(ctx, 0.0) + result.latency_us
+            return result
+
+        device.execute = logged
+        rng = random.Random(4)
+        for __ in range(3000):
+            storage.write(rng.randrange(600))
+        samples = array.telemetry.histogram("ftl.gc.collect_us", layer="ftl").samples
+        assert len(samples) > 10
+        assert samples == pytest.approx(list(per_collection.values()))
+        assert min(samples) > 1.0
 
 
 class TestOneTally:
