@@ -26,6 +26,8 @@ from .rigs import build_sync_noftl, geometry_for_footprint
 
 __all__ = ["AblationRow", "AblationResult", "ablate_noftl"]
 
+SEED = 11
+
 
 @dataclass
 class AblationRow:
@@ -59,13 +61,9 @@ VARIANTS = {
 
 
 def ablate_noftl(workload_name: str = "tpcc",
-                 duration_us: float = 6_000_000,
-                 seed: int = 11,
-                 trace=None) -> AblationResult:
+                 duration_us: float = 6_000_000) -> AblationResult:
     """Replay one trace against every NoFTL variant."""
-    if trace is None:
-        trace = record_trace(workload_name, duration_us=duration_us,
-                             seed=seed)
+    trace = record_trace(workload_name, duration_us=duration_us, seed=SEED)
     geometry = geometry_for_footprint(
         trace.max_page() + 1,
         utilization=REPLAY_UTILIZATION,
@@ -76,7 +74,7 @@ def ablate_noftl(workload_name: str = "tpcc",
     for variant, overrides in VARIANTS.items():
         config = NoFTLConfig(op_ratio=REPLAY_OP_RATIO, **overrides)
         storage, array = build_sync_noftl(geometry=geometry, config=config,
-                                          seed=seed)
+                                          seed=SEED)
         report = replay_trace(trace, storage)
         result.rows.append(AblationRow(
             variant=variant,

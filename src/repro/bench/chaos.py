@@ -44,6 +44,13 @@ from .rigs import attach_database, build_noftl_rig, sized_geometry, \
 __all__ = ["ChecksumOracle", "ChaosReport", "default_chaos_plan",
            "run_chaos"]
 
+#: The chaos rig: terminals, region-bound db-writers, dies (one region
+#: each) and over-provisioning.
+NUM_TERMINALS = 8
+NUM_WRITERS = 4
+DIES = 8
+OP_RATIO = 0.28
+
 
 class ChecksumOracle:
     """Storage-adapter wrapper recording a checksum per acknowledged write.
@@ -264,36 +271,28 @@ class ChaosReport:
         }
 
 
-def default_chaos_plan(seed: int = 7,
-                       transient_read_rate: float = 0.015,
-                       program_fail_rate: float = 0.02,
-                       program_fail_count: int = 12,
-                       outage_window=(1_200, 1_440),
-                       outage_die: int = 1,
-                       spike_window=(600, 1_000),
-                       spike_factor: float = 4.0,
-                       erase_fail_count: int = 1) -> FaultPlan:
+def default_chaos_plan(seed: int = 7) -> FaultPlan:
     """The standard adversary: every fault kind the injector knows.
 
-    * transient reads at >= 1% so the retry path runs constantly;
-    * a dozen program failures (rate-spread so recovery programs are not
-      themselves doomed) exercising remap + block retirement;
-    * one whole-die outage window (op-count based, early enough that even
-      short smoke runs reach it; narrower than the recovery paths'
-      ``OUTAGE_RETRY_LIMIT`` so a stalled writer always outlives it);
-    * a latency spike window on die 0;
+    * transient reads at 1.5 % so the retry path runs constantly;
+    * a dozen program failures (at a 2 % rate, spread so recovery
+      programs are not themselves doomed) exercising remap + block
+      retirement;
+    * one whole-die outage window on die 1 (ops 1,200-1,440: op-count
+      based, early enough that even short smoke runs reach it; narrower
+      than the recovery paths' ``OUTAGE_RETRY_LIMIT`` so a stalled
+      writer always outlives it);
+    * a 4x latency spike window on die 0 (ops 600-1,000);
     * one deterministic erase failure growing a bad block through the
       erase path (the first BLOCK ERASE fails).
     """
     plan = FaultPlan(seed=seed)
-    plan.add(FaultSpec(kind="transient_read", rate=transient_read_rate))
-    plan.add(FaultSpec(kind="program_fail", rate=program_fail_rate,
-                       count=program_fail_count))
-    plan.add(FaultSpec(kind="die_outage", die=outage_die,
-                       window=outage_window))
-    plan.add(FaultSpec(kind="latency_spike", die=0, window=spike_window,
-                       factor=spike_factor))
-    plan.add(FaultSpec(kind="erase_fail", count=erase_fail_count))
+    plan.add(FaultSpec(kind="transient_read", rate=0.015))
+    plan.add(FaultSpec(kind="program_fail", rate=0.02, count=12))
+    plan.add(FaultSpec(kind="die_outage", die=1, window=(1_200, 1_440)))
+    plan.add(FaultSpec(kind="latency_spike", die=0, window=(600, 1_000),
+                       factor=4.0))
+    plan.add(FaultSpec(kind="erase_fail", count=1))
     return plan
 
 
@@ -310,35 +309,31 @@ def run_chaos(
     duration_us: float = 400_000.0,
     seed: int = 7,
     fault_plan: Optional[FaultPlan] = None,
-    num_terminals: int = 8,
-    num_writers: int = 4,
-    dies: int = 8,
-    op_ratio: float = 0.28,
 ) -> ChaosReport:
-    """One chaos run: load + run the workload under faults, then audit."""
+    """One chaos run: load + run the workload under faults (default
+    :func:`default_chaos_plan`), then audit."""
     workload = _make_workload(workload_name)
     footprint = measure_workload_footprint(workload)
-    geometry = sized_geometry(footprint, dies, utilization=0.8,
-                              op_ratio=op_ratio,
+    geometry = sized_geometry(footprint, DIES, utilization=0.8,
+                              op_ratio=OP_RATIO,
                               headroom_pages=footprint // 2)
-    plan = fault_plan if fault_plan is not None \
-        else default_chaos_plan(seed=seed)
     rig = build_noftl_rig(
         geometry=geometry,
-        config=NoFTLConfig(num_regions=dies, op_ratio=op_ratio),
+        config=NoFTLConfig(num_regions=DIES, op_ratio=OP_RATIO),
         seed=seed,
-        fault_plan=plan,
+        fault_plan=(fault_plan if fault_plan is not None
+                    else default_chaos_plan(seed=seed)),
         store_data=True,
     )
     oracle = ChecksumOracle(rig.adapter)
     rig.adapter = oracle
     db = attach_database(rig, buffer_capacity=max(64, footprint // 8),
                          foreground_flush=False)
-    db.start_writers(num_writers, policy="region")
+    db.start_writers(NUM_WRITERS, policy="region")
     stats = run_workload(
         rig.sim, db, _make_workload(workload_name),
         duration_us=duration_us,
-        num_terminals=num_terminals,
+        num_terminals=NUM_TERMINALS,
         rng=random.Random(seed),
     )
 

@@ -54,6 +54,8 @@ from .sweep import SweepTask, run_sweep
 __all__ = ["CutReport", "CrashReport", "run_crash_sweep"]
 
 _HEAP_KINDS = ("insert", "update", "delete")
+#: Terminals of every baseline, cut and resumed run.
+NUM_TERMINALS = 8
 
 
 def _make_workload(name: str):
@@ -181,8 +183,7 @@ def _committed_slot_image(durable, committed):
 
 
 def _build_rig(workload_name: str, geometry, seed: int, telemetry,
-               fault_plan=None, num_writers: int = 4,
-               footprint: int = 0):
+               fault_plan=None, footprint: int = 0):
     """One deterministic testbed; identical construction order on every
     call so a cut run replays the baseline's flash-command sequence
     exactly until the plug is pulled."""
@@ -199,13 +200,13 @@ def _build_rig(workload_name: str, geometry, seed: int, telemetry,
     db.wal.keep_records = True
     rig.sim.run_process(_make_workload(workload_name).load(db))
     load_ops = rig.array.fault_injector.ops
-    db.start_writers(num_writers, policy="region")
+    db.start_writers(4, policy="region")
     return rig, db, load_ops
 
 
 def _run_one_cut(workload_name: str, geometry, footprint: int, seed: int,
                  cut_op: int, duration_us: float, resume_us: float,
-                 num_terminals: int, telemetry) -> CutReport:
+                 telemetry) -> CutReport:
     report = CutReport(cut_op=cut_op)
     plan = FaultPlan.power_cut_at(cut_op, seed=seed)
     rig, db, __ = _build_rig(workload_name, geometry, seed, telemetry,
@@ -223,7 +224,7 @@ def _run_one_cut(workload_name: str, geometry, footprint: int, seed: int,
     rig.array.on_power_cut = on_cut
     try:
         run_workload(rig.sim, db, _make_workload(workload_name),
-                     duration_us=duration_us, num_terminals=num_terminals,
+                     duration_us=duration_us, num_terminals=NUM_TERMINALS,
                      rng=random.Random(seed), preloaded=True)
     except PowerCutError:
         pass
@@ -312,7 +313,7 @@ def _run_one_cut(workload_name: str, geometry, footprint: int, seed: int,
         boot.db.start_writers(4, policy="region")
         stats = run_workload(boot.sim, boot.db, workload,
                              duration_us=resume_us,
-                             num_terminals=num_terminals,
+                             num_terminals=NUM_TERMINALS,
                              rng=random.Random(seed + cut_op),
                              preloaded=True)
         report.resumed_commits = stats.commits
@@ -325,8 +326,8 @@ def _run_one_cut(workload_name: str, geometry, footprint: int, seed: int,
 
 
 def _cut_task(workload_name: str, geometry, footprint: int, seed: int,
-              cut_op: int, duration_us: float, resume_us: float,
-              num_terminals: int) -> Tuple[MetricsRegistry, CutReport]:
+              cut_op: int, duration_us: float,
+              resume_us: float) -> Tuple[MetricsRegistry, CutReport]:
     """One power-cut audit against a fresh registry (sweep task body).
 
     This is the unit :func:`~repro.bench.sweep.run_sweep` dispatches —
@@ -337,7 +338,7 @@ def _cut_task(workload_name: str, geometry, footprint: int, seed: int,
     """
     registry = MetricsRegistry()
     report = _run_one_cut(workload_name, geometry, footprint, seed, cut_op,
-                          duration_us, resume_us, num_terminals, registry)
+                          duration_us, resume_us, registry)
     return registry, report
 
 
@@ -347,8 +348,6 @@ def run_crash_sweep(
     seed: int = 7,
     duration_us: float = 120_000.0,
     resume_us: float = 40_000.0,
-    num_terminals: int = 8,
-    telemetry: Optional[MetricsRegistry] = None,
     workers: int = 1,
 ) -> CrashReport:
     """Baseline run → N seeded cut points → cold start + audits per cut.
@@ -358,7 +357,7 @@ def run_crash_sweep(
     in cut order, so report and telemetry are byte-identical to a
     ``workers=1`` sweep.
     """
-    telemetry = telemetry or MetricsRegistry()
+    telemetry = MetricsRegistry()
     report = CrashReport(workload=workload_name, seed=seed,
                          telemetry=telemetry)
 
@@ -373,7 +372,7 @@ def run_crash_sweep(
                                    telemetry, footprint=footprint)
     stats = run_workload(rig.sim, db, _make_workload(workload_name),
                          duration_us=duration_us,
-                         num_terminals=num_terminals,
+                         num_terminals=NUM_TERMINALS,
                          rng=random.Random(seed), preloaded=True)
     report.baseline_commits = stats.commits
     report.load_ops = load_ops
@@ -403,7 +402,6 @@ def run_crash_sweep(
                 "cut_op": cut_op,
                 "duration_us": duration_us,
                 "resume_us": resume_us,
-                "num_terminals": num_terminals,
             },
         )
         for cut_op in cut_ops

@@ -29,6 +29,11 @@ from .rigs import (
 
 __all__ = ["DFTLPoint", "DFTLResult", "dftl_slowdown"]
 
+#: The testbed every FTL shares: terminals, dies, and the seed of every run.
+NUM_TERMINALS = 16
+DIES = 8
+SEED = 41
+
 
 @dataclass
 class DFTLPoint:
@@ -77,15 +82,12 @@ def dftl_slowdown(
     workloads: Sequence[str] = ("tpcb",),
     cmt_sizes: Sequence[int] = (64, 256, 1024),
     duration_us: float = 1_500_000,
-    num_terminals: int = 16,
-    dies: int = 8,
-    seed: int = 41,
 ) -> DFTLResult:
     """TPS of pure page mapping vs DFTL at several CMT capacities."""
     result = DFTLResult()
     for workload_name in workloads:
         footprint = measure_workload_footprint(_make_workload(workload_name))
-        geometry = sized_geometry(footprint, dies, utilization=0.85,
+        geometry = sized_geometry(footprint, DIES, utilization=0.85,
                                   headroom_pages=footprint // 2)
         buffer_capacity = max(64, footprint // 10)
 
@@ -95,15 +97,15 @@ def dftl_slowdown(
             if ftl_name == "dftl":
                 kwargs = {"cmt_entries": cmt_entries,
                           "entries_per_translation_page": 256}
-            rig = build_blockdev_rig(ftl_name, geometry=geometry, seed=seed,
+            rig = build_blockdev_rig(ftl_name, geometry=geometry, seed=SEED,
                                      **kwargs)
             db = attach_database(rig, buffer_capacity=buffer_capacity)
             db.start_writers(4, policy="global")
             stats = run_workload(
                 rig.sim, db, _make_workload(workload_name),
                 duration_us=duration_us,
-                num_terminals=num_terminals,
-                rng=random.Random(seed),
+                num_terminals=NUM_TERMINALS,
+                rng=random.Random(SEED),
             )
             result.points.append(DFTLPoint(
                 workload=workload_name,

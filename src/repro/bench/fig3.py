@@ -86,20 +86,20 @@ def _make_workload(name: str, scale: float):
 
 
 def record_trace(workload_name: str, duration_us: float = 3_000_000,
-                 num_terminals: int = 8, buffer_capacity: int = 96,
                  scale: float = 1.0, seed: int = 11):
-    """Run a workload on an in-memory database and capture its I/O trace."""
+    """Run a workload on an in-memory database (8 terminals, a 96-frame
+    buffer pool) and capture its I/O trace."""
     sim = Simulator()
     logical_pages = int(DEMO_GEOMETRY.total_pages * 0.85)
     ram = RAMStorageAdapter(sim, logical_pages=logical_pages,
                             latency_us=25.0)
     adapter = TraceRecordingAdapter(ram)
     db = Database(sim, adapter, page_bytes=DEMO_GEOMETRY.page_bytes,
-                  buffer_capacity=buffer_capacity, cpu_us_per_op=2.0)
+                  buffer_capacity=96, cpu_us_per_op=2.0)
     db.start_writers(4, policy="global")
     workload = _make_workload(workload_name, scale)
     run_workload(sim, db, workload, duration_us=duration_us,
-                 num_terminals=num_terminals, rng=random.Random(seed))
+                 num_terminals=8, rng=random.Random(seed))
     sim.run_process(db.checkpoint())
     return adapter.trace
 

@@ -33,6 +33,10 @@ from .rigs import (
 
 __all__ = ["Fig4Point", "Fig4Result", "fig4_dbwriters"]
 
+#: The figure's 16 read processes, and the seed of every run.
+NUM_READERS = 16
+SEED = 23
+
 
 @dataclass
 class Fig4Point:
@@ -75,8 +79,6 @@ def fig4_dbwriters(
     workload_name: str = "tpcc",
     dies_list: Sequence[int] = (1, 2, 4, 8, 16, 32),
     duration_us: float = 2_000_000,
-    num_readers: int = 16,
-    seed: int = 23,
 ) -> Fig4Result:
     """Sweep die counts × assignment policies; writers = dies.
 
@@ -100,7 +102,7 @@ def fig4_dbwriters(
                                         headroom_pages=headroom,
                                         pages_per_block=16),
                 config=NoFTLConfig(num_regions=dies, op_ratio=0.12),
-                seed=seed,
+                seed=SEED,
             )
             db = attach_database(rig,
                                  buffer_capacity=footprint + headroom,
@@ -113,8 +115,8 @@ def fig4_dbwriters(
             stats = run_workload(
                 rig.sim, db, workload,
                 duration_us=duration_us,
-                num_terminals=num_readers,
-                rng=random.Random(seed),
+                num_terminals=NUM_READERS,
+                rng=random.Random(SEED),
             )
             result.points.append(Fig4Point(
                 dies=dies,

@@ -38,6 +38,14 @@ __all__ = ["HeadlinePoint", "HeadlineResult", "headline_throughput"]
 
 ARCHITECTURES = ("noftl", "faster", "dftl")
 
+#: The testbed every architecture shares: terminals, db-writers, dies
+#: and device utilization; and the seed of every run.
+NUM_TERMINALS = 16
+NUM_WRITERS = 8
+DIES = 8
+UTILIZATION = 0.88
+SEED = 37
+
 
 @dataclass
 class HeadlinePoint:
@@ -81,25 +89,20 @@ def headline_throughput(
     workloads: Sequence[str] = ("tpcc", "tpcb"),
     architectures: Sequence[str] = ARCHITECTURES,
     duration_us: float = 2_000_000,
-    num_terminals: int = 16,
-    num_writers: int = 8,
-    dies: int = 8,
-    utilization: float = 0.88,
-    seed: int = 37,
 ) -> HeadlineResult:
     """Run each workload on each storage architecture; report TPS."""
     result = HeadlineResult()
     for workload_name in workloads:
         footprint = measure_workload_footprint(_make_workload(workload_name))
-        geometry = sized_geometry(footprint, dies, utilization=utilization,
+        geometry = sized_geometry(footprint, DIES, utilization=UTILIZATION,
                                   headroom_pages=footprint // 2)
         buffer_capacity = max(64, footprint // 8)
         for architecture in architectures:
             if architecture == "noftl":
                 rig = build_noftl_rig(
                     geometry=geometry,
-                    config=NoFTLConfig(num_regions=dies, op_ratio=0.12),
-                    seed=seed,
+                    config=NoFTLConfig(num_regions=DIES, op_ratio=0.12),
+                    seed=SEED,
                 )
                 stats_source = rig.manager.stats
             else:
@@ -112,19 +115,19 @@ def headline_throughput(
                         128, geometry.total_pages // 32
                     )
                 rig = build_blockdev_rig(architecture, geometry=geometry,
-                                         seed=seed, **kwargs)
+                                         seed=SEED, **kwargs)
                 stats_source = rig.ftl.stats
             db = attach_database(rig, buffer_capacity=buffer_capacity,
                                  foreground_flush=False)
             db.start_writers(
-                num_writers,
+                NUM_WRITERS,
                 policy="region" if architecture == "noftl" else "global",
             )
             stats = run_workload(
                 rig.sim, db, _make_workload(workload_name),
                 duration_us=duration_us,
-                num_terminals=num_terminals,
-                rng=random.Random(seed),
+                num_terminals=NUM_TERMINALS,
+                rng=random.Random(SEED),
             )
             result.points.append(HeadlinePoint(
                 workload=workload_name,

@@ -89,6 +89,14 @@ ERASE_FLOOR = 1.1
 #: blocks), so the comparison always runs the Figure-3 benchmark's
 #: proven horizon; ``--quick`` shortens only the closed-loop rigs.
 REPLAY_TRACE_DURATION_US = 8_000_000.0
+#: The saturation rig's open-loop ramp (see :func:`run_saturation_rig`)
+#: and the health windows it is judged in.
+SATURATION_PHASES = 10
+SATURATION_PHASE_US = 8_000.0
+SATURATION_BASE_INTERVAL_US = 220.0
+SATURATION_RAMP = 1.6
+SATURATION_PAGES = 512
+SATURATION_WINDOW_US = 4_000.0
 
 
 def _make_workload(name: str):
@@ -110,7 +118,6 @@ def run_db_rig(
     seed: int = 11,
     duration_us: float = 200_000.0,
     dies: int = 4,
-    window_us: float = 10_000.0,
     write_streams: bool = False,
 ) -> dict:
     """TPC kit on the NoFTL DES rig with a health monitor attached.
@@ -136,7 +143,7 @@ def run_db_rig(
                            write_streams=write_streams),
         seed=seed,
     )
-    monitor = HealthMonitor(window_us=window_us, clock=lambda: rig.sim.now)
+    monitor = HealthMonitor(window_us=10_000.0, clock=lambda: rig.sim.now)
     monitor.attach_array(rig.array)
     monitor.attach_manager(rig.manager)
     monitor.install(rig.telemetry)
@@ -254,18 +261,13 @@ def saturation_frontend_config() -> FrontendConfig:
     )
 
 
-def run_saturation_rig(
-    seed: int = 11,
-    phases: int = 10,
-    phase_us: float = 8_000.0,
-    base_interval_us: float = 220.0,
-    ramp: float = 1.6,
-    window_us: float = 4_000.0,
-    pages: int = 512,
-) -> dict:
+def run_saturation_rig(seed: int = 11) -> dict:
     """Open-loop arrival ramp over the device front end.
 
-    Each phase shortens the write inter-arrival time by ``ramp``x;
+    ``SATURATION_PHASES`` phases of ``SATURATION_PHASE_US`` each write
+    random pages among ``SATURATION_PAGES``; the first phase's
+    inter-arrival time is ``SATURATION_BASE_INTERVAL_US`` and each later
+    one shortens it by ``SATURATION_RAMP``x;
     arrivals are spawned fire-and-forget (open loop — offered load does
     not slow down when the device does), so once service capacity is
     exceeded the dirty watermark holds, deadlines pass, and the front
@@ -278,7 +280,8 @@ def run_saturation_rig(
     )
     frontend = rig.frontend
     sim = rig.sim
-    monitor = HealthMonitor(window_us=window_us, clock=lambda: sim.now)
+    monitor = HealthMonitor(window_us=SATURATION_WINDOW_US,
+                            clock=lambda: sim.now)
     monitor.attach_array(rig.array)
     monitor.attach_frontend(frontend)
     monitor.install(rig.telemetry)
@@ -295,15 +298,15 @@ def run_saturation_rig(
             outcomes["acked"] += 1
 
     def driver():
-        for phase in range(phases):
-            interval = base_interval_us / (ramp ** phase)
-            end_at = sim.now + phase_us
+        for phase in range(SATURATION_PHASES):
+            interval = SATURATION_BASE_INTERVAL_US / (SATURATION_RAMP ** phase)
+            end_at = sim.now + SATURATION_PHASE_US
             while sim.now < end_at:
-                sim.process(one_write(rng.randrange(pages)))
+                sim.process(one_write(rng.randrange(SATURATION_PAGES)))
                 yield sim.timeout(interval)
         # Drain window: let in-flight writes and destages settle so the
         # final windows reflect service, not an abrupt stop.
-        yield sim.timeout(4 * window_us)
+        yield sim.timeout(4 * SATURATION_WINDOW_US)
 
     sim.run_process(driver())
     return {

@@ -33,6 +33,10 @@ LATENCY_GEOMETRY = Geometry(
     pages_per_block=32,
     page_bytes=4096,
 )
+#: Share of the logical space the random writes touch (deep in GC), and
+#: the seed of both runs.
+SPAN_FRACTION = 0.85
+SEED = 5
 
 
 @dataclass
@@ -54,31 +58,29 @@ class LatencyProfile:
 def latency_outliers(
     ops: int = 6000,
     queue_depth: int = 4,
-    span_fraction: float = 0.85,
-    seed: int = 5,
 ) -> Dict[str, LatencyProfile]:
     """Random-write latency distributions: FASTer block device vs NoFTL."""
     profiles: Dict[str, LatencyProfile] = {}
 
     # Black-box SSD with FASTer.
     rig = build_blockdev_rig("faster", geometry=LATENCY_GEOMETRY,
-                             timing=SLC_TIMING, seed=seed, op_ratio=0.12)
-    span = int(rig.ftl.logical_pages * span_fraction)
+                             timing=SLC_TIMING, seed=SEED, op_ratio=0.12)
+    span = int(rig.ftl.logical_pages * SPAN_FRACTION)
     result = run_synthetic(
         rig.sim, rig.device,
         SyntheticSpec(pattern="random", ops=ops, queue_depth=queue_depth,
-                      span=span, seed=seed),
+                      span=span, seed=SEED),
     )
     profiles["faster"] = _profile("faster", result)
 
     # NoFTL on native flash.
     noftl = build_noftl_rig(geometry=LATENCY_GEOMETRY, timing=SLC_TIMING,
-                            config=NoFTLConfig(op_ratio=0.12), seed=seed)
-    span = int(noftl.storage.logical_pages * span_fraction)
+                            config=NoFTLConfig(op_ratio=0.12), seed=SEED)
+    span = int(noftl.storage.logical_pages * SPAN_FRACTION)
     result = run_synthetic(
         noftl.sim, noftl.storage,
         SyntheticSpec(pattern="random", ops=ops, queue_depth=queue_depth,
-                      span=span, seed=seed),
+                      span=span, seed=SEED),
     )
     profiles["noftl"] = _profile("noftl", result)
     return profiles

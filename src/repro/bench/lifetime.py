@@ -26,6 +26,8 @@ from ..workloads import replay_trace
 
 __all__ = ["LifetimeReport", "lifetime_factor", "wear_spread"]
 
+LIFETIME_SEED = 11
+
 
 @dataclass
 class LifetimeReport:
@@ -43,9 +45,9 @@ class LifetimeReport:
 
 
 def lifetime_factor(workload_name: str = "tpcb",
-                    duration_us: float = 10_000_000,
-                    seed: int = 11) -> LifetimeReport:
+                    duration_us: float = 10_000_000) -> LifetimeReport:
     """Erase budget consumed per unit of work, FASTer vs NoFTL."""
+    seed = LIFETIME_SEED
     trace = record_trace(workload_name, duration_us=duration_us, seed=seed)
     geometry = geometry_for_footprint(
         trace.max_page() + 1,
@@ -82,10 +84,12 @@ WEAR_GEOMETRY = Geometry(
     pages_per_block=16,
     page_bytes=2048,
 )
+#: 90 % of the wear workload's writes land on this share of its span.
+HOT_FRACTION = 0.1
+WEAR_SEED = 9
 
 
-def wear_spread(wear_level_delta: Optional[int], writes: int = 60_000,
-                hot_fraction: float = 0.1, seed: int = 9) -> Dict:
+def wear_spread(wear_level_delta: Optional[int], writes: int = 60_000) -> Dict:
     """Erase-count distribution under a pathologically hot workload,
     with and without NoFTL's static wear leveling."""
     storage, array = build_sync_noftl(
@@ -93,11 +97,11 @@ def wear_spread(wear_level_delta: Optional[int], writes: int = 60_000,
         timing=SLC_TIMING,
         config=NoFTLConfig(op_ratio=0.2, wear_level_delta=wear_level_delta,
                            wear_level_check_every=16),
-        seed=seed,
+        seed=WEAR_SEED,
     )
-    rng = random.Random(seed)
+    rng = random.Random(WEAR_SEED)
     span = int(storage.logical_pages * 0.7)
-    hot = max(4, int(span * hot_fraction))
+    hot = max(4, int(span * HOT_FRACTION))
     for lpn in range(span):
         storage.write(lpn, data=None)
     for __ in range(writes):

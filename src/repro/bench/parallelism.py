@@ -41,6 +41,9 @@ PARALLELISM_GEOMETRY = Geometry(
     pages_per_block=32,
     page_bytes=2048,
 )
+#: SATA2's command-queue depth, the block interface's cap.
+NCQ_DEPTH = 32
+SEED = 3
 
 
 @dataclass
@@ -70,42 +73,40 @@ class ParallelismResult:
 
 def interface_parallelism(
     queue_depths: Sequence[int] = (1, 8, 32, 64, 128),
-    geometry: Geometry = PARALLELISM_GEOMETRY,
     ops_per_depth: int = 3000,
-    ncq_depth: int = 32,
-    timing=TLC_TIMING,
-    seed: int = 3,
 ) -> ParallelismResult:
-    """Read IOPS vs submitter count for the two interfaces."""
+    """Read IOPS vs submitter count for the two interfaces, on
+    :data:`PARALLELISM_GEOMETRY` with TLC timing."""
+    geometry = PARALLELISM_GEOMETRY
     result = ParallelismResult(dies=geometry.total_dies)
     # Touch a modest span so the prefill never triggers GC on either path.
     span_fraction = 0.25
     for queue_depth in queue_depths:
         # Legacy interface: FTL behind an NCQ-limited block device.
         rig = build_blockdev_rig("pagemap", geometry=geometry,
-                                 timing=timing,
-                                 ncq_depth=ncq_depth, seed=seed)
+                                 timing=TLC_TIMING,
+                                 ncq_depth=NCQ_DEPTH, seed=SEED)
         span = int(rig.ftl.logical_pages * span_fraction)
         outcome = run_synthetic(
             rig.sim, rig.device,
             SyntheticSpec(pattern="random", read_fraction=1.0,
                           ops=ops_per_depth, queue_depth=queue_depth,
-                          span=span, seed=seed),
+                          span=span, seed=SEED),
         )
         result.points.append(ParallelismPoint(
             "block-ncq32", queue_depth, outcome.iops,
             outcome.read_latency.mean))
 
         # Native interface through NoFTL: per-region concurrency, no cap.
-        noftl = build_noftl_rig(geometry=geometry, timing=timing,
+        noftl = build_noftl_rig(geometry=geometry, timing=TLC_TIMING,
                                 config=NoFTLConfig(op_ratio=0.12),
-                                seed=seed)
+                                seed=SEED)
         span = int(noftl.storage.logical_pages * span_fraction)
         outcome = run_synthetic(
             noftl.sim, noftl.storage,
             SyntheticSpec(pattern="random", read_fraction=1.0,
                           ops=ops_per_depth, queue_depth=queue_depth,
-                          span=span, seed=seed),
+                          span=span, seed=SEED),
         )
         result.points.append(ParallelismPoint(
             "native-flash", queue_depth, outcome.iops,

@@ -51,8 +51,8 @@ PLANES_PER_DIE = 2
 PAGE_BYTES = 2048
 
 
-def _geometry(dies: int, blocks_per_plane: int, pages_per_block: int,
-              page_bytes: int) -> Geometry:
+def _geometry(dies: int, blocks_per_plane: int,
+              pages_per_block: int) -> Geometry:
     """The rigs' one die layout: dies spread over 1, 2 or 4 channels (one
     channel when the count does not divide), one chip per channel."""
     if dies <= 2:
@@ -70,11 +70,11 @@ def _geometry(dies: int, blocks_per_plane: int, pages_per_block: int,
         planes_per_die=PLANES_PER_DIE,
         blocks_per_plane=blocks_per_plane,
         pages_per_block=pages_per_block,
-        page_bytes=page_bytes,
+        page_bytes=PAGE_BYTES,
     )
 
 
-def geometry_with_dies(dies: int, page_bytes: int = PAGE_BYTES) -> Geometry:
+def geometry_with_dies(dies: int) -> Geometry:
     """A device with ``dies`` dies and a constant total capacity."""
     if dies < 1:
         raise ValueError("dies must be >= 1")
@@ -83,7 +83,7 @@ def geometry_with_dies(dies: int, page_bytes: int = PAGE_BYTES) -> Geometry:
     )
     if blocks_per_plane < 6:
         raise ValueError(f"too many dies ({dies}) for the capacity budget")
-    return _geometry(dies, blocks_per_plane, PAGES_PER_BLOCK, page_bytes)
+    return _geometry(dies, blocks_per_plane, PAGES_PER_BLOCK)
 
 
 DEMO_GEOMETRY = geometry_with_dies(8)
@@ -94,13 +94,11 @@ def geometry_for_footprint(
     utilization: float = 0.8,
     op_ratio: float = 0.12,
     dies: int = 8,
-    page_bytes: int = PAGE_BYTES,
 ) -> Geometry:
     """Size a device so ``footprint_pages`` fills ``utilization`` of the
     exported logical space — the steady-state condition GC comparisons
     need (an oversized device never garbage-collects)."""
-    return sized_geometry(footprint_pages, dies, utilization, op_ratio,
-                          page_bytes=page_bytes)
+    return sized_geometry(footprint_pages, dies, utilization, op_ratio)
 
 
 def make_ftl(name: str, geometry: Geometry, op_ratio: float = 0.12,
@@ -251,15 +249,12 @@ def build_sync_noftl(
     timing: TimingSpec = MLC_TIMING,
     config: Optional[NoFTLConfig] = None,
     seed: int = 0,
-    store_data: bool = False,
-    telemetry: Optional[MetricsRegistry] = None,
-    fault_plan: Optional[FaultPlan] = None,
 ):
-    """Synchronous NoFTL target for trace replay (Figure 3)."""
-    telemetry = telemetry or MetricsRegistry()
-    array = FlashArray(geometry, timing, store_data=store_data,
-                       rng=random.Random(seed), telemetry=telemetry,
-                       fault_plan=fault_plan)
+    """Synchronous NoFTL target for trace replay (Figure 3): no page
+    payloads are kept."""
+    telemetry = MetricsRegistry()
+    array = FlashArray(geometry, timing, store_data=False,
+                       rng=random.Random(seed), telemetry=telemetry)
     device = SyncFlashDevice(array)
     # Replay has no simulator: spans time themselves on the flash clock,
     # the serialised command latency the replay reports already use.
@@ -277,15 +272,13 @@ def build_sync_noftl(
 def build_sync_blockdev(
     ftl_name: str,
     geometry: Geometry = DEMO_GEOMETRY,
-    timing: TimingSpec = MLC_TIMING,
     seed: int = 0,
-    store_data: bool = False,
-    telemetry: Optional[MetricsRegistry] = None,
     **ftl_kwargs,
 ):
-    """Synchronous black-box SSD target for trace replay (Figure 3)."""
-    telemetry = telemetry or MetricsRegistry()
-    array = FlashArray(geometry, timing, store_data=store_data,
+    """Synchronous black-box SSD target for trace replay (Figure 3):
+    MLC timing, no page payloads kept."""
+    telemetry = MetricsRegistry()
+    array = FlashArray(geometry, MLC_TIMING, store_data=False,
                        rng=random.Random(seed), telemetry=telemetry)
     device = SyncFlashDevice(array)
     telemetry.set_clock(lambda: device.serial_us)
@@ -296,7 +289,7 @@ def build_sync_blockdev(
     return SyncBlockDevice(ftl, executor), array
 
 
-def measure_workload_footprint(workload, page_bytes: int = PAGE_BYTES) -> int:
+def measure_workload_footprint(workload) -> int:
     """Load a workload into a RAM-backed database and return how many
     pages its initial population occupies — used to size flash devices to
     a target utilization before the real run."""
@@ -304,7 +297,7 @@ def measure_workload_footprint(workload, page_bytes: int = PAGE_BYTES) -> int:
     from ..db.storage import RAMStorageAdapter
 
     ram = RAMStorageAdapter(sim, logical_pages=1_000_000, latency_us=1.0)
-    db = Database(sim, ram, page_bytes=page_bytes, buffer_capacity=4096,
+    db = Database(sim, ram, page_bytes=PAGE_BYTES, buffer_capacity=4096,
                   cpu_us_per_op=0.0, wal_flush_latency_us=1.0)
     sim.run_process(workload.load(db))
     return db.pages_allocated
@@ -317,11 +310,10 @@ def sized_geometry(
     op_ratio: float = 0.12,
     pages_per_block: int = PAGES_PER_BLOCK,
     headroom_pages: int = 0,
-    page_bytes: int = PAGE_BYTES,
 ) -> Geometry:
     """Size a device so ``footprint_pages`` plus ``headroom_pages`` fill
     ``utilization`` of the exported logical space, with an explicit die
-    count and page/block size — used by sweeps that re-slice one drive
+    count and block size — used by sweeps that re-slice one drive
     over many dies (Figure 4) while keeping space utilization constant."""
     if not 0.1 <= utilization <= 0.98:
         raise ValueError("utilization must be in [0.1, 0.98]")
@@ -329,7 +321,7 @@ def sized_geometry(
         / (1.0 - op_ratio)
     per_die = PLANES_PER_DIE * pages_per_block
     blocks_per_plane = max(6, -(-int(needed_total) // (dies * per_die)))
-    return _geometry(dies, blocks_per_plane, pages_per_block, page_bytes)
+    return _geometry(dies, blocks_per_plane, pages_per_block)
 
 
 def attach_database(

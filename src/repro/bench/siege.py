@@ -82,6 +82,10 @@ from .rigs import attach_database, build_noftl_rig, sized_geometry, \
 
 __all__ = ["SiegeReport", "run_siege", "siege_frontend_config"]
 
+#: TPC-B terminals of every run, and the burst clients beside them.
+NUM_TERMINALS = 6
+BURST_CLIENTS = 5
+
 
 def siege_frontend_config() -> FrontendConfig:
     """Front-end tuning for the siege.
@@ -307,7 +311,6 @@ def _build_siege_rig(geometry, footprint: int, seed: int, plan,
 
 
 def _run_traffic(rig, db, oracle, seed: int, duration_us: float,
-                 num_terminals: int, burst_clients: int,
                  burst_counts: Dict[str, int],
                  ckpt_counts: Dict[str, int]):
     """Terminals + burst clients + checkpointer, one timed window."""
@@ -316,7 +319,7 @@ def _run_traffic(rig, db, oracle, seed: int, duration_us: float,
     # Reserved high-LPN range, far above anything TPC-B allocates.
     base = oracle.logical_pages - 256
     rng = random.Random(seed + 17)
-    for index in range(burst_clients):
+    for index in range(BURST_CLIENTS):
         sim.process(_burst_client(
             sim, oracle, random.Random(rng.randrange(2 ** 62)),
             base, 160, end_at, burst_counts,
@@ -326,7 +329,7 @@ def _run_traffic(rig, db, oracle, seed: int, duration_us: float,
     try:
         stats = run_workload(sim, db, _make_workload(),
                              duration_us=duration_us,
-                             num_terminals=num_terminals,
+                             num_terminals=NUM_TERMINALS,
                              rng=random.Random(seed), preloaded=True)
         return stats, False
     except PowerCutError:
@@ -389,8 +392,6 @@ def run_siege(
     duration_us: float = 140_000.0,
     resume_us: float = 40_000.0,
     cut_fraction: float = 0.72,
-    num_terminals: int = 6,
-    burst_clients: int = 5,
     telemetry: Optional[MetricsRegistry] = None,
 ) -> SiegeReport:
     """Baseline run (outage + spike, no cut) to learn the op span, then
@@ -411,7 +412,6 @@ def run_siege(
     rig, db, oracle, frontend, load_ops = _build_siege_rig(
         geometry, footprint, seed, plan)
     stats, cut = _run_traffic(rig, db, oracle, seed, duration_us,
-                              num_terminals, burst_clients,
                               {"ops": 0, "seq": 0, "sheds": 0, "cut": 0,
                                "unwritten": 0},
                               {"checkpoints": 0, "sheds": 0})
@@ -452,7 +452,6 @@ def run_siege(
 
     rig.array.on_power_cut = on_cut
     __, cut = _run_traffic(rig, db, oracle, seed, duration_us,
-                           num_terminals, burst_clients,
                            burst_counts, ckpt_counts)
     if not at_cut:
         report.error = "cut point never reached"
@@ -497,7 +496,7 @@ def run_siege(
         boot.db.start_writers(4, policy="region")
         resumed = run_workload(boot.sim, boot.db, workload,
                                duration_us=resume_us,
-                               num_terminals=num_terminals,
+                               num_terminals=NUM_TERMINALS,
                                rng=random.Random(seed + 1),
                                preloaded=True)
         report.resumed_commits = resumed.commits
@@ -528,7 +527,6 @@ def run_siege_sweep(
     resume_us: float = 40_000.0,
     cut_fraction: float = 0.72,
     workers: int = 1,
-    telemetry: Optional[MetricsRegistry] = None,
 ):
     """One independent siege per seed, optionally across a process pool.
 
@@ -541,7 +539,7 @@ def run_siege_sweep(
     """
     from .sweep import SweepTask, run_sweep
 
-    telemetry = telemetry or MetricsRegistry()
+    telemetry = MetricsRegistry()
     reports = []
     tasks = [
         SweepTask(

@@ -86,6 +86,11 @@ ALLOWED_PRODUCERLESS = {"recovery"}
 #: to fill and GC to reach its steady regime on the bigger kit.
 WARMUP_US = 300_000.0
 
+#: One die filled to 97 %: placement only matters once steady-state GC
+#: runs inside the arm.
+DIES = 1
+UTILIZATION = 0.97
+
 
 def _make_workload(name: str):
     """Bigger kits than bench.health: the placement comparison needs the
@@ -104,9 +109,6 @@ def run_arm(
     streams: bool,
     seed: int = 17,
     duration_us: float = 700_000.0,
-    dies: int = 1,
-    utilization: float = 0.97,
-    warmup_us: Optional[float] = None,
 ) -> dict:
     """One closed-loop arm: TPC kit + WAL-on-flash + temp producer.
 
@@ -115,14 +117,12 @@ def run_arm(
     geometry, seed, workload scale and the WAL/temp producers are
     shared, so every delta in the report is placement.
 
-    ``warmup_us`` sets the steady-state mark: ledger counters are
+    ``WARMUP_US`` sets the steady-state mark: ledger counters are
     snapshotted that far into the run and the arm's ``steady`` section
     reports the post-mark deltas (clamped so at least a quarter of the
     run is tail even on short horizons).
     """
-    if warmup_us is None:
-        warmup_us = WARMUP_US
-    warmup_us = min(warmup_us, duration_us * 0.75)
+    warmup_us = min(WARMUP_US, duration_us * 0.75)
     workload = _make_workload(workload_name)
     footprint = measure_workload_footprint(workload)
     # Tighter than the health rigs (steady-state GC must happen inside
@@ -130,8 +130,8 @@ def run_arm(
     # each plane holds enough blocks for per-class open frontiers plus
     # GC headroom.
     geometry = sized_geometry(
-        footprint + WAL_WINDOW_PAGES, dies,
-        utilization=utilization,
+        footprint + WAL_WINDOW_PAGES, DIES,
+        utilization=UTILIZATION,
         headroom_pages=footprint // 20,
         pages_per_block=16,
     )
@@ -141,7 +141,7 @@ def run_arm(
         # gc_low_water is raised (identically in both arms) because the
         # streams arm keeps one open block per class frontier: GC must
         # start while there is still slack for those allocation points.
-        config=NoFTLConfig(num_regions=dies, op_ratio=0.12,
+        config=NoFTLConfig(num_regions=DIES, op_ratio=0.12,
                            gc_low_water=4, write_streams=streams),
         seed=seed,
         trace=trace,

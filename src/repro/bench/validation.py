@@ -43,6 +43,8 @@ OPENSSD_GEOMETRY = Geometry(
     pages_per_block=32,
     page_bytes=4096,
 )
+#: Erases queued per die in the pipelining scenario.
+PIPELINE_OPS_PER_DIE = 16
 
 
 @dataclass
@@ -76,10 +78,10 @@ class ValidationReport:
         raise KeyError(check)
 
 
-def validate_emulator(timing=OPENSSD_JASMINE,
-                      geometry: Geometry = OPENSSD_GEOMETRY,
-                      pipeline_ops_per_die: int = 16) -> ValidationReport:
-    """Run the validation scenarios and report expected vs measured."""
+def validate_emulator() -> ValidationReport:
+    """Run the validation scenarios on :data:`OPENSSD_GEOMETRY` with the
+    OpenSSD-Jasmine timing and report expected vs measured."""
+    timing, geometry = OPENSSD_JASMINE, OPENSSD_GEOMETRY
     report = ValidationReport()
     registry = report.telemetry
     page_bytes = geometry.page_bytes
@@ -149,14 +151,14 @@ def validate_emulator(timing=OPENSSD_JASMINE,
     device = SimFlashDevice(sim, FlashArray(geometry, timing, telemetry=registry))
 
     def eraser(die):
-        for step in range(pipeline_ops_per_die):
+        for step in range(PIPELINE_OPS_PER_DIE):
             yield from device.execute(
                 EraseBlock(pbn=geometry.blocks_of_die(die)[step]))
 
     for die in range(geometry.total_dies):
         sim.process(eraser(die))
     sim.run()
-    expected_parallel = pipeline_ops_per_die * timing.erase_latency_us()
+    expected_parallel = PIPELINE_OPS_PER_DIE * timing.erase_latency_us()
     report.rows.append(ValidationRow(
         "parallel:erase-all-dies", expected_parallel, sim.now))
 

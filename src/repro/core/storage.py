@@ -26,6 +26,10 @@ from .manager import NoFTLStorageManager
 
 __all__ = ["NoFTLStorage", "SyncNoFTLStorage"]
 
+#: Host-side command-issue time of every native-flash operation (no
+#: block-interface protocol in the way, so a tenth of a SATA command's).
+INTERFACE_OVERHEAD_US = 2.0
+
 
 def emit_host_op(trace, op: str, ctx: OpContext, before: dict,
                  elapsed_us: float) -> None:
@@ -54,12 +58,10 @@ class NoFTLStorage:
         sim: Simulator,
         manager: NoFTLStorageManager,
         executor: SimExecutor,
-        interface_overhead_us: float = 2.0,
     ):
         self.sim = sim
         self.manager = manager
         self.executor = executor
-        self.interface_overhead_us = interface_overhead_us
         self.num_regions = manager.num_regions
         #: The placement function itself (``lpn % num_regions``), bound
         #: once: region-policy db-writers call it per dirty frame scanned.
@@ -110,7 +112,7 @@ class NoFTLStorage:
         trace = self.trace
         tracing = trace is not None and trace.enabled
         before = dict(ctx.costs) if tracing else None
-        yield self.sim.timeout(self.interface_overhead_us)
+        yield self.sim.timeout(INTERFACE_OVERHEAD_US)
         data = yield from self.executor.run(self.manager.read(lpn), ctx=ctx)
         elapsed = self.sim.now - start
         self.read_latency.observe(elapsed)
@@ -142,7 +144,7 @@ class NoFTLStorage:
                 wait,
             )
         try:
-            yield self.sim.timeout(self.interface_overhead_us)
+            yield self.sim.timeout(INTERFACE_OVERHEAD_US)
             yield from self.executor.run(
                 self.manager.write(lpn, data, hint, ctx=ctx), ctx=ctx
             )
@@ -161,7 +163,7 @@ class NoFTLStorage:
         finally:
             lock.release()
 
-    def mount(self, ctx: Optional[OpContext] = None):
+    def mount(self):
         """Generator: cold-start OOB scan + state rebuild.
 
         Returns the :class:`~repro.core.manager.MountReport`.  Runs under
@@ -169,8 +171,7 @@ class NoFTLStorage:
         (a freshly built rig has no other users anyway, but an in-place
         remount after a fault does).
         """
-        if ctx is None:
-            ctx = OpContext("recovery")
+        ctx = OpContext("recovery")
         for lock in self.region_locks:
             yield lock.request()
         try:
@@ -182,9 +183,9 @@ class NoFTLStorage:
                 lock.release()
         return report
 
-    def recover(self, ctx: Optional[OpContext] = None):
+    def recover(self):
         """Generator: compatibility wrapper — mount, return mapping count."""
-        report = yield from self.mount(ctx=ctx)
+        report = yield from self.mount()
         return report.mappings
 
     def region_lock_contention(self) -> dict:

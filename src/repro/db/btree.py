@@ -34,10 +34,11 @@ class BTreeIndex:
     page must be allocated inside a DES process).
     """
 
-    def __init__(self, db, name: str, hint: str = "hot"):
+    def __init__(self, db, name: str):
         self.db = db
         self.name = name
-        self.hint = hint
+        #: Index pages are hot: every lookup walks them.
+        self.hint = "hot"
         self.latch = RWLock(db.sim)
         self.root_page_id: Optional[int] = None
         self.height = 1

@@ -33,6 +33,8 @@ __all__ = ["Frame", "BufferPool"]
 #: to an inline flush (or proceeds), so a stalled writer pool can never
 #: wedge the system.
 CLEAN_WAIT_TIMEOUT_US = 10_000.0
+#: Accumulated reference heat at which a heat-hinted write-back is hot.
+HEAT_THRESHOLD = 4
 
 
 def _one_bucket(page_id: int) -> int:
@@ -75,12 +77,9 @@ class BufferPool:
         telemetry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
         heat_hints: bool = False,
-        heat_threshold: int = 4,
     ):
         if capacity < 4:
             raise ValueError("buffer pool needs at least 4 frames")
-        if heat_threshold < 1:
-            raise ValueError("heat_threshold must be >= 1")
         self.sim = sim
         self.storage = storage
         self.wal = wal
@@ -101,13 +100,13 @@ class BufferPool:
         self.dirty_throttle_fraction = dirty_throttle_fraction
         #: Opt-in reference-heat temperature: frames accumulate heat on
         #: hits and mutations, and every write-back re-derives its hot /
-        #: cold hint from the accumulated heat (halved afterwards, an
-        #: exponential decay).  This is what splits the heap class into
-        #: ``heap-hot`` / ``heap-cold`` streams under write-streams mode.
+        #: cold hint from the accumulated heat (hot from ``HEAT_THRESHOLD``
+        #: on; halved afterwards, an exponential decay).  This is what
+        #: splits the heap class into ``heap-hot`` / ``heap-cold`` streams
+        #: under write-streams mode.
         #: Off by default: the static per-frame hint keeps every legacy
         #: rig's storage traffic byte-identical.
         self.heat_hints = heat_hints
-        self.heat_threshold = heat_threshold
         self.frames: "OrderedDict[int, Frame]" = OrderedDict()
         # Resident dirty frames per db-writer bucket (one bucket until a
         # writer pool partitions the pool, see partition_writers),
@@ -171,8 +170,7 @@ class BufferPool:
 
     # -- pin / unpin ----------------------------------------------------------------
 
-    def fetch(self, page_id: int, hint: str = "hot",
-              ctx: Optional[OpContext] = None):
+    def fetch(self, page_id: int, hint: str = "hot"):
         """``yield from`` target: pin the page, loading it from storage on
         a miss.  Hits complete without allocating a generator frame."""
         frame = self.frames.get(page_id)
@@ -185,10 +183,9 @@ class BufferPool:
             grant = self._hit_grant
             grant.value = frame
             return grant
-        return self._fetch_miss(page_id, hint, ctx)
+        return self._fetch_miss(page_id, hint)
 
-    def _fetch_miss(self, page_id: int, hint: str,
-                    ctx: Optional[OpContext]):
+    def _fetch_miss(self, page_id: int, hint: str):
         """Generator: the miss / load-in-flight path of :meth:`fetch`."""
         while True:
             frame = self.frames.get(page_id)
@@ -203,10 +200,9 @@ class BufferPool:
             if loading is not None:
                 yield loading
                 continue
-            # The context is only consulted on the miss path (eviction +
-            # storage read); hits skip the default-OpContext allocation.
-            if ctx is None:
-                ctx = OpContext("txn")
+            # The context is only built on the miss path (eviction +
+            # storage read); hits skip the OpContext allocation.
+            ctx = OpContext("txn")
             done = self.sim.event()
             self._loading[page_id] = done
             try:
@@ -227,12 +223,11 @@ class BufferPool:
                 done.succeed()
             return frame
 
-    def new_page(self, page_id: int, page, hint: str = "hot",
-                 ctx: Optional[OpContext] = None):
+    def new_page(self, page_id: int, page, hint: str = "hot"):
         """Generator: install a freshly allocated page (pinned, dirty)."""
         if page_id in self.frames or page_id in self._loading:
             raise ValueError(f"page {page_id} already resident")
-        yield from self._make_room(ctx)
+        yield from self._make_room()
         frame = Frame(page_id, page, hint)
         frame.pin_count = 1
         self.frames[page_id] = frame
@@ -365,7 +360,7 @@ class BufferPool:
                 # Temperature from reference heat, decayed per write-back
                 # so a page that cools down migrates to the cold stream
                 # within a couple of flush cycles.
-                hint = "hot" if frame.heat >= self.heat_threshold else "cold"
+                hint = "hot" if frame.heat >= HEAT_THRESHOLD else "cold"
                 frame.heat >>= 1
             yield from self.storage.write(frame.page_id, raw, hint,
                                           ctx=ctx)

@@ -96,12 +96,12 @@ class Database:
         self.heaps[name] = heap
         return heap
 
-    def create_index(self, name: str, hint: str = "hot"):
+    def create_index(self, name: str):
         """Generator: indexes allocate their root page, so creation runs
         inside a DES process."""
         if name in self.indexes:
             raise ValueError(f"index {name!r} already exists")
-        index = BTreeIndex(self, name, hint)
+        index = BTreeIndex(self, name)
         yield from index.bootstrap()
         self.indexes[name] = index
         return index

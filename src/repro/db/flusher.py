@@ -37,6 +37,8 @@ _POLICIES = ("global", "region")
 
 #: Pages one writer picks per cleaning round.
 BATCH_SIZE = 4
+#: How long an idle writer sleeps before it looks for dirty pages again.
+IDLE_POLL_US = 500.0
 
 
 class DbWriterPool:
@@ -49,8 +51,6 @@ class DbWriterPool:
         storage,
         num_writers: int,
         policy: str = "global",
-        idle_poll_us: float = 500.0,
-        barrier_rounds: int = 0,
         telemetry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
     ):
@@ -63,14 +63,6 @@ class DbWriterPool:
         self.storage = storage
         self.num_writers = num_writers
         self.policy = policy
-        self.idle_poll_us = idle_poll_us
-        #: Every N cleaning rounds a writer issues the storage adapter's
-        #: durability barrier, bounding how long cleaned pages may sit in
-        #: a volatile device cache.  0 (default) never barriers — correct
-        #: for write-through adapters and digest-identical for legacy
-        #: rigs; recovery correctness never depends on it (the WAL rule
-        #: holds regardless), it only bounds redo work after a crash.
-        self.barrier_rounds = barrier_rounds
         self.pages_flushed: List[int] = [0] * num_writers
         #: Pages a writer could not clean because the device refused the
         #: write (degraded / shed) — reported, not silently retried-forever.
@@ -131,12 +123,11 @@ class DbWriterPool:
         return self._tm_pages.labels(index, region)
 
     def _writer_loop(self, index: int):
-        rounds = 0
         while not self._stopping:
             batch = self._candidates(index)
             if not batch:
                 try:
-                    yield self.sim.timeout(self.idle_poll_us)
+                    yield self.sim.timeout(IDLE_POLL_US)
                 except Interrupt:
                     return
                 continue
@@ -167,22 +158,18 @@ class DbWriterPool:
                         self._flushed_counter(index, region).inc()
                         cleaned += 1
                 span.note(cleaned=cleaned)
-            rounds += 1
-            if (self.barrier_rounds and cleaned
-                    and rounds % self.barrier_rounds == 0):
-                barrier = getattr(self.storage, "flush_barrier", None)
-                if barrier is not None:
-                    try:
-                        yield from barrier(
-                            ctx=OpContext("db-writer", writer_id=index)
-                        )
-                    except DegradedModeError:
-                        self.pages_refused[index] += 1
 
     def stop(self) -> None:
         """Terminate all writers.  Idle writers exit immediately; a writer
-        mid-flush is interrupted at its current wait (the buffer pool's
-        flush bookkeeping unwinds cleanly via its ``finally`` blocks)."""
+        mid-flush is interrupted at its current wait.
+
+        That interrupt does not unwind cleanly: ``SimExecutor.run`` neither
+        throws it into nor closes the flash operation it was driving, so
+        that operation's ``finally`` blocks never run and any GC or merge
+        flag it holds (``pagespace`` ``plane.collecting``, FASTer
+        ``_merging`` / ``_reclaiming``) stays latched.  Stop writers only
+        once the device will not be used again, or after they are idle;
+        ROADMAP item 1 (operation lifetimes) is the fix."""
         self._stopping = True
         self.buffer_pool.background_writers_active = False
         for process in self._processes:

@@ -239,7 +239,7 @@ class ColdStart:
 def cold_start(array, geometry, records: Iterable[WALRecord],
                durable_lsn: int, rebuild_schema, *,
                config=None, buffer_capacity: int = 24,
-               cpu_us_per_op: float = 0.0, telemetry=None, trace=None,
+               telemetry=None,
                db_kwargs: Optional[dict] = None) -> ColdStart:
     """Mount a database from nothing but the array and the durable WAL.
 
@@ -271,7 +271,7 @@ def cold_start(array, geometry, records: Iterable[WALRecord],
     manager = NoFTLStorageManager(
         geometry, config or NoFTLConfig(),
         factory_bad_blocks=array.factory_bad_blocks(),
-        telemetry=telemetry, trace=trace,
+        telemetry=telemetry,
     )
     storage = NoFTLStorage(sim, manager, executor)
     mount_report = sim.run_process(storage.mount())
@@ -279,7 +279,7 @@ def cold_start(array, geometry, records: Iterable[WALRecord],
     db = Database(sim, storage,
                   page_bytes=geometry.page_bytes,
                   buffer_capacity=buffer_capacity,
-                  cpu_us_per_op=cpu_us_per_op,
+                  cpu_us_per_op=0.0,
                   wal_keep_records=True, **(db_kwargs or {}))
     durable = [r for r in records if r.lsn <= durable_lsn]
     wal_pages = {r.payload[1] for r in durable if r.kind in _HEAP_KINDS}

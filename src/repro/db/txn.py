@@ -67,17 +67,15 @@ class TransactionManager:
         self._next_txn_id += 1
         return txn
 
-    def commit(self, txn: Transaction, ctx: Optional[OpContext] = None):
+    def commit(self, txn: Transaction):
         """Generator: make the transaction durable and release its locks."""
         self._check_active(txn)
         trace = self.trace
         tracing = trace is not None and trace.enabled
-        # The default commit context only ever feeds the host.op trace
-        # event; with tracing off its allocation and cost bookkeeping are
-        # unobservable, so both are skipped.  A caller-provided ctx keeps
-        # its charges either way.
-        if ctx is None and tracing:
-            ctx = OpContext("txn-commit", txn_id=txn.txn_id)
+        # The commit context only ever feeds the host.op trace event; with
+        # tracing off its allocation and cost bookkeeping are unobservable,
+        # so both are skipped.
+        ctx = OpContext("txn-commit", txn_id=txn.txn_id) if tracing else None
         start = self.sim.now
         before = dict(ctx.costs) if ctx is not None else None
         lsn = self.wal.append("commit", txn.txn_id)

@@ -42,6 +42,8 @@ class WALRecord(NamedTuple):
 #: bytes are host-RAM redo information and are not part of the modelled
 #: log footprint.
 _HDR = struct.Struct("<QQB")
+#: Bytes one :class:`FlashLogVolume` segment page holds.
+SEGMENT_PAGE_BYTES = 2048
 _KIND_CODES = {
     "insert": 1, "update": 2, "delete": 3, "commit": 4, "abort": 5,
     "index-insert": 6, "index-delete": 7,
@@ -52,8 +54,7 @@ class WALog:
     """Append-only log buffer with group-commit flushing."""
 
     def __init__(self, sim: Simulator, flush_latency_us: float = 150.0,
-                 keep_records: bool = False, device_barrier=None,
-                 segment_writer=None):
+                 keep_records: bool = False):
         if flush_latency_us < 0:
             raise ValueError("flush_latency_us must be >= 0")
         self.sim = sim
@@ -63,19 +64,10 @@ class WALog:
         #: the exclusive flush with the batch's on-log byte count: the
         #: log segment write itself, when the log lives on the flash
         #: array instead of a latency-modelled side device (see
-        #: :class:`FlashLogVolume`).  Runs before ``device_barrier`` and
-        #: before the flushed LSN is published, so group committers only
-        #: ever observe LSNs whose segment programs completed.
-        self.segment_writer = segment_writer
-        #: Optional zero-arg generator factory run *inside* the exclusive
-        #: flush, after the log write and before ``flushed_lsn`` advances.
-        #: This is the barrier-placement rule for a log that lives behind
-        #: a write-back device front end: group committers joining an
-        #: in-flight flush must observe a truly durable LSN, so the
-        #: device barrier has to complete before the LSN is published.
-        #: ``None`` (the default — a dedicated write-through log volume)
-        #: adds no events and keeps legacy digests bit-identical.
-        self.device_barrier = device_barrier
+        #: :class:`FlashLogVolume`).  Runs before the flushed LSN is
+        #: published, so group committers only ever observe LSNs whose
+        #: segment programs completed.
+        self.segment_writer = None
         # Raw (lsn, txn_id, kind, payload) tuples; materialised into
         # WALRecord views on demand by the :attr:`records` property.
         self._raw: List[tuple] = []
@@ -161,8 +153,6 @@ class WALog:
                 if self.segment_writer is not None and target > prev:
                     yield from self.segment_writer(
                         (target - prev) * _HDR.size)
-                if self.device_barrier is not None:
-                    yield from self.device_barrier()
                 if target > prev:
                     self.flushed_lsn = target
                     self._encode_batch(prev, target)
@@ -225,7 +215,7 @@ class FlashLogVolume:
     window of ``window_pages`` logical pages (callers place it at the
     *top* of the logical space, clear of the db page allocator growing
     from 0) and appends segments round-robin: each flush programs
-    ``ceil(nbytes / page_bytes)`` pages — torn-write discipline, a
+    ``ceil(nbytes / SEGMENT_PAGE_BYTES)`` pages — torn-write discipline, a
     partial tail page is padded and the next flush starts fresh — and
     wrapping simply overwrites the oldest slot, which self-invalidates
     the superseded segment in the FTL (checkpointing is out of scope;
@@ -236,8 +226,7 @@ class FlashLogVolume:
     :func:`~repro.telemetry.context.data_class_of` resolves to ``wal``.
     """
 
-    def __init__(self, storage, base_page: int, window_pages: int,
-                 page_bytes: int = 2048):
+    def __init__(self, storage, base_page: int, window_pages: int):
         if window_pages < 1:
             raise ValueError("window_pages must be >= 1")
         if base_page < 0:
@@ -245,14 +234,13 @@ class FlashLogVolume:
         self.storage = storage
         self.base_page = base_page
         self.window_pages = window_pages
-        self.page_bytes = page_bytes
         self._cursor = 0
         self.pages_programmed = 0
         self.wraps = 0
 
     def writer(self, nbytes: int):
         """Generator: program one flush batch (``WALog.segment_writer``)."""
-        pages = max(1, -(-nbytes // self.page_bytes))
+        pages = max(1, -(-nbytes // SEGMENT_PAGE_BYTES))
         for _ in range(pages):
             lpn = self.base_page + self._cursor
             self._cursor += 1

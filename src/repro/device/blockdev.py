@@ -33,6 +33,10 @@ from ..telemetry import OpContext
 
 __all__ = ["BlockDevice", "SyncBlockDevice"]
 
+#: Host-interface (SATA command + transfer set-up) time every operation
+#: pays before the device starts on it.
+INTERFACE_OVERHEAD_US = 20.0
+
 
 class BlockDevice:
     """DES-mode black-box SSD: an FTL behind a queue-limited interface.
@@ -50,7 +54,6 @@ class BlockDevice:
         executor: SimExecutor,
         ncq_depth: int = 32,
         controller_slots: int = 4,
-        interface_overhead_us: float = 20.0,
     ):
         if ncq_depth < 1:
             raise ValueError("ncq_depth must be >= 1")
@@ -61,7 +64,6 @@ class BlockDevice:
         self.executor = executor
         self.ncq = Resource(sim, capacity=ncq_depth)
         self.controller = Resource(sim, capacity=controller_slots)
-        self.interface_overhead_us = interface_overhead_us
         self.read_latency = LatencyRecorder("blockdev-read")
         self.write_latency = LatencyRecorder("blockdev-write")
         self.trim_latency = LatencyRecorder("blockdev-trim")
@@ -95,7 +97,7 @@ class BlockDevice:
         before = dict(ctx.costs)
         yield from self._acquire(self.ncq, ctx)
         try:
-            yield self.sim.timeout(self.interface_overhead_us)
+            yield self.sim.timeout(INTERFACE_OVERHEAD_US)
             if self._is_fast_read(lba):
                 data = yield from self.executor.run(
                     self.ftl.read(lba), ctx=ctx
@@ -122,7 +124,7 @@ class BlockDevice:
         before = dict(ctx.costs)
         yield from self._acquire(self.ncq, ctx)
         try:
-            yield self.sim.timeout(self.interface_overhead_us)
+            yield self.sim.timeout(INTERFACE_OVERHEAD_US)
             yield from self._acquire(self.controller, ctx)
             try:
                 yield from self.executor.run(
@@ -146,7 +148,7 @@ class BlockDevice:
         before = dict(ctx.costs)
         yield from self._acquire(self.ncq, ctx)
         try:
-            yield self.sim.timeout(self.interface_overhead_us)
+            yield self.sim.timeout(INTERFACE_OVERHEAD_US)
             yield from self._acquire(self.controller, ctx)
             try:
                 yield from self.executor.run(self.ftl.trim(lba), ctx=ctx)

@@ -76,6 +76,10 @@ class FrontendShedError(DegradedModeError):
 
 #: Admission classes in strict priority order (index = priority).
 ADMISSION_CLASSES = ("read", "barrier", "trim", "destage")
+#: Interface cost of a cache-hit acknowledgement (the "SATA packet").
+ACK_LATENCY_US = 0.5
+#: Trailing window for the live GC-blame signal.
+BLAME_WINDOW_US = 20_000.0
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,6 @@ class FrontendConfig:
     dirty_high_watermark: float = 0.75
     #: Bound on each admission queue; arrivals beyond it shed at once.
     queue_limit: int = 64
-    #: Interface cost of a cache-hit acknowledgement (the "SATA packet").
-    ack_latency_us: float = 0.5
     #: Deadlines after which a host op sheds with DegradedModeError.
     read_deadline_us: float = 20_000.0
     write_deadline_us: float = 50_000.0
@@ -103,8 +105,6 @@ class FrontendConfig:
     #: Throttle background destage to one in flight while the trailing
     #: GC-blame share exceeds this (or the backend reports maintenance).
     gc_blame_threshold: float = 0.5
-    #: Trailing window for the live GC-blame signal.
-    blame_window_us: float = 20_000.0
 
     def __post_init__(self):
         if self.max_inflight < 1:
@@ -207,7 +207,7 @@ class DeviceFrontend:
         }
         self._qdepth: Dict[str, int] = {cls: 0 for cls in ADMISSION_CLASSES}
         self._inflight_destage = 0
-        self._blame = LiveBlame(self.config.blame_window_us)
+        self._blame = LiveBlame(BLAME_WINDOW_US)
 
         # -- power --------------------------------------------------------
         self._powered_off = False
@@ -461,8 +461,7 @@ class DeviceFrontend:
             # satisfied without touching the backing store at all.
             data = entry.data
             self._tm_cache_hits.inc()
-            if self.config.ack_latency_us:
-                yield self.sim.timeout(self.config.ack_latency_us)
+            yield self.sim.timeout(ACK_LATENCY_US)
         else:
             yield from self._acquire(
                 "read", self.config.read_deadline_us, ctx
@@ -539,8 +538,7 @@ class DeviceFrontend:
         self._tm_acks.inc()
         self._tm_dirty.set(len(self._cache))
         self._wake_worker()
-        if cfg.ack_latency_us:
-            yield self.sim.timeout(cfg.ack_latency_us)
+        yield self.sim.timeout(ACK_LATENCY_US)
         elapsed = self.sim.now - start
         monitor = self.load_monitor
         if monitor is not None:

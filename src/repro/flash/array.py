@@ -134,25 +134,20 @@ class FlashArray:
         Shape and latency model.
     store_data
         When False, page payloads are discarded (pure command-counting
-        runs such as trace replay); reads then return None.
+        runs such as trace replay); reads then return None.  When True,
+        per-page damage is tracked and verified on every read, so
+        torn/corrupted pages surface as :class:`UncorrectableError`
+        instead of silently wrong data.
     max_erase_cycles
         Endurance limit; ``None`` disables wear-out.
     initial_bad_block_rate
         Fraction of factory-bad blocks, drawn with ``rng``.
-    read_error_rate
-        Probability that any single page read raises
-        :class:`UncorrectableError`.  Compatibility shim over the fault
-        injector: it maps to one address-free ``transient_read`` spec and
-        stays settable at runtime.
     fault_plan
         A :class:`~repro.flash.faults.FaultPlan` of scripted faults
         (transient/persistent uncorrectable reads, program and erase
         failures, die outage windows, latency spikes).  The injector is
-        exposed as ``self.fault_injector``.
-    checksum
-        Track per-page damage (when ``store_data``) and verify it on
-        every read, so torn/corrupted pages surface as
-        :class:`UncorrectableError` instead of silently wrong data.
+        exposed as ``self.fault_injector``.  A uniform read error rate
+        is one address-free ``transient_read`` spec with that ``rate``.
     telemetry
         Shared :class:`~repro.telemetry.MetricsRegistry`; a private one is
         created when omitted.  The array owns the per-die command counters
@@ -177,22 +172,17 @@ class FlashArray:
         store_data: bool = True,
         max_erase_cycles: Optional[int] = None,
         initial_bad_block_rate: float = 0.0,
-        read_error_rate: float = 0.0,
         fault_plan: Optional[FaultPlan] = None,
-        checksum: bool = True,
         rng: Optional[random.Random] = None,
         telemetry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
     ):
         if not 0.0 <= initial_bad_block_rate < 1.0:
             raise ValueError("initial_bad_block_rate must be in [0, 1)")
-        if not 0.0 <= read_error_rate <= 1.0:
-            raise ValueError("read_error_rate must be in [0, 1]")
         self.geometry = geometry
         self.timing = timing
         self.store_data = store_data
         self.max_erase_cycles = max_erase_cycles
-        self.checksum = checksum
         self._rng = rng or random.Random(0)
 
         nblocks = geometry.total_blocks
@@ -279,25 +269,11 @@ class FlashArray:
         }
 
         self.fault_injector = FaultInjector(fault_plan, telemetry=self.telemetry)
-        if read_error_rate:
-            self.read_error_rate = read_error_rate
 
         if initial_bad_block_rate > 0:
             for pbn in range(nblocks):
                 if self._rng.random() < initial_bad_block_rate:
                     self._bad[pbn] = True
-
-    # -- fault-injection compatibility shim --------------------------------------
-
-    @property
-    def read_error_rate(self) -> float:
-        return self.fault_injector.rate_of("transient_read")
-
-    @read_error_rate.setter
-    def read_error_rate(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("read_error_rate must be in [0, 1]")
-        self.fault_injector.set_rate_spec("transient_read", rate)
 
     # -- inspection ------------------------------------------------------------
 
@@ -464,7 +440,7 @@ class FlashArray:
             raise ReadUnwrittenError(f"read of unwritten page ppn={ppn}")
         pbn = ppn // self._pages_per_block
         die = pbn // self._blocks_per_die
-        self.fault_injector.check_read(ppn, pbn, die)
+        self.fault_injector.check_read(ppn, die)
         self._verify_checksum(ppn)
         latency = self._read_latency_us
         self._account(command, "read", die, latency)
@@ -485,7 +461,7 @@ class FlashArray:
         die = pbn // self._blocks_per_die
         # Outage check first: the die never saw the command, nothing is
         # consumed, the caller may retry the identical program.
-        failed = self.fault_injector.check_program(ppn, pbn, die)
+        failed = self.fault_injector.check_program(ppn, die)
         self._check_programmable(ppn, pbn, offset)
         self._next_page[pbn] = offset + 1
         self._programmed[ppn] = 1
@@ -494,7 +470,7 @@ class FlashArray:
             # A failed program leaves indeterminate bits behind: keep the
             # payload but poison the page so any later read of the
             # consumed slot surfaces as an uncorrectable (torn) page.
-            if failed and self.checksum and command.data is not None:
+            if failed and command.data is not None:
                 self._poisoned[ppn] = 1
         self._oob[ppn] = command.oob
         latency = self._program_latency_us
@@ -545,11 +521,11 @@ class FlashArray:
         # checksum damage surface here, *before* the destination slot is
         # consumed, so the caller can fall back to read-retry + program
         # against the very same destination page.
-        self.fault_injector.check_read(src, src_pbn, die, op="copyback")
+        self.fault_injector.check_read(src, die, op="copyback")
         self._verify_checksum(src)
         dst_pbn = dst // self._pages_per_block
         dst_offset = dst - dst_pbn * self._pages_per_block
-        failed = self.fault_injector.check_program(dst, dst_pbn, die)
+        failed = self.fault_injector.check_program(dst, die)
         self._check_programmable(dst, dst_pbn, dst_offset)
         self._next_page[dst_pbn] = dst_offset + 1
         self._programmed[dst] = 1
@@ -557,7 +533,7 @@ class FlashArray:
             self._data[dst] = self._data[src]
             # The source passed verification above, so its poison bit is
             # clear; only a failed program of real payload taints the copy.
-            if failed and self.checksum and self._data[src] is not None:
+            if failed and self._data[src] is not None:
                 self._poisoned[dst] = 1
         oob = command.oob if command.oob is not None else self._oob[src]
         self._oob[dst] = oob
@@ -581,7 +557,7 @@ class FlashArray:
             raise ReadUnwrittenError(f"OOB read of unwritten page ppn={ppn}")
         pbn = ppn // self._pages_per_block
         die = pbn // self._blocks_per_die
-        self.fault_injector.check_read(ppn, pbn, die, op="oob_read")
+        self.fault_injector.check_read(ppn, die, op="oob_read")
         # OOB is covered by the page's ECC: a torn/corrupted page must
         # fail its OOB read too, or a cold-start scan would happily adopt
         # the mapping of a page whose payload is garbage.
@@ -639,14 +615,13 @@ class FlashArray:
         self._programmed[ppn] = 1
         if self.store_data:
             self._data[ppn] = data
-            if self.checksum:
-                self._poisoned[ppn] = 1
+            self._poisoned[ppn] = 1
         self._oob[ppn] = oob
 
     def _tear_erase(self, pbn: int) -> None:
         """Interrupted erase pulse: pages keep their programmed status but
         every one of them now fails its checksum (half-erased charge)."""
-        if self._bad[pbn] or not (self.checksum and self.store_data):
+        if self._bad[pbn] or not self.store_data:
             return
         base = pbn * self._pages_per_block
         programmed = self._programmed
@@ -670,7 +645,7 @@ class FlashArray:
         self._poisoned[ppn] = 1
 
     def _verify_checksum(self, ppn: int) -> None:
-        if self._poisoned[ppn] and self.checksum and self.store_data:
+        if self._poisoned[ppn] and self.store_data:
             raise UncorrectableError(f"checksum mismatch at ppn={ppn} (torn/corrupted page)")
 
     def _check_programmable(self, ppn: int, pbn: int, offset: int) -> None:

@@ -234,8 +234,8 @@ def tag_commands(operation, ctx):
 
 class CommandResult:
     """Outcome of one executed command (mutable: the device layers add
-    fault latency and queue timings to it).  ``extra`` is a fresh dict
-    per result unless one is passed in."""
+    fault latency and queue timings to it, the timings in the fresh
+    ``extra`` dict each result carries)."""
 
     __slots__ = ("command", "latency_us", "die", "data", "oob", "extra")
 
@@ -246,14 +246,13 @@ class CommandResult:
         die: Optional[int] = None,
         data: Any = None,
         oob: Any = None,
-        extra: Optional[dict] = None,
     ):
         self.command = command
         self.latency_us = latency_us
         self.die = die  # global die index the command occupied
         self.data = data  # page payload (reads) / geometry (identify)
         self.oob = oob  # page metadata (reads)
-        self.extra = {} if extra is None else extra
+        self.extra = {}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

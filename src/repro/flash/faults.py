@@ -3,8 +3,7 @@
 The paper's safety argument — "the database system is the single owner of
 the flash device" — only holds if the storage manager absorbs the ways
 real NAND misbehaves.  This module is the adversary: a seeded, scriptable
-fault model wired into :class:`~repro.flash.array.FlashArray`, replacing
-the old single ``read_error_rate`` knob (kept as a compatibility shim).
+fault model wired into :class:`~repro.flash.array.FlashArray`.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries plus a seed.
 Each spec describes one fault source:
@@ -36,8 +35,8 @@ Each spec describes one fault source:
   behind a capacitor-less controller.  Listeners must be synchronous,
   idempotent, and must not raise.
 
-Faults are addressable by ``ppn``, ``pbn`` and/or ``die`` (AND-ed; all
-``None`` matches everything), and can be gated by an operation-count
+Faults are addressable by ``ppn`` and/or ``die`` (AND-ed; both ``None``
+matches everything), and can be gated by an operation-count
 ``window`` — the injector counts every command the array executes
 (including Pause), so windows are deterministic in both sync and DES
 mode.  Probability draws come from one ``random.Random(plan.seed)``:
@@ -79,7 +78,7 @@ class FaultSpec:
     ----------
     kind
         One of :data:`FAULT_KINDS`.
-    ppn, pbn, die
+    ppn, die
         Address filters (AND-ed); ``None`` matches any.
     rate
         Firing probability per matching operation; ``None`` (default)
@@ -107,7 +106,6 @@ class FaultSpec:
 
     kind: str
     ppn: Optional[int] = None
-    pbn: Optional[int] = None
     die: Optional[int] = None
     rate: Optional[float] = None
     count: Optional[int] = None
@@ -160,15 +158,13 @@ class _LiveSpec:
         self.spec = spec
         self.remaining = spec.count
 
-    def matches(self, op: int, ppn: Optional[int], pbn: Optional[int], die: Optional[int]) -> bool:
+    def matches(self, op: int, ppn: Optional[int], die: Optional[int]) -> bool:
         spec = self.spec
         if self.remaining is not None and self.remaining <= 0:
             return False
         if spec.window is not None and not (spec.window[0] <= op < spec.window[1]):
             return False
         if spec.ppn is not None and spec.ppn != ppn:
-            return False
-        if spec.pbn is not None and spec.pbn != pbn:
             return False
         if spec.die is not None and spec.die != die:
             return False
@@ -206,28 +202,6 @@ class FaultInjector:
         self.plan.specs.append(spec)
         self._live.append(_LiveSpec(spec))
 
-    def set_rate_spec(self, kind: str, rate: float) -> None:
-        """Compatibility hook: keep exactly one address-free rate spec of
-        ``kind`` at ``rate`` (the old ``read_error_rate`` knob)."""
-        for live in self._live:
-            spec = live.spec
-            if (spec.kind == kind and spec.ppn is None and spec.pbn is None
-                    and spec.die is None and spec.window is None
-                    and spec.count is None):
-                spec.rate = rate
-                return
-        if rate > 0:
-            self.add_spec(FaultSpec(kind=kind, rate=rate))
-
-    def rate_of(self, kind: str) -> float:
-        for live in self._live:
-            spec = live.spec
-            if (spec.kind == kind and spec.ppn is None and spec.pbn is None
-                    and spec.die is None and spec.window is None
-                    and spec.count is None):
-                return spec.rate
-        return 0.0
-
     # -- command hooks ----------------------------------------------------------
 
     def _fire(self, live: _LiveSpec, detail: tuple) -> None:
@@ -248,11 +222,11 @@ class FaultInjector:
         for live in self._live:
             if live.spec.kind != "die_outage":
                 continue
-            if live.matches(self.ops, None, None, die) and self._roll(live):
+            if live.matches(self.ops, None, die) and self._roll(live):
                 self._fire(live, (die,))
                 raise DieOutageError(die)
 
-    def check_read(self, ppn: int, pbn: int, die: int, op: str = "read") -> None:
+    def check_read(self, ppn: int, die: int, op: str = "read") -> None:
         """Raise for a read-class access (READ PAGE, OOB read, the read
         leg of COPYBACK).  Outage first — the die never saw the command —
         then media faults."""
@@ -262,11 +236,11 @@ class FaultInjector:
         for live in self._live:
             if live.spec.kind not in _READ_KINDS:
                 continue
-            if live.matches(self.ops, ppn, pbn, die) and self._roll(live):
+            if live.matches(self.ops, ppn, die) and self._roll(live):
                 self._fire(live, (die, op, ppn))
                 raise UncorrectableError(f"injected {live.spec.kind} at ppn={ppn} ({op})")
 
-    def check_program(self, ppn: int, pbn: int, die: int) -> bool:
+    def check_program(self, ppn: int, die: int) -> bool:
         """True when this PAGE PROGRAM must fail (page consumed, corrupt).
         Raises :class:`DieOutageError` first when the die is out."""
         if not self._live:
@@ -275,7 +249,7 @@ class FaultInjector:
         for live in self._live:
             if live.spec.kind != "program_fail":
                 continue
-            if live.matches(self.ops, ppn, pbn, die) and self._roll(live):
+            if live.matches(self.ops, ppn, die) and self._roll(live):
                 self._fire(live, (die, "program", ppn))
                 return True
         return False
@@ -288,7 +262,7 @@ class FaultInjector:
         for live in self._live:
             if live.spec.kind != "erase_fail":
                 continue
-            if live.matches(self.ops, None, pbn, die) and self._roll(live):
+            if live.matches(self.ops, None, die) and self._roll(live):
                 self._fire(live, (die, "erase", pbn))
                 return True
         return False
@@ -329,7 +303,7 @@ class FaultInjector:
         for live in self._live:
             if live.spec.kind != "latency_spike":
                 continue
-            if live.matches(self.ops, None, None, die):
+            if live.matches(self.ops, None, die):
                 factor *= live.spec.factor
                 self._fire(live, (die, "latency", live.spec.factor))
         return factor

@@ -40,14 +40,13 @@ class TimingSpec:
     program_us: float   # tPROG: page register -> cell array
     erase_us: float     # tBERS: whole-block erase
     bus_mb_per_s: float  # channel transfer rate
-    cmd_overhead_us: float = 1.0  # command/address cycles, chip enable, etc.
+    #: Command/address cycles, chip enable, etc.: the same on every part.
+    cmd_overhead_us = 1.0
 
     def __post_init__(self):
         for field_name in ("read_us", "program_us", "erase_us", "bus_mb_per_s"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
-        if self.cmd_overhead_us < 0:
-            raise ValueError("cmd_overhead_us must be >= 0")
 
     def transfer_us(self, nbytes: int) -> float:
         """Bus time to move ``nbytes`` over the channel."""

@@ -61,6 +61,13 @@ PlaneId = Tuple[int, int]
 _HOT = "hot"
 _COLD = "cold"
 
+#: Program failures one write survives (each remaps it to a fresh block)
+#: before the error reaches the caller.
+MAX_PROGRAM_REMAPS = 8
+#: Failed destinations a quarantined block's evacuation tolerates before
+#: it leaves the remaining pages pinned in place.
+MAX_EVACUATION_FAILURES = 4
+
 
 class _Plane:
     """Allocation state of one plane.
@@ -344,7 +351,6 @@ class PageMappedSpace:
         data,
         oob,
         failed: FlashError,
-        max_remaps: int = 8,
     ):
         """Generator: recover a PAGE PROGRAM of ``ppn`` that raised
         ``failed``.  A :class:`DieOutageError` is waited out and the same
@@ -362,7 +368,7 @@ class PageMappedSpace:
             else:  # ProgramError
                 remaps += 1
                 self._tm_program_remaps.inc()
-                if remaps > max_remaps:
+                if remaps > MAX_PROGRAM_REMAPS:
                     raise failed
                 bad_pbn = self.geometry.block_of_ppn(ppn)
                 self._quarantine_block(plane_id, bad_pbn)
@@ -410,7 +416,7 @@ class PageMappedSpace:
             if self.on_grown_bad is not None:
                 self.on_grown_bad(pbn)
 
-    def _evacuate_block(self, plane_id: PlaneId, stream: str, pbn: int, max_failures: int = 4):
+    def _evacuate_block(self, plane_id: PlaneId, stream: str, pbn: int):
         """Generator: best-effort scrub of a quarantined block's valid
         pages onto trustworthy media.  Pages that cannot move (pool dry,
         repeated program failures) stay in place — they remain readable,
@@ -434,7 +440,7 @@ class PageMappedSpace:
                     failures += 1
                     self._tm_program_remaps.inc()
                     self._quarantine_block(plane_id, self.geometry.block_of_ppn(dst))
-                    if failures > max_failures:
+                    if failures > MAX_EVACUATION_FAILURES:
                         return
                     continue
                 if moved and self.mapping.lookup(lpn) == src:

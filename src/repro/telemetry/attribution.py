@@ -63,6 +63,12 @@ BLAME_BUCKETS = (
     "other_us",
 )
 
+#: Latency percentile from which :func:`blame_breakdown` counts the tail.
+TAIL_PCT = 99.0
+#: Relative float-rounding slack before charged buckets exceeding an op's
+#: elapsed time count as double-charged blame.
+OVERCHARGE_TOLERANCE = 1e-9
+
 
 def host_ops(events: Iterable[dict], op: Optional[str] = None) -> List[dict]:
     """The ``host.op`` events, optionally filtered by op kind."""
@@ -73,23 +79,29 @@ def host_ops(events: Iterable[dict], op: Optional[str] = None) -> List[dict]:
 
 
 def _bucket_values(event: dict) -> Dict[str, float]:
+    """The event's charged buckets plus ``other_us``, the elapsed time
+    nothing claimed.  Raises :class:`ValueError` when the buckets charge
+    more than the op's elapsed time (beyond float rounding): that is
+    blame counted twice, and a residual clamped at zero would hide it."""
     elapsed = float(event.get("elapsed_us", 0.0))
     out = {
         bucket: float(event.get(bucket, 0.0))
         for bucket in BLAME_BUCKETS if bucket != "other_us"
     }
-    out["other_us"] = max(0.0, elapsed - sum(out.values()))
+    charged = sum(out.values())
+    if charged - elapsed > OVERCHARGE_TOLERANCE * max(1.0, elapsed):
+        raise ValueError(
+            f"{event.get('op')} op charges {charged!r} us to its blame "
+            f"buckets but took {elapsed!r} us: {out}"
+        )
+    out["other_us"] = max(0.0, elapsed - charged)
     return out
 
 
-def blame_breakdown(
-    events: Iterable[dict],
-    op: str = "write",
-    tail_pct: float = 99.0,
-) -> dict:
+def blame_breakdown(events: Iterable[dict], op: str = "write") -> dict:
     """Decompose the latency of one host op kind, overall and at the tail.
 
-    The *tail* set is every sample at or above the ``tail_pct`` latency
+    The *tail* set is every sample at or above the ``TAIL_PCT`` latency
     percentile; per-bucket means over that set say what a p99 ``write``
     (say) was actually spending its time on.  Returns a dict with
     ``count``, ``p50/p99/p999/max``, ``mean_us``, per-bucket means for
@@ -102,7 +114,7 @@ def blame_breakdown(
         return {"op": op, "count": 0}
     latencies = [float(e.get("elapsed_us", 0.0)) for e in ops]
     threshold, p50, p99, p999 = percentiles(
-        latencies, (tail_pct, 50, 99, 99.9)
+        latencies, (TAIL_PCT, 50, 99, 99.9)
     )
     tail = [e for e in ops if float(e.get("elapsed_us", 0.0)) >= threshold]
 
@@ -126,7 +138,7 @@ def blame_breakdown(
         "p99_us": p99,
         "p999_us": p999,
         "max_us": max(latencies),
-        "tail_pct": tail_pct,
+        "tail_pct": TAIL_PCT,
         "tail_threshold_us": threshold,
         "tail_count": len(tail),
         "buckets": buckets,

@@ -65,6 +65,13 @@ __all__ = [
 #: Endurance assumed when the array has no explicit ``max_erase_cycles``
 #: (MLC-class NAND; the projection reports which limit it used).
 DEFAULT_ENDURANCE_CYCLES = 3_000
+#: Latency knee of :meth:`LoadWindowEngine.saturation`: a window's write
+#: p99 above ``KNEE_FACTOR`` times the mean p99 of the first
+#: ``BASELINE_WINDOWS`` windows, counting windows of ``KNEE_MIN_OPS`` or
+#: more writes only.
+KNEE_FACTOR = 4.0
+BASELINE_WINDOWS = 3
+KNEE_MIN_OPS = 5
 
 
 class WriteAmplificationLedger:
@@ -242,11 +249,7 @@ class WriteAmplificationLedger:
         }
 
 
-def wear_report(
-    array,
-    logical_writes: Optional[int] = None,
-    assumed_endurance: int = DEFAULT_ENDURANCE_CYCLES,
-) -> dict:
+def wear_report(array, logical_writes: Optional[int] = None) -> dict:
     """Wear/endurance accounting from the array's authoritative state.
 
     ``logical_writes`` (usually the ledger's total) scales the
@@ -285,7 +288,7 @@ def wear_report(
         "skew": None if skew is None else round(skew, 4),
         "cv": None if cv is None else round(cv, 4),
     })
-    limit = array.max_erase_cycles or assumed_endurance
+    limit = array.max_erase_cycles or DEFAULT_ENDURANCE_CYCLES
     lifetime: dict = {
         "endurance_cycles": limit,
         "endurance_assumed": array.max_erase_cycles is None,
@@ -472,21 +475,15 @@ class LoadWindowEngine:
 
     # -- saturation ------------------------------------------------------
 
-    def saturation(
-        self,
-        cls: str = "write",
-        knee_factor: float = 4.0,
-        baseline_windows: int = 3,
-        min_ops: int = 5,
-    ) -> Optional[dict]:
+    def saturation(self) -> Optional[dict]:
         """The run's saturation point, or None if it never saturated.
 
         Definition (see DESIGN.md §12): the first window in which the
         front end shed load (*shed onset*) — overload made explicit —
-        or, failing that, the first window whose ``cls`` p99 exceeds
-        ``knee_factor`` times the baseline p99 (*latency knee*), where
-        the baseline is the mean p99 over the first ``baseline_windows``
-        windows with at least ``min_ops`` samples.
+        or, failing that, the first window whose write p99 exceeds
+        ``KNEE_FACTOR`` times the baseline p99 (*latency knee*), where
+        the baseline is the mean p99 over the first ``BASELINE_WINDOWS``
+        windows with at least ``KNEE_MIN_OPS`` samples.
         """
         span = self._index_range()
         if span is None:
@@ -505,21 +502,21 @@ class LoadWindowEngine:
         baseline_through = lo - 1
         for idx in range(lo, hi + 1):
             window = self._windows.get(idx)
-            samples = window.latencies.get(cls) if window is not None else None
-            if samples and len(samples) >= min_ops:
+            samples = window.latencies.get("write") if window is not None else None
+            if samples and len(samples) >= KNEE_MIN_OPS:
                 (p99,) = percentiles(samples, (99,))
                 baseline.append(p99)
                 baseline_through = idx
-                if len(baseline) >= baseline_windows:
+                if len(baseline) >= BASELINE_WINDOWS:
                     break
         if not baseline:
             return None
         baseline_p99 = sum(baseline) / len(baseline)
-        threshold = baseline_p99 * knee_factor
+        threshold = baseline_p99 * KNEE_FACTOR
         for idx in range(baseline_through + 1, hi + 1):
             window = self._windows.get(idx)
-            samples = window.latencies.get(cls) if window is not None else None
-            if not samples or len(samples) < min_ops:
+            samples = window.latencies.get("write") if window is not None else None
+            if not samples or len(samples) < KNEE_MIN_OPS:
                 continue
             (p99,) = percentiles(samples, (99,))
             if p99 > threshold:
@@ -529,7 +526,7 @@ class LoadWindowEngine:
                     "at_us": idx * self.window_us,
                     "p99_us": round(p99, 3),
                     "baseline_p99_us": round(baseline_p99, 3),
-                    "knee_factor": knee_factor,
+                    "knee_factor": KNEE_FACTOR,
                 }
         return None
 
@@ -550,12 +547,10 @@ class HealthMonitor:
         self,
         window_us: float = 10_000.0,
         clock: Optional[Callable[[], float]] = None,
-        assumed_endurance: int = DEFAULT_ENDURANCE_CYCLES,
     ):
         self.ledger = WriteAmplificationLedger()
         self.windows = LoadWindowEngine(window_us)
         self.clock = clock
-        self.assumed_endurance = assumed_endurance
         self.arrays: list = []
 
     # -- wiring ----------------------------------------------------------
@@ -598,7 +593,7 @@ class HealthMonitor:
     def wear(self) -> dict:
         logical = self.ledger.logical_writes
         reports = [
-            wear_report(array, logical, self.assumed_endurance)
+            wear_report(array, logical)
             for array in self.arrays
         ]
         if not reports:

@@ -203,8 +203,8 @@ class CounterVec:
                 self._name, **labels)
         return instrument
 
-    def inc(self, *values, amount=1) -> None:
-        self.labels(*values).inc(amount)
+    def inc(self, *values) -> None:
+        self.labels(*values).inc()
 
 
 class MetricsRegistry:
@@ -221,14 +221,14 @@ class MetricsRegistry:
     the registry — the dashboards refresh these in a loop.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(self):
         self._counters: Dict[str, Dict[LabelSet, Counter]] = {}
         self._gauges: Dict[str, Dict[LabelSet, Gauge]] = {}
         self._histograms: Dict[str, Dict[LabelSet, Histogram]] = {}
         self._collectors: Dict[str, Callable[[], dict]] = {}
         self._gauge_merge: Dict[str, str] = dict(GAUGE_MERGE_DEFAULTS)
         self._seq = 0
-        self._clock = clock
+        self._clock: Optional[Callable[[], float]] = None
 
     # -- clock ----------------------------------------------------------------
 
@@ -334,8 +334,8 @@ class MetricsRegistry:
             "collectors": {name: fn() for name, fn in self._collectors.items()},
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, default=str, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.snapshot(), indent=2, default=str, sort_keys=True)
 
     def set_gauge_merge(self, name: str, policy: str) -> None:
         """Declare how gauges named ``name`` combine in :meth:`merge_from`.

@@ -20,6 +20,10 @@ from ..sim import LatencyRecorder, Simulator
 
 __all__ = ["WorkloadStats", "Workload", "run_workload"]
 
+#: Lock-timeout aborts a terminal retries one transaction for before it
+#: gives the transaction up (counted as an abort).
+MAX_RETRIES = 5
+
 
 @dataclass
 class WorkloadStats:
@@ -89,8 +93,6 @@ def run_workload(
     duration_us: float,
     num_terminals: int = 16,
     rng: Optional[random.Random] = None,
-    max_retries: int = 5,
-    warmup_us: float = 0.0,
     preloaded: bool = False,
 ) -> WorkloadStats:
     """Load the database, run terminals for ``duration_us`` of simulated
@@ -113,15 +115,14 @@ def run_workload(
     if not preloaded:
         sim.run_process(workload.load(db))
 
-    start_at = sim.now + warmup_us
-    end_at = start_at + duration_us
+    end_at = sim.now + duration_us
 
     def terminal(term_rng: random.Random):
         while sim.now < end_at:
             txn_name, body = workload.next_transaction(db, term_rng)
             began = sim.now
             committed = False
-            for attempt in range(max_retries + 1):
+            for attempt in range(MAX_RETRIES + 1):
                 txn = db.begin()
                 try:
                     yield from body(txn)
@@ -132,17 +133,15 @@ def run_workload(
                     continue
                 except _VoluntaryRollback:
                     yield from db.abort(txn)
-                    if sim.now >= start_at:
-                        stats.aborts += 1
+                    stats.aborts += 1
                     committed = True  # rolled back by design: not retried
                     break
                 yield from db.commit(txn)
                 committed = True
-                if sim.now >= start_at and began >= start_at:
-                    stats.commits += 1
-                    stats.per_type[txn_name] = \
-                        stats.per_type.get(txn_name, 0) + 1
-                    stats.latency.record(sim.now - began)
+                stats.commits += 1
+                stats.per_type[txn_name] = \
+                    stats.per_type.get(txn_name, 0) + 1
+                stats.latency.record(sim.now - began)
                 break
             if not committed:
                 stats.aborts += 1

@@ -70,14 +70,13 @@ class SyntheticResult:
         }
 
 
-def run_synthetic(sim: Simulator, storage, spec: SyntheticSpec,
-                  prefill: bool = True) -> SyntheticResult:
+def run_synthetic(sim: Simulator, storage, spec: SyntheticSpec) -> SyntheticResult:
     """Run one synthetic job against a storage front-end.
 
     ``storage`` needs generator methods ``read(lpn)`` / ``write(lpn,
     data)`` and a ``logical_pages`` attribute (block device, NoFTL
-    storage, or an adapter).  When ``prefill`` is set, the touched span
-    is written once first so reads always hit programmed pages.
+    storage, or an adapter).  The touched span is written once first so
+    reads always hit programmed pages.
     """
     span = spec.span or storage.logical_pages
     if span > storage.logical_pages:
@@ -86,12 +85,11 @@ def run_synthetic(sim: Simulator, storage, spec: SyntheticSpec,
     read_latency = LatencyRecorder("synthetic-read")
     write_latency = LatencyRecorder("synthetic-write")
 
-    if prefill:
-        def fill():
-            for lpn in range(span):
-                yield from storage.write(lpn, data=("prefill", lpn))
+    def fill():
+        for lpn in range(span):
+            yield from storage.write(lpn, data=("prefill", lpn))
 
-        sim.run_process(fill())
+    sim.run_process(fill())
 
     started = sim.now
     remaining = [spec.ops]

@@ -34,20 +34,21 @@ _BRANCH = struct.Struct("<qq36x")     # bid, balance
 _HISTORY = struct.Struct("<qqqq20x")  # aid, tid, bid, delta
 
 TELLERS_PER_BRANCH = 10
+#: Share of transactions whose account lives at another branch than the
+#: teller's (TPC-B's 15 %).
+REMOTE_FRACTION = 0.15
 
 
 class TPCB(Workload):
     name = "tpcb"
 
-    def __init__(self, sf: int = 1, accounts_per_branch: int = 1000,
-                 remote_fraction: float = 0.15):
+    def __init__(self, sf: int = 1, accounts_per_branch: int = 1000):
         if sf < 1:
             raise ValueError("sf must be >= 1")
         if accounts_per_branch < TELLERS_PER_BRANCH:
             raise ValueError("accounts_per_branch too small")
         self.sf = sf
         self.accounts_per_branch = accounts_per_branch
-        self.remote_fraction = remote_fraction
         self.num_branches = sf
         self.num_tellers = sf * TELLERS_PER_BRANCH
         self.num_accounts = sf * accounts_per_branch
@@ -96,7 +97,7 @@ class TPCB(Workload):
     ) -> Tuple[str, Callable]:
         tid = rng.randrange(self.num_tellers)
         home_bid = tid // TELLERS_PER_BRANCH
-        if self.num_branches > 1 and rng.random() < self.remote_fraction:
+        if self.num_branches > 1 and rng.random() < REMOTE_FRACTION:
             bid = rng.randrange(self.num_branches - 1)
             if bid >= home_bid:
                 bid += 1

@@ -16,7 +16,7 @@ in-memory database running the benchmarks for 60 minutes."*  Here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..core.storage import SyncNoFTLStorage
 from ..db.storage import StorageAdapter
@@ -109,8 +109,7 @@ class ReplayReport:
         return self.__dict__.copy()
 
 
-def replay_trace(trace: IOTrace, target, honor_trims: bool = True,
-                 label: Optional[str] = None) -> ReplayReport:
+def replay_trace(trace: IOTrace, target) -> ReplayReport:
     """Feed a recorded trace into a storage target and report GC traffic.
 
     ``target`` is a :class:`~repro.device.blockdev.SyncBlockDevice`
@@ -123,30 +122,28 @@ def replay_trace(trace: IOTrace, target, honor_trims: bool = True,
         array = target.executor.device.array
         stats = target.ftl.stats
         ftl_registry = target.ftl.telemetry
-        name = label or type(target.ftl).__name__
+        name = type(target.ftl).__name__
         for op in trace.ops:
             if op.kind == WRITE:
                 target.write(op.page_id, data=None)
             elif op.kind == READ:
                 target.read(op.page_id)
             elif op.kind == TRIM:
-                if honor_trims:
-                    target.trim(op.page_id)
+                target.trim(op.page_id)
             else:
                 raise ValueError(f"unknown trace op kind: {op.kind!r}")
     elif isinstance(target, SyncNoFTLStorage):
         array = target.executor.device.array
         stats = target.manager.stats
         ftl_registry = target.manager.telemetry
-        name = label or "NoFTL"
+        name = "NoFTL"
         for op in trace.ops:
             if op.kind == WRITE:
                 target.write(op.page_id, data=None, hint=op.hint)
             elif op.kind == READ:
                 target.read(op.page_id)
             elif op.kind == TRIM:
-                if honor_trims:
-                    target.trim(op.page_id)
+                target.trim(op.page_id)
             else:
                 raise ValueError(f"unknown trace op kind: {op.kind!r}")
     else:

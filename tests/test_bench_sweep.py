@@ -101,7 +101,8 @@ class TestRegistryPickling:
     def test_registry_round_trips_without_collectors_or_clock(self):
         import pickle
 
-        registry = MetricsRegistry(clock=lambda: 42.0)
+        registry = MetricsRegistry()
+        registry.set_clock(lambda: 42.0)
         registry.counter("flash.commands", op="read", die=0).inc(7)
         registry.gauge("noftl.degraded").set(1.0)
         registry.histogram("db.commit_us", layer="db").observe(12.5)

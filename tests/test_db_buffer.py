@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.db import BufferPool, DbWriterPool, RAMStorageAdapter, SlottedPage, WALog
+from repro.db import flusher
 from repro.db.flusher import BATCH_SIZE
 from repro.sim import Simulator
 
@@ -275,15 +276,17 @@ class TestWriterDirtyCounts:
 
     @pytest.mark.parametrize("policy", ["global", "region"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_candidates_match_the_full_scan(self, policy, seed):
+    def test_candidates_match_the_full_scan(self, policy, seed,
+                                            monkeypatch):
+        # Idle writers re-scan every 60 us, so the churn meets many scans.
+        monkeypatch.setattr(flusher, "IDLE_POLL_US", 60.0)
         rng = random.Random(seed)
         sim = Simulator()
         storage = RAMStorageAdapter(sim, logical_pages=256, latency_us=40.0,
                                     num_regions=4)
         pool = BufferPool(sim, storage, WALog(sim, flush_latency_us=20), 16)
         seed_pages(sim, pool, self.PAGES)
-        writers = DbWriterPool(sim, pool, storage, 3, policy,
-                               idle_poll_us=60.0)
+        writers = DbWriterPool(sim, pool, storage, 3, policy)
         scans = []
         original = writers._candidates
 

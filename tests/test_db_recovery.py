@@ -54,7 +54,7 @@ def crash_and_recover(old_sim, old_db, array, rebuild_schema):
         array, GEO, list(old_db.wal.records), old_db.wal.flushed_lsn,
         rebuild_schema,
         config=NoFTLConfig(op_ratio=0.25),
-        buffer_capacity=24, cpu_us_per_op=1.0,
+        buffer_capacity=24,
     )
     return boot.sim, boot.db, boot.recovery
 

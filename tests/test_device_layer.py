@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
 from repro.device import BlockDevice, SyncBlockDevice
+from repro.device.blockdev import INTERFACE_OVERHEAD_US
 from repro.flash import (
     FlashArray,
     Geometry,
@@ -114,7 +115,7 @@ class TestBlockDeviceDES:
         sim.run_process(proc())
         assert device.trim_latency.count == 1
         sample = device.trim_latency.samples[0]
-        assert sample >= device.interface_overhead_us
+        assert sample >= INTERFACE_OVERHEAD_US
         kinds = [(e.fields.get("op"), e.kind) for e in device.trace.events
                  if e.kind == "host.op"]
         assert ("trim", "host.op") in kinds

@@ -104,8 +104,8 @@ class TestWearOutStorm:
 
 class TestUncorrectableReads:
     def test_ecc_failure_propagates_cleanly(self):
-        array = FlashArray(GEO, SLC_TIMING, read_error_rate=1.0,
-                           rng=random.Random(1))
+        array = FlashArray(GEO, SLC_TIMING, fault_plan=FaultPlan(
+            [FaultSpec(kind="transient_read", rate=1.0)]))
         executor = SyncExecutor(SyncFlashDevice(array))
         manager = NoFTLStorageManager(GEO, NoFTLConfig(op_ratio=0.25))
         storage = SyncNoFTLStorage(manager, executor)
@@ -118,18 +118,19 @@ class TestUncorrectableReads:
     def test_ftl_op_generator_can_handle_ecc_error(self):
         """The executor throws flash errors into the operation, so an FTL
         (or host) retry policy can live inside the generator."""
-        array = FlashArray(GEO, SLC_TIMING)
+        # One firing: the first read fails, the retry reads cleanly
+        # ("ECC recovered on retry").
+        array = FlashArray(GEO, SLC_TIMING, fault_plan=FaultPlan(
+            [FaultSpec(kind="transient_read", ppn=0, count=1)]))
         executor = SyncExecutor(SyncFlashDevice(array))
 
         from repro.flash import ProgramPage, ReadPage
 
         def op_with_retry():
             yield ProgramPage(ppn=0, data=b"v")
-            array.read_error_rate = 1.0
             try:
                 yield ReadPage(ppn=0)
             except UncorrectableError:
-                array.read_error_rate = 0.0  # "ECC recovered on retry"
                 result = yield ReadPage(ppn=0)
                 return ("recovered", result.data)
             return ("clean", None)

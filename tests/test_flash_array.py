@@ -13,6 +13,7 @@ from repro.flash import (
     CopybackPlaneError,
     EraseBlock,
     FaultPlan,
+    FaultSpec,
     FlashArray,
     Geometry,
     Identify,
@@ -220,7 +221,8 @@ class TestBadBlocksAndErrors:
         assert array.is_bad(2)
 
     def test_read_error_injection(self):
-        array = make_array(read_error_rate=1.0, rng=random.Random(1))
+        array = make_array(fault_plan=FaultPlan(
+            [FaultSpec(kind="transient_read", rate=1.0)]))
         array.apply(ProgramPage(ppn=0, data=b"x"))
         with pytest.raises(UncorrectableError):
             array.apply(ReadPage(ppn=0))
@@ -229,7 +231,7 @@ class TestBadBlocksAndErrors:
         with pytest.raises(ValueError):
             make_array(initial_bad_block_rate=1.5)
         with pytest.raises(ValueError):
-            make_array(read_error_rate=-0.1)
+            FaultSpec(kind="transient_read", rate=-0.1)
 
 
 class TestOutOfRangeAddresses:

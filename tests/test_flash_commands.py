@@ -123,13 +123,13 @@ class TestDefaults:
 class TestCommandResult:
     def test_positional_and_keyword_construction(self):
         command = ReadPage(5)
-        by_position = CommandResult(command, 50.0, 1, b"d", {"lpn": 5}, {"k": 1})
+        by_position = CommandResult(command, 50.0, 1, b"d", {"lpn": 5})
         by_keyword = CommandResult(command=command, latency_us=50.0, die=1,
-                                   data=b"d", oob={"lpn": 5}, extra={"k": 1})
+                                   data=b"d", oob={"lpn": 5})
         assert by_position == by_keyword
         assert (by_position.command, by_position.latency_us, by_position.die,
                 by_position.data, by_position.oob, by_position.extra) == (
-            command, 50.0, 1, b"d", {"lpn": 5}, {"k": 1})
+            command, 50.0, 1, b"d", {"lpn": 5}, {})
 
     def test_defaults_and_fresh_extra_per_result(self):
         first = CommandResult(ReadPage(5), 50.0)

@@ -19,6 +19,7 @@ from repro.telemetry import (
     data_class_of,
     wear_report,
 )
+from repro.telemetry.health import DEFAULT_ENDURANCE_CYCLES
 
 
 class TestDataClassResolution:
@@ -166,11 +167,10 @@ class TestWearReport:
         assert life["projected_total_host_writes"] == 1000 * 100 // 20
 
     def test_assumed_endurance_is_flagged(self):
-        report = wear_report(_FakeArray([1]), logical_writes=10,
-                             assumed_endurance=500)
+        report = wear_report(_FakeArray([1]), logical_writes=10)
         life = report["lifetime"]
         assert life["endurance_assumed"] is True
-        assert life["endurance_cycles"] == 500
+        assert life["endurance_cycles"] == DEFAULT_ENDURANCE_CYCLES
 
     def test_unworn_device_has_no_projection(self):
         report = wear_report(_FakeArray([0, 0]), logical_writes=10)
@@ -238,7 +238,7 @@ class TestLoadWindowEngine:
                 engine.note_op(widx * 10.0 + k, "write", 10.0)
         for k in range(6):
             engine.note_op(30.0 + k, "write", 100.0)
-        point = engine.saturation(knee_factor=4.0)
+        point = engine.saturation()
         assert point["kind"] == "latency-knee"
         assert point["window"] == 3
         assert point["p99_us"] == pytest.approx(100.0)
@@ -249,9 +249,9 @@ class TestLoadWindowEngine:
         for widx in range(3):
             for k in range(6):
                 engine.note_op(widx * 10.0 + k, "write", 10.0)
-        # A single slow op is below min_ops: not a knee.
+        # A single slow op is below KNEE_MIN_OPS: not a knee.
         engine.note_op(35.0, "write", 500.0)
-        assert engine.saturation(min_ops=5) is None
+        assert engine.saturation() is None
 
     def test_unsaturated_run_reports_none(self):
         engine = LoadWindowEngine(window_us=10.0)
@@ -321,10 +321,10 @@ def _churn_rig(seed: int = 7):
     geometry = Geometry(channels=1, chips_per_channel=1, dies_per_chip=2,
                         planes_per_die=1, blocks_per_plane=10,
                         pages_per_block=8, page_bytes=512, oob_bytes=64)
-    telemetry = MetricsRegistry()
     storage, array = build_sync_noftl(
         geometry, config=NoFTLConfig(num_regions=2, op_ratio=0.25),
-        seed=seed, telemetry=telemetry)
+        seed=seed)
+    telemetry = array.telemetry
     monitor = HealthMonitor()
     monitor.attach_array(array)
     monitor.install(telemetry)

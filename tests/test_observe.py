@@ -157,12 +157,23 @@ class TestAttribution:
         ]
 
     def test_blame_breakdown_tail_and_residual(self):
-        blame = blame_breakdown(self._events(), op="write", tail_pct=99.0)
+        blame = blame_breakdown(self._events(), op="write")
         assert blame["count"] == 2
         # the tail is the slow write: 800 gc + 100 media + 100 residual
         assert blame["tail_buckets"]["gc_us"] == 800.0
         assert blame["tail_buckets"]["other_us"] == 100.0
         assert blame["gc_blamed_us"] == 800.0
+
+    def test_over_charged_op_raises_instead_of_clamping(self):
+        # 70 + 40 us charged to a 100 us op: 10 us of blame counted twice.
+        over = {"ts": 5.0, "kind": "host.op", "op": "write",
+                "elapsed_us": 100.0, "media_us": 70.0, "queue_gc_us": 40.0}
+        with pytest.raises(ValueError, match="charges 110.0 us"):
+            blame_breakdown(self._events() + [over], op="write")
+        # Float rounding is not over-charging: 0.1 + 0.2 > 0.3 by one ulp.
+        rounded = dict(over, elapsed_us=0.3, media_us=0.1, queue_gc_us=0.2)
+        blame = blame_breakdown([rounded], op="write")
+        assert blame["buckets"]["other_us"] == 0.0
 
     def test_origin_checks(self):
         events = self._events()

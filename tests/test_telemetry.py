@@ -130,7 +130,8 @@ class TestEventTrace:
 
     def test_span_records_duration_with_fake_clock(self):
         clock = {"now": 0.0}
-        registry = MetricsRegistry(clock=lambda: clock["now"])
+        registry = MetricsRegistry()
+        registry.set_clock(lambda: clock["now"])
         trace = EventTrace(clock=registry.now)
         histogram = registry.histogram("span_us")
         with trace.span("gc.collect", histogram=histogram, victim=7) as span:
