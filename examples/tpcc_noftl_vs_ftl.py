@@ -41,12 +41,11 @@ def run_architecture(architecture: str, duration_us: float):
                                                  op_ratio=0.12))
         stats = rig.manager.stats
     else:
-        kwargs = {}
-        if architecture == "dftl":
-            # scale the CMT with the device (~3% of pages), as on real
-            # controllers — see repro.bench.headline
-            kwargs["cmt_entries"] = max(128, geometry.total_pages // 32)
-        rig = build_blockdev_rig(architecture, geometry=geometry, **kwargs)
+        # DFTL scales its CMT with the device (~3% of pages), as on real
+        # controllers — see repro.bench.headline
+        rig = build_blockdev_rig(
+            architecture, geometry=geometry,
+            cmt_entries=max(128, geometry.total_pages // 32))
         stats = rig.ftl.stats
     db = attach_database(rig, buffer_capacity=max(64, footprint // 8),
                          foreground_flush=False)

@@ -93,12 +93,8 @@ def dftl_slowdown(
 
         configs = [("pagemap", 0)] + [("dftl", size) for size in cmt_sizes]
         for ftl_name, cmt_entries in configs:
-            kwargs = {}
-            if ftl_name == "dftl":
-                kwargs = {"cmt_entries": cmt_entries,
-                          "entries_per_translation_page": 256}
             rig = build_blockdev_rig(ftl_name, geometry=geometry, seed=SEED,
-                                     **kwargs)
+                                     cmt_entries=cmt_entries)
             db = attach_database(rig, buffer_capacity=buffer_capacity)
             db.start_writers(4, policy="global")
             stats = run_workload(

@@ -34,6 +34,7 @@ from ..workloads import (
 from .reporting import ratio
 from .rigs import (
     DEMO_GEOMETRY,
+    OP_RATIO,
     build_sync_blockdev,
     build_sync_noftl,
     geometry_for_footprint,
@@ -110,7 +111,7 @@ def record_trace(workload_name: str, duration_us: float = 3_000_000,
 #: copyback factor appears.  Lower utilization exaggerates NoFTL's win,
 #: higher drowns it; see the E10 ablation for the sensitivity.
 REPLAY_UTILIZATION = 0.85
-REPLAY_OP_RATIO = 0.12
+REPLAY_OP_RATIO = OP_RATIO  # the black-box arm's, fixed in make_ftl
 REPLAY_DIES = 2
 
 
@@ -138,9 +139,7 @@ def _fig3_task(name: str, duration_us: float, scale: float,
     )
 
     faster_dev, faster_array = build_sync_blockdev(
-        "faster", geometry=geometry, seed=seed,
-        op_ratio=REPLAY_OP_RATIO,
-    )
+        "faster", geometry=geometry, seed=seed)
     faster_health = HealthMonitor()
     faster_health.attach_array(faster_array)
     faster_report = replay_trace(trace, faster_dev)

@@ -106,16 +106,12 @@ def headline_throughput(
                 )
                 stats_source = rig.manager.stats
             else:
-                kwargs = {}
-                if architecture == "dftl":
-                    # Scale the CMT with the device as real controllers
-                    # are: ~3% of the page population (a 1 GiB mapping
-                    # table does not fit in device SRAM — Section 3.1).
-                    kwargs["cmt_entries"] = max(
-                        128, geometry.total_pages // 32
-                    )
-                rig = build_blockdev_rig(architecture, geometry=geometry,
-                                         seed=SEED, **kwargs)
+                # DFTL scales its CMT with the device as real controllers
+                # do: ~3% of the page population (a 1 GiB mapping table
+                # does not fit in device SRAM — Section 3.1).
+                rig = build_blockdev_rig(
+                    architecture, geometry=geometry, seed=SEED,
+                    cmt_entries=max(128, geometry.total_pages // 32))
                 stats_source = rig.ftl.stats
             db = attach_database(rig, buffer_capacity=buffer_capacity,
                                  foreground_flush=False)

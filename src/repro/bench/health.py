@@ -197,9 +197,7 @@ def run_replay_compare(
     for arch in ("faster", "noftl"):
         if arch == "faster":
             device, array = build_sync_blockdev(
-                "faster", geometry=geometry, seed=seed,
-                op_ratio=REPLAY_OP_RATIO,
-            )
+                "faster", geometry=geometry, seed=seed)
         else:
             device, array = build_sync_noftl(
                 geometry=geometry, seed=seed,

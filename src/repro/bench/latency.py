@@ -64,7 +64,7 @@ def latency_outliers(
 
     # Black-box SSD with FASTer.
     rig = build_blockdev_rig("faster", geometry=LATENCY_GEOMETRY,
-                             timing=SLC_TIMING, seed=SEED, op_ratio=0.12)
+                             timing=SLC_TIMING, seed=SEED)
     span = int(rig.ftl.logical_pages * SPAN_FRACTION)
     result = run_synthetic(
         rig.sim, rig.device,

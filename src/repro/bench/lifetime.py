@@ -56,8 +56,7 @@ def lifetime_factor(workload_name: str = "tpcb",
         dies=REPLAY_DIES,
     )
     faster_dev, __ = build_sync_blockdev("faster", geometry=geometry,
-                                         seed=seed,
-                                         op_ratio=REPLAY_OP_RATIO)
+                                         seed=seed)
     faster_report = replay_trace(trace, faster_dev)
     noftl_dev, __ = build_sync_noftl(
         geometry=geometry, seed=seed,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager, SyncNoFTLStorage
 from ..db import Database, BlockDeviceAdapter
@@ -49,6 +49,11 @@ TOTAL_PAGES_BUDGET = 32768
 PAGES_PER_BLOCK = 32
 PLANES_PER_DIE = 2
 PAGE_BYTES = 2048
+#: Over-provisioning of every rig's device, NoFTL and black-box alike.
+OP_RATIO = 0.12
+#: DFTL translation-page fan-out: one 8-byte entry per mapped page of a
+#: :data:`PAGE_BYTES` translation page.
+ENTRIES_PER_TRANSLATION_PAGE = PAGE_BYTES // 8
 
 
 def _geometry(dies: int, blocks_per_plane: int,
@@ -101,22 +106,29 @@ def geometry_for_footprint(
     return sized_geometry(footprint_pages, dies, utilization, op_ratio)
 
 
-def make_ftl(name: str, geometry: Geometry, op_ratio: float = 0.12,
-             rng: Optional[random.Random] = None, **kwargs):
-    """FTL factory by name: 'pagemap' | 'dftl' | 'faster'."""
+def make_ftl(
+    name: str,
+    geometry: Geometry,
+    cmt_entries: int = 1024,
+    rng: Optional[random.Random] = None,
+    bad_blocks: Iterable[int] = (),
+    telemetry: Optional[MetricsRegistry] = None,
+    trace: Optional[EventTrace] = None,
+):
+    """FTL factory by name: 'pagemap' | 'dftl' | 'faster', each at
+    :data:`OP_RATIO`.  Only DFTL reads ``cmt_entries``; FASTer draws no
+    random numbers, so it takes no ``rng``."""
     if name == "pagemap":
-        return PageMapFTL(geometry, op_ratio=op_ratio, rng=rng, **kwargs)
+        return PageMapFTL(geometry, OP_RATIO, bad_blocks=bad_blocks, rng=rng,
+                          telemetry=telemetry, trace=trace)
     if name == "dftl":
-        kwargs.setdefault("cmt_entries", 1024)
-        kwargs.setdefault("entries_per_translation_page", 256)
-        return DFTL(geometry, op_ratio=op_ratio, rng=rng, **kwargs)
+        return DFTL(geometry, OP_RATIO, cmt_entries=cmt_entries,
+                    entries_per_translation_page=ENTRIES_PER_TRANSLATION_PAGE,
+                    bad_blocks=bad_blocks, rng=rng,
+                    telemetry=telemetry, trace=trace)
     if name == "faster":
-        kwargs.setdefault("log_fraction", 0.07)
-        # The SW-log path assumes serialized firmware; the DES rigs run
-        # a few FTL operations concurrently (controller slots), so the
-        # random-log configuration is used there.
-        kwargs.setdefault("use_sw_log", False)
-        return FASTer(geometry, op_ratio=op_ratio, rng=rng, **kwargs)
+        return FASTer(geometry, OP_RATIO, bad_blocks=bad_blocks,
+                      telemetry=telemetry, trace=trace)
     raise ValueError(f"unknown FTL {name!r}")
 
 
@@ -157,11 +169,6 @@ class BlockDeviceRig:
     db: Optional[Database] = None
     telemetry: Optional[MetricsRegistry] = None
     trace: Optional[EventTrace] = None
-    frontend: Optional[DeviceFrontend] = None
-
-    @property
-    def mount_point(self):
-        return self.frontend if self.frontend is not None else self.adapter
 
 
 def build_noftl_rig(
@@ -193,7 +200,7 @@ def build_noftl_rig(
     executor = SimExecutor(SimFlashDevice(sim, array))
     manager = NoFTLStorageManager(
         geometry,
-        config or NoFTLConfig(op_ratio=0.12),
+        config or NoFTLConfig(op_ratio=OP_RATIO),
         factory_bad_blocks=array.factory_bad_blocks(),
         rng=random.Random(seed + 1),
         telemetry=telemetry,
@@ -216,32 +223,26 @@ def build_blockdev_rig(
     timing: TimingSpec = MLC_TIMING,
     ncq_depth: int = 32,
     seed: int = 0,
-    telemetry: Optional[MetricsRegistry] = None,
     trace: Optional[EventTrace] = None,
-    frontend_config: Optional[FrontendConfig] = None,
-    **ftl_kwargs,
+    cmt_entries: int = 1024,
 ) -> BlockDeviceRig:
-    """Figure 1.a/b: DBMS on a black-box SSD with an on-device FTL."""
+    """Figure 1.a/b: DBMS on a black-box SSD with an on-device FTL
+    (``make_ftl`` reads ``cmt_entries``)."""
     sim = Simulator()
-    telemetry = telemetry or MetricsRegistry()
+    telemetry = MetricsRegistry()
     if trace is not None:
         trace.set_clock(lambda: sim.now)
     array = FlashArray(geometry, timing, rng=random.Random(seed),
                        telemetry=telemetry, trace=trace)
     executor = SimExecutor(SimFlashDevice(sim, array))
-    ftl = make_ftl(ftl_name, geometry, rng=random.Random(seed + 1),
+    ftl = make_ftl(ftl_name, geometry, cmt_entries=cmt_entries,
+                   rng=random.Random(seed + 1),
                    bad_blocks=array.factory_bad_blocks(),
-                   telemetry=telemetry, trace=trace, **ftl_kwargs)
+                   telemetry=telemetry, trace=trace)
     device = BlockDevice(sim, ftl, executor, ncq_depth=ncq_depth)
-    adapter = BlockDeviceAdapter(device)
-    frontend = None
-    if frontend_config is not None:
-        frontend = DeviceFrontend(sim, adapter, frontend_config,
-                                  array=array, telemetry=telemetry,
-                                  trace=ftl.trace)
-    return BlockDeviceRig(sim, geometry, array, ftl, device, adapter,
-                          telemetry=telemetry, trace=ftl.trace,
-                          frontend=frontend)
+    return BlockDeviceRig(sim, geometry, array, ftl, device,
+                          BlockDeviceAdapter(device), telemetry=telemetry,
+                          trace=ftl.trace)
 
 
 def build_sync_noftl(
@@ -261,7 +262,7 @@ def build_sync_noftl(
     telemetry.set_clock(lambda: device.serial_us)
     executor = SyncExecutor(device)
     manager = NoFTLStorageManager(
-        geometry, config or NoFTLConfig(op_ratio=0.12),
+        geometry, config or NoFTLConfig(op_ratio=OP_RATIO),
         factory_bad_blocks=array.factory_bad_blocks(),
         rng=random.Random(seed + 1),
         telemetry=telemetry,
@@ -273,7 +274,6 @@ def build_sync_blockdev(
     ftl_name: str,
     geometry: Geometry = DEMO_GEOMETRY,
     seed: int = 0,
-    **ftl_kwargs,
 ):
     """Synchronous black-box SSD target for trace replay (Figure 3):
     MLC timing, no page payloads kept."""
@@ -285,7 +285,7 @@ def build_sync_blockdev(
     executor = SyncExecutor(device)
     ftl = make_ftl(ftl_name, geometry, rng=random.Random(seed + 1),
                    bad_blocks=array.factory_bad_blocks(),
-                   telemetry=telemetry, **ftl_kwargs)
+                   telemetry=telemetry)
     return SyncBlockDevice(ftl, executor), array
 
 

@@ -28,6 +28,9 @@ from ..telemetry import OpContext
 
 __all__ = ["TempArea"]
 
+#: Spill runs :meth:`TempArea.process` leaves live after each drain.
+KEEP_RUNS = 2
+
 
 class TempArea:
     """Sequential spill runs over the database's page allocator."""
@@ -66,13 +69,13 @@ class TempArea:
             yield from self.db.release_page(page_id)
             self.pages_reclaimed += 1
 
-    def process(self, interval_us: float, pages: int, keep: int = 2,
+    def process(self, interval_us: float, pages: int,
                 until_us: Optional[float] = None):
         """Generator process: periodic spill with bounded live runs.
 
         Spawned by benches as a steady temp producer: every
         ``interval_us`` it spills one run, then drains until at most
-        ``keep`` runs stay live — so temp traffic continuously cycles
+        :data:`KEEP_RUNS` runs stay live — so temp traffic continuously cycles
         allocate → program → trim, exactly the churn profile that makes
         class segregation measurable.  ``until_us`` bounds the producer
         (closed-loop rigs end by draining the event queue, so an
@@ -83,7 +86,7 @@ class TempArea:
         while until_us is None or sim.now < until_us:
             yield sim.timeout(interval_us)
             yield from self.spill(pages)
-            while len(self._runs) > keep:
+            while len(self._runs) > KEEP_RUNS:
                 yield from self.drain()
         while self._runs:
             yield from self.drain()

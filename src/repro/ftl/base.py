@@ -27,6 +27,7 @@ __all__ = [
     "relocate_page",
     "relocate_via_host",
     "read_page_with_retry",
+    "retry_after_outage",
     "outage_backoff_us",
     "READ_RETRY_LIMIT",
     "OUTAGE_RETRY_LIMIT",
@@ -75,10 +76,8 @@ class FTLStats:
     grown_bad_blocks: int = 0
 
     gc_relocations = CounterView("_tm_gc_relocations.value")
-    # FASTer merges by kind, and isolation-area (second-chance) migrations.
+    # FASTer full merges, and isolation-area (second-chance) migrations.
     merges_full = CounterView("_tm_merges_full.value")
-    merges_switch = CounterView("_tm_merges_switch.value")
-    merges_partial = CounterView("_tm_merges_partial.value")
     second_chances = CounterView("_tm_second_chances.value")
     # Reads that needed another attempt (ECC), pages relocated after a
     # retried read, writes remapped after a ProgramError, and GC/merge
@@ -118,8 +117,7 @@ class FTLStats:
                 "host_reads", "host_writes", "host_trims",
                 "gc_relocations", "gc_copybacks", "gc_reads", "gc_programs",
                 "gc_erases", "map_reads", "map_programs",
-                "merges_full", "merges_switch", "merges_partial",
-                "second_chances", "wl_moves", "grown_bad_blocks",
+                "merges_full", "second_chances", "wl_moves", "grown_bad_blocks",
                 "read_retries", "scrubs", "program_remaps",
                 "relocation_skips",
             )
@@ -466,6 +464,29 @@ def read_page_with_retry(ppn: int, *, stats: FTLStats, failed: Optional[FlashErr
         failed = None
 
 
+def retry_after_outage(command, failed: DieOutageError):
+    """Re-issue a flash command whose attempt a die outage rejected.
+
+    A flash-command generator for callers that yield the first attempt
+    themselves and hand over only when it raises ``failed``.  The die
+    rejected the command before changing any state, so the same command
+    is retried after an escalating Pause, up to
+    :data:`OUTAGE_RETRY_LIMIT` rounds; then the outage propagates.  Any
+    other error of a retry propagates at once.
+    """
+    waits = 0
+    while True:
+        waits += 1
+        if waits > OUTAGE_RETRY_LIMIT:
+            raise failed
+        yield Pause(outage_backoff_us(waits))
+        try:
+            yield command
+            return
+        except DieOutageError as exc:
+            failed = exc
+
+
 def outage_backoff_us(waits: int) -> float:
     """Pause before retry round ``waits`` of a command rejected by a die
     outage: :data:`RETRY_BACKOFF_US` doubling per round, capped at 2 ms."""
@@ -511,17 +532,11 @@ def relocate_via_host(src_ppn: int, dst_ppn: int, stats: FTLStats, oob=None):
         stats._tm_relocation_skips.inc()
         return False
     stats.gc_reads += 1
-    waits = 0
-    while True:
-        try:
-            yield ProgramPage(dst_ppn, result.data, oob if oob is not None else result.oob)
-            break
-        except DieOutageError:
-            # Rejected before the slot was consumed; wait out the window.
-            waits += 1
-            if waits > OUTAGE_RETRY_LIMIT:
-                raise
-            yield Pause(outage_backoff_us(waits))
+    command = ProgramPage(dst_ppn, result.data, oob if oob is not None else result.oob)
+    try:
+        yield command
+    except DieOutageError as failed:
+        yield from retry_after_outage(command, failed)
     stats._tm_gc_relocations.inc()
     stats.gc_programs += 1
     return True

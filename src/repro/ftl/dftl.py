@@ -61,8 +61,6 @@ class DFTL(BaseFTL):
         op_ratio: float = 0.1,
         cmt_entries: int = 4096,
         entries_per_translation_page: Optional[int] = None,
-        gc_policy: str = "greedy",
-        gc_low_water: int = 2,
         bad_blocks: Iterable[int] = (),
         rng: Optional[random.Random] = None,
         telemetry: Optional[MetricsRegistry] = None,
@@ -89,9 +87,6 @@ class DFTL(BaseFTL):
             self.mapping,
             planes,
             self.stats,
-            gc_policy=gc_policy,
-            gc_low_water=gc_low_water,
-            separate_streams=True,
             bad_blocks=bad_blocks,
             rng=rng,
             telemetry=self.telemetry,

@@ -1,15 +1,12 @@
-"""FASTer: hybrid log-block FTL with a second-chance isolation area
-(Lim, Lee, Moon — SNAPI 2010), descendant of FAST.
+"""FASTer without a SW log: a hybrid log-block FTL with a second-chance
+isolation area (Lim, Lee, Moon — SNAPI 2010), descendant of FAST.
 
 Layout:
 
 * **data area** — block-level mapped (``lbn -> pbn``); pages sit at their
   in-block offset, so fresh data can append in place;
-* **SW log block** — one dedicated block absorbing sequential rewrites of
-  a single logical block; completed sequences retire by *switch merge*
-  (pointer swap + one erase), interrupted ones by *partial merge*;
-* **RW log area** — page-mapped log blocks written append-only in
-  round-robin; reclaimed FIFO.
+* **RW log area** — page-mapped log blocks written append-only,
+  round-robin over :data:`LOG_STRIPES` tails; reclaimed FIFO.
 
 FASTer's contribution over FAST is the *second chance*: when the oldest
 log block is reclaimed, still-valid pages that have not yet had a second
@@ -19,14 +16,25 @@ second time force the expensive **full merge** of their logical block:
 gather the newest version of every page of the block (from data area +
 log) into a freshly allocated block.
 
-Those merges are the copyback/erase traffic that the paper's Figure 3
+The published design also keeps a *SW log block* for sequential
+rewrites of one logical block, retired by a switch merge (a complete
+sequence) or a partial merge (an interrupted one).  This model has
+none: every rewrite goes to the RW log, and every merge is a full merge.
+It is a fair stand-in for the paper's device because database traffic
+is scattered page updates.  On the E1 traces a SW log completes no
+sequence, so it never takes its cheap switch merge; it only adds
+partial merges, which made FASTer relocate more (TPC-B at 8 s: the
+copyback ratio over NoFTL rose from ×1.72 to ×2.48).  Without it the
+black-box arm is the cheaper one, and NoFTL's measured margin is a
+lower bound.
+
+The merges are the copyback/erase traffic that the paper's Figure 3
 counts: roughly 2x the copybacks and 1.7-1.8x the erases of NoFTL under
 TPC traces.
 """
 
 from __future__ import annotations
 
-import random
 from array import array as _array
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set
@@ -38,7 +46,12 @@ from ..flash.commands import (
     stamp_context,
     tag_commands,
 )
-from ..flash.errors import BlockWornOut, DieOutageError, UncorrectableError
+from ..flash.errors import (
+    BlockWornOut,
+    DieOutageError,
+    ReadUnwrittenError,
+    UncorrectableError,
+)
 from ..flash.geometry import Geometry
 from ..telemetry import EventTrace, MetricsRegistry, OpContext
 from .base import (
@@ -48,64 +61,44 @@ from .base import (
     outage_backoff_us,
     read_page_with_retry,
     relocate_page,
+    retry_after_outage,
 )
 
 __all__ = ["FASTer"]
 
+#: Fraction of physical blocks dedicated to the RW log area.
+LOG_FRACTION = 0.07
+#: Bank-striped log tails, as on the OpenSSD firmware: appends
+#: round-robin over several active log blocks so log writes exploit die
+#: parallelism (a single tail would serialize at one die).
+LOG_STRIPES = 4
+#: A reclaim migrates at most this fraction of a log block's pages;
+#: beyond it, remaining valid pages are merged (bounds the isolation
+#: area's growth, as in the original paper).
+MIGRATION_CAP_FRACTION = 0.75
+
 
 class FASTer(BaseFTL):
-    """Hybrid mapping FTL with FASTer's isolation/second-chance policy.
-
-    Parameters
-    ----------
-    log_fraction
-        Fraction of physical blocks dedicated to the RW log area.
-    second_chance
-        Enable the FASTer policy; with False this degrades to plain FAST
-        (every reclaim merges immediately).
-    migration_cap_fraction
-        A reclaim migrates at most this fraction of a log block's pages;
-        beyond it, remaining valid pages are merged (bounds the isolation
-        area's growth, as in the original paper).
-    """
+    """Hybrid mapping FTL with FASTer's isolation/second-chance policy
+    and no SW log (see the module docstring)."""
 
     def __init__(
         self,
         geometry: Geometry,
         op_ratio: float = 0.1,
-        log_fraction: float = 0.07,
-        second_chance: bool = True,
-        migration_cap_fraction: float = 0.75,
-        use_sw_log: bool = True,
-        log_stripes: int = 4,
         bad_blocks: Iterable[int] = (),
-        rng: Optional[random.Random] = None,
         telemetry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
     ):
         super().__init__(geometry, op_ratio, telemetry=telemetry, trace=trace)
-        if not 0.0 < log_fraction < 0.5:
-            raise ValueError("log_fraction must be in (0, 0.5)")
-        if not 0.0 <= migration_cap_fraction <= 1.0:
-            raise ValueError("migration_cap_fraction must be in [0, 1]")
         pages_per_block = geometry.pages_per_block
         self.logical_blocks = self.logical_pages // pages_per_block
         self.logical_pages = self.logical_blocks * pages_per_block
-        self.second_chance = second_chance
-        self.migration_cap = migration_cap_fraction
-        self.use_sw_log = use_sw_log
-        self._rng = rng or random.Random(0)
 
         bad = set(bad_blocks)
         good_blocks = [pbn for pbn in range(geometry.total_blocks) if pbn not in bad]
         self._free: Deque[int] = deque(good_blocks)
-        if log_stripes < 1:
-            raise ValueError("log_stripes must be >= 1")
-        # Bank-striped log tails, as on the OpenSSD firmware: appends
-        # round-robin over several active log blocks so log writes exploit
-        # die parallelism (a single tail would serialize at one die).
-        self.log_stripes = log_stripes
-        self.log_blocks_max = max(2 + log_stripes, int(len(good_blocks) * log_fraction))
+        self.log_blocks_max = max(2 + LOG_STRIPES, int(len(good_blocks) * LOG_FRACTION))
 
         # data area — flat per-lbn arrays plus one written bitmap over the
         # logical page space (same flat typed-array representation as the
@@ -117,7 +110,7 @@ class FASTer(BaseFTL):
         # RW log area
         self._log_order: Deque[int] = deque()    # full log blocks, FIFO
         # stripe -> [pbn, next_offset] or None
-        self._active_logs: List[Optional[list]] = [None] * log_stripes
+        self._active_logs: List[Optional[list]] = [None] * LOG_STRIPES
         self._stripe_rr = 0
         # lpn -> newest log ppn (UNMAPPED when absent) + live-entry count.
         self._log_map = _array("q", [UNMAPPED]) * self.logical_pages
@@ -126,23 +119,19 @@ class FASTer(BaseFTL):
         self._second_chanced = bytearray(self.logical_pages)
         self._second_chanced_live = 0
 
-        # SW log block
-        self._sw_lbn: Optional[int] = None
-        self._sw_pbn: Optional[int] = None
-        self._sw_fill = 0
-
         self._reclaiming = False
         # Logical blocks currently being merged: concurrent host writes to
         # them are diverted to the log so the merge cannot lose them.
         self._merging: Set[int] = set()
+        # lpn -> [payload] of a host write or migration whose program a
+        # die outage rejected: the controller's write buffer holds it
+        # (and serves reads of it) until it lands at a fresh log slot.
+        self._parked: Dict[int, list] = {}
 
-        # Telemetry: merge-type counters plus spans over log reclaims and
+        # Telemetry: the merge counter plus spans over log reclaims and
         # full merges — the operations behind FASTer's Figure 3 overhead.
-        self._tm_merges = {
-            kind: self.telemetry.counter(
-                "ftl.merges", layer="ftl", ftl="FASTer", kind=kind)
-            for kind in ("full", "switch", "partial")
-        }
+        self._tm_merges_full = self.telemetry.counter(
+            "ftl.merges", layer="ftl", ftl="FASTer", kind="full")
         self._tm_second_chances = self.telemetry.counter(
             "ftl.second_chances", layer="ftl", ftl="FASTer")
         self._tm_reclaim_us = self.telemetry.histogram(
@@ -151,9 +140,7 @@ class FASTer(BaseFTL):
         self._tm_relocations = self.telemetry.counter("ftl.relocations", layer="ftl")
         self.stats.bind(
             gc_relocations=self._tm_relocations,
-            merges_full=self._tm_merges["full"],
-            merges_switch=self._tm_merges["switch"],
-            merges_partial=self._tm_merges["partial"],
+            merges_full=self._tm_merges_full,
             second_chances=self._tm_second_chances,
         )
 
@@ -162,31 +149,27 @@ class FASTer(BaseFTL):
     def read(self, lpn: int):
         self._check_lpn(lpn)
         self.stats.host_reads += 1
-        ppn = self._newest_ppn(lpn)
-        if ppn is None:
-            return None
-        result, __ = yield from read_page_with_retry(ppn, stats=self.stats)
-        return result.data
+        while True:
+            if self._parked and lpn in self._parked:
+                return self._parked[lpn][0]
+            ppn = self._newest_ppn(lpn)
+            if ppn is None:
+                return None
+            try:
+                result, __ = yield from read_page_with_retry(ppn, stats=self.stats)
+                return result.data
+            except ReadUnwrittenError:
+                # Queued behind this lpn's program, which a die outage
+                # then rejected: look the lpn up again.
+                if self._newest_ppn(lpn) == ppn:
+                    raise
 
     def write(self, lpn: int, data=None):
         self._check_lpn(lpn)
         self.stats.host_writes += 1
-        pages_per_block = self.geometry.pages_per_block
-        lbn, offset = divmod(lpn, pages_per_block)
-
-        if self.use_sw_log:
-            if lbn == self._sw_lbn:
-                if offset == self._sw_fill:
-                    yield from self._sw_append(lbn, offset, data)
-                    return
-                # Sequence broken: retire the SW block before the write
-                # takes the normal path, so no stale SW copy survives.
-                yield from self._sw_retire(partial=True)
-            if offset == 0 and self._can_write_in_place(lbn, offset) is False:
-                # A rewrite starting at offset 0: open a fresh SW sequence.
-                yield from self._sw_start(lbn, data)
-                return
-
+        if self._parked:
+            self._parked.pop(lpn, None)  # superseded by this version
+        lbn, offset = divmod(lpn, self.geometry.pages_per_block)
         if self._can_write_in_place(lbn, offset):
             yield from self._write_in_place(lbn, offset, data)
             return
@@ -226,88 +209,18 @@ class FASTer(BaseFTL):
         # by a concurrent writer after this point must survive (it would
         # be wrongly deleted if we invalidated after the program).  The
         # die's FIFO guarantees our program lands before any read that
-        # the new state routes here.
+        # the new state routes here.  A program a die outage rejects
+        # leaves its slot a hole and moves to the log (:meth:`_park`).
         self._data_fill[lbn] = max(self._data_fill[lbn], offset + 1)
         self._data_written[lpn] = 1
         self._invalidate_log_entry(lpn)
-        yield ProgramPage(ppn=self.geometry.ppn_of(pbn, offset), data=data, oob={"lpn": lpn})
-
-    # -- SW log path -----------------------------------------------------------------
-
-    def _sw_start(self, lbn: int, data):
-        if self._sw_lbn is not None:
-            yield from self._sw_retire(partial=True)
-        self._sw_lbn = lbn
-        self._sw_pbn = self._take_block()
-        self._sw_fill = 0
-        yield from self._sw_append(lbn, 0, data)
-
-    def _sw_append(self, lbn: int, offset: int, data):
-        lpn = lbn * self.geometry.pages_per_block + offset
-        # Claim + invalidate before yielding (see _write_in_place).
-        self._sw_fill = offset + 1
-        self._invalidate_log_entry(lpn)
-        yield ProgramPage(ppn=self.geometry.ppn_of(self._sw_pbn, offset),
-                          data=data, oob={"lpn": lpn})
-        if self._sw_fill == self.geometry.pages_per_block:
-            yield from self._sw_retire(partial=False)
-
-    def _sw_retire(self, partial: bool):
-        """Switch merge (complete sequence) or partial merge (interrupted):
-        promote the SW block to data block.  Flash work done here is merge
-        maintenance, not the host write itself — tag it so."""
-        yield from tag_commands(self._sw_retire_body(partial), OpContext("merge"))
-
-    def _sw_retire_body(self, partial: bool):
-        lbn, pbn = self._sw_lbn, self._sw_pbn
-        fill = self._sw_fill
-        pages_per_block = self.geometry.pages_per_block
-        base = lbn * pages_per_block
-        self._sw_lbn = self._sw_pbn = None
-        self._sw_fill = 0
-        written = set(range(fill))
-        old_pbn = self.block_map[lbn]
-        if old_pbn == UNMAPPED:
-            old_pbn = None
-        if partial and old_pbn is not None:
-            self._tm_merges["partial"].inc()
-            # Fill the tail of the SW block from the newest versions.  The
-            # written bitmap is read for the *old* block here and only
-            # rewritten after the loop, so the splice below cannot shadow
-            # these lookups.
-            consumed = []
-            for offset in range(fill, pages_per_block):
-                lpn = base + offset
-                src = self._log_map[lpn]
-                from_log = src != UNMAPPED
-                if not from_log:
-                    if not self._data_written[lpn]:
-                        continue
-                    src = self.geometry.ppn_of(old_pbn, offset)
-                dst = self.geometry.ppn_of(pbn, offset)
-                ok = yield from relocate_page(self.geometry, src, dst, self.stats, oob={"lpn": lpn})
-                if from_log:
-                    # Consume the entry even when unreadable: leaving it
-                    # would wedge the log reclaim on a dead page forever.
-                    consumed.append((lpn, src))
-                if not ok:
-                    continue  # page lost to media; recorded, not merged
-                written.add(offset)
-        else:
-            consumed = []
-            self._tm_merges["switch"].inc()
-        # New block first, then retire log entries (see _full_merge_locked).
-        self.block_map[lbn] = pbn
-        self._data_fill[lbn] = (max(written) + 1) if written else 0
-        new_bits = bytearray(pages_per_block)
-        for offset in written:
-            new_bits[offset] = 1
-        self._data_written[base:base + pages_per_block] = new_bits
-        for lpn, src in consumed:
-            if self._log_map[lpn] == src:
-                self._consume_log_entry(lpn)
-        if old_pbn is not None:
-            yield from self._erase_block(old_pbn)
+        try:
+            yield ProgramPage(self.geometry.ppn_of(pbn, offset), data, {"lpn": lpn})
+        except DieOutageError as failed:
+            self._data_written[lpn] = 0
+            # A newer version logged or parked meanwhile supersedes this one.
+            if self._log_map[lpn] == UNMAPPED and lpn not in self._parked:
+                yield from self._park(lpn, data, failed)
 
     # -- RW log path --------------------------------------------------------------------
 
@@ -317,7 +230,8 @@ class FASTer(BaseFTL):
         The slot allocation, mapping update and program issue form one
         atomic (yield-free) section, so concurrent appenders can never
         program a log block out of ascending order, and issue order
-        equals mapping order.
+        equals mapping order.  A program a die outage rejects goes to
+        :meth:`_park`.
         """
         ppn = yield from self._log_slot()
         pbn = self.geometry.block_of_ppn(ppn)
@@ -326,7 +240,54 @@ class FASTer(BaseFTL):
         self._log_map[lpn] = ppn
         self._log_live += 1
         self._log_block_entries[pbn].append((offset, lpn))
-        yield ProgramPage(ppn=ppn, data=data, oob={"lpn": lpn})
+        try:
+            yield ProgramPage(ppn, data, {"lpn": lpn})
+        except DieOutageError as failed:
+            if self._log_map[lpn] == ppn:  # else a newer version is bound
+                self._invalidate_log_entry(lpn)
+                yield from self._park(lpn, data, failed)
+
+    def _park(self, lpn: int, data, failed: DieOutageError, migration: bool = False):
+        """Land a version of ``lpn`` whose program a die outage rejected.
+
+        The rejected slot stays a hole, never retried: on the DES rig
+        commands queued behind it on the die may already have programmed
+        a later page of its block, or read it.  The payload waits in the
+        write buffer (:meth:`read` serves it) through an escalating Pause,
+        up to :data:`OUTAGE_RETRY_LIMIT` rounds, then takes a fresh log
+        slot with the same yield-free allocate, bind and issue as
+        :meth:`_log_append`.  A newer host write of the lpn drops it.
+        ``migration`` marks a second-chance migration, which keeps its
+        second-chance mark and allocates as the reclaimer.
+        """
+        token = [data]
+        waits = 0
+        while True:
+            self._parked[lpn] = token
+            waits += 1
+            if waits > OUTAGE_RETRY_LIMIT:
+                del self._parked[lpn]
+                raise failed
+            yield Pause(outage_backoff_us(waits))
+            ppn = yield from self._log_slot(for_migration=migration)
+            if self._parked.get(lpn) is not token:
+                return  # superseded while waiting
+            del self._parked[lpn]
+            self._log_map[lpn] = ppn
+            self._log_live += 1
+            self._log_block_entries[self.geometry.block_of_ppn(ppn)].append(
+                (self.geometry.page_offset_of_ppn(ppn), lpn))
+            if migration:
+                self._second_chanced[lpn] = 1
+                self._second_chanced_live += 1
+            try:
+                yield ProgramPage(ppn, data, {"lpn": lpn})
+                return
+            except DieOutageError as exc:
+                if self._log_map[lpn] != ppn:
+                    return
+                self._invalidate_log_entry(lpn)
+                failed = exc
 
     def _log_slot(self, for_migration: bool = False):
         """Generator: next free log page (round-robin over the stripes).
@@ -342,7 +303,7 @@ class FASTer(BaseFTL):
         exempt, or they would deadlock against their own reclaim.
         """
         pages_per_block = self.geometry.pages_per_block
-        stripe = self._stripe_rr % self.log_stripes
+        stripe = self._stripe_rr % LOG_STRIPES
         self._stripe_rr += 1
         while True:
             active = self._active_logs[stripe]
@@ -351,9 +312,9 @@ class FASTer(BaseFTL):
             if active is not None:
                 self._log_order.append(active[0])
                 self._active_logs[stripe] = None
-            over_budget = (len(self._log_order) + self.log_stripes > self.log_blocks_max)
+            over_budget = len(self._log_order) + LOG_STRIPES > self.log_blocks_max
             if over_budget and self._reclaiming and not for_migration:
-                hard_over = (len(self._log_order) > self.log_blocks_max + 2 * self.log_stripes)
+                hard_over = len(self._log_order) > self.log_blocks_max + 2 * LOG_STRIPES
                 if hard_over:
                     # Waiting for the in-flight reclaim to free log space:
                     # GC backpressure, blamed as such.
@@ -365,7 +326,7 @@ class FASTer(BaseFTL):
             if over_budget and not self._reclaiming:
                 self._reclaiming = True
                 try:
-                    while (len(self._log_order) + self.log_stripes > self.log_blocks_max):
+                    while len(self._log_order) + LOG_STRIPES > self.log_blocks_max:
                         yield from self._reclaim_oldest_log_block()
                 finally:
                     self._reclaiming = False
@@ -392,9 +353,9 @@ class FASTer(BaseFTL):
         merge_lpns: List[int] = []
         # Under heavy pressure the isolation area must not grow further:
         # degrade to plain FAST (merge everything) until the log drains.
-        pressure = len(self._log_order) > self.log_blocks_max + self.log_stripes
-        if self.second_chance and not pressure:
-            cap = int(self.migration_cap * self.geometry.pages_per_block)
+        pressure = len(self._log_order) > self.log_blocks_max + LOG_STRIPES
+        if not pressure:
+            cap = int(MIGRATION_CAP_FRACTION * self.geometry.pages_per_block)
             for offset, lpn in valid:
                 if not self._second_chanced[lpn] and len(migrate) < cap:
                     migrate.append((offset, lpn))
@@ -438,7 +399,12 @@ class FASTer(BaseFTL):
             self._second_chanced[lpn] = 1
             self._second_chanced_live += 1
             self.stats.gc_programs += 1
-            yield ProgramPage(ppn=dst, data=result.data, oob={"lpn": lpn})
+            try:
+                yield ProgramPage(dst, result.data, {"lpn": lpn})
+            except DieOutageError as failed:
+                if self._log_map[lpn] == dst:
+                    self._invalidate_log_entry(lpn)
+                    yield from self._park(lpn, result.data, failed, migration=True)
 
         # The victim may still hold valid pages whose logical block is
         # being merged by a concurrent operation (we skipped those merges
@@ -459,7 +425,7 @@ class FASTer(BaseFTL):
     def _full_merge(self, lbn: int, parent_ctx=None, parent_span=None):
         """Gather the newest version of every page of ``lbn`` into a fresh
         block — the expensive operation FASTer tries to avoid."""
-        self._tm_merges["full"].inc()
+        self._tm_merges_full.inc()
         if lbn in self._merging:
             return  # a concurrent reclaim is already merging this block
         self._merging.add(lbn)
@@ -495,7 +461,13 @@ class FASTer(BaseFTL):
                     continue
                 src = self.geometry.ppn_of(old_pbn, offset)
             dst = self.geometry.ppn_of(new_pbn, offset)
-            ok = yield from relocate_page(self.geometry, src, dst, self.stats, oob={"lpn": lpn})
+            try:
+                ok = yield from relocate_page(self.geometry, src, dst, self.stats,
+                                              oob={"lpn": lpn})
+            except ReadUnwrittenError:
+                if self._newest_ppn(lpn) == src:
+                    raise
+                continue  # its program was rejected and has moved on
             if from_log:
                 # Consume unreadable entries too, or the reclaim that
                 # triggered this merge can never retire its victim.
@@ -522,13 +494,10 @@ class FASTer(BaseFTL):
     # -- shared helpers ---------------------------------------------------------------
 
     def _newest_ppn(self, lpn: int) -> Optional[int]:
-        pages_per_block = self.geometry.pages_per_block
-        lbn, offset = divmod(lpn, pages_per_block)
-        if self._sw_lbn == lbn and offset < self._sw_fill:
-            return self.geometry.ppn_of(self._sw_pbn, offset)
         ppn = self._log_map[lpn]
         if ppn != UNMAPPED:
             return ppn
+        lbn, offset = divmod(lpn, self.geometry.pages_per_block)
         pbn = self.block_map[lbn]
         if pbn != UNMAPPED and self._data_written[lpn]:
             return self.geometry.ppn_of(pbn, offset)
@@ -557,19 +526,15 @@ class FASTer(BaseFTL):
         return self._free.popleft()
 
     def _erase_block(self, pbn: int):
-        waits = 0
-        while True:
+        command = EraseBlock(pbn=pbn)
+        try:
             try:
-                yield EraseBlock(pbn=pbn)
-                break
-            except DieOutageError:
-                waits += 1
-                if waits > OUTAGE_RETRY_LIMIT:
-                    raise
-                yield Pause(outage_backoff_us(waits))
-            except BlockWornOut:
-                self.stats.grown_bad_blocks += 1
-                return
+                yield command
+            except DieOutageError as failed:
+                yield from retry_after_outage(command, failed)
+        except BlockWornOut:
+            self.stats.grown_bad_blocks += 1
+            return
         self.stats.gc_erases += 1
         self._free.append(pbn)
 

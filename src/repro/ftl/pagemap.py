@@ -26,16 +26,14 @@ __all__ = ["PageMapFTL"]
 
 
 class PageMapFTL(BaseFTL):
-    """Device-level page-mapping FTL over all planes of the device."""
+    """Device-level page-mapping FTL over all planes of the device: greedy
+    GC, one write stream (a black box cannot tell hot data from cold) and
+    no static wear leveling."""
 
     def __init__(
         self,
         geometry: Geometry,
         op_ratio: float = 0.1,
-        gc_policy: str = "greedy",
-        gc_low_water: int = 2,
-        separate_streams: bool = False,
-        wear_level_delta: Optional[int] = None,
         bad_blocks: Iterable[int] = (),
         rng: Optional[random.Random] = None,
         telemetry: Optional[MetricsRegistry] = None,
@@ -53,10 +51,7 @@ class PageMapFTL(BaseFTL):
             self.mapping,
             planes,
             self.stats,
-            gc_policy=gc_policy,
-            gc_low_water=gc_low_water,
-            separate_streams=separate_streams,
-            wear_level_delta=wear_level_delta,
+            separate_streams=False,
             bad_blocks=bad_blocks,
             rng=rng,
             telemetry=self.telemetry,

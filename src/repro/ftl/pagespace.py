@@ -50,6 +50,7 @@ from .base import (
     read_page_with_retry,
     relocate_page,
     relocate_via_host,
+    retry_after_outage,
 )
 from .streams import CODE_CLASSES, STREAM_CODES, gc_stream_of_code
 
@@ -688,26 +689,22 @@ class PageMappedSpace:
 
     def _erase_into_pool(self, plane: _Plane, pbn: int):
         plane.release(pbn)
-        waits = 0
-        while True:
+        command = EraseBlock(pbn=pbn)
+        try:
             try:
-                yield EraseBlock(pbn=pbn)
-                break
-            except DieOutageError:
+                yield command
+            except DieOutageError as failed:
                 # Nothing was erased; wait out the window and retry.
-                waits += 1
-                if waits > OUTAGE_RETRY_LIMIT:
-                    raise
-                yield Pause(outage_backoff_us(waits))
-            except BlockWornOut:
-                # Wear-out or injected erase failure: the array marked the
-                # block bad; retire it from this space.
-                self.suspect_blocks.discard(pbn)
-                self.quarantined_blocks.add(pbn)
-                self.stats.grown_bad_blocks += 1
-                if self.on_grown_bad is not None:
-                    self.on_grown_bad(pbn)
-                return
+                yield from retry_after_outage(command, failed)
+        except BlockWornOut:
+            # Wear-out or injected erase failure: the array marked the
+            # block bad; retire it from this space.
+            self.suspect_blocks.discard(pbn)
+            self.quarantined_blocks.add(pbn)
+            self.stats.grown_bad_blocks += 1
+            if self.on_grown_bad is not None:
+                self.on_grown_bad(pbn)
+            return
         self.suspect_blocks.discard(pbn)
         self.stats.gc_erases += 1
         self.erase_counts[pbn] += 1

@@ -10,7 +10,7 @@ whichever process happened to run last.
 Two things hang off a context:
 
 * **identity** — ``origin`` (one of :data:`ORIGINS`), optional txn id /
-  writer id / die, a process-unique ``ctx_id`` and a ``parent`` link, so
+  writer id, a process-unique ``ctx_id`` and a ``parent`` link, so
   a flash command can be traced back through ``gc`` -> ``db-writer`` to
   the host request that ultimately caused it;
 * **costs** — a bucket dict the executors charge observed time into
@@ -117,8 +117,7 @@ class OpContext:
     """One causal origin, linkable into a chain via ``parent``."""
 
     __slots__ = (
-        "origin", "txn_id", "writer_id", "die", "parent", "ctx_id", "costs",
-        "data_class",
+        "origin", "txn_id", "writer_id", "parent", "ctx_id", "costs", "data_class",
     )
 
     _ids = itertools.count(1)
@@ -128,7 +127,6 @@ class OpContext:
         origin: str,
         txn_id: Optional[int] = None,
         writer_id: Optional[int] = None,
-        die: Optional[int] = None,
         parent: Optional["OpContext"] = None,
         data_class: Optional[str] = None,
     ):
@@ -139,7 +137,6 @@ class OpContext:
         self.origin = origin
         self.txn_id = txn_id
         self.writer_id = writer_id
-        self.die = die
         self.parent = parent
         self.data_class = data_class
         self.ctx_id = next(OpContext._ids)
@@ -147,12 +144,11 @@ class OpContext:
 
     # -- lineage -------------------------------------------------------------
 
-    def child(self, origin: str, **kw) -> "OpContext":
-        """A sub-context caused by this one (e.g. a merge inside GC)."""
-        kw.setdefault("txn_id", self.txn_id)
-        kw.setdefault("writer_id", self.writer_id)
-        kw.setdefault("data_class", self.data_class)
-        return OpContext(origin, parent=self, **kw)
+    def child(self, origin: str) -> "OpContext":
+        """A sub-context caused by this one (e.g. a merge inside GC),
+        inheriting its txn id, writer id and data class."""
+        return OpContext(origin, self.txn_id, self.writer_id, parent=self,
+                         data_class=self.data_class)
 
     def root(self) -> "OpContext":
         node = self
@@ -203,8 +199,6 @@ class OpContext:
             out["txn"] = self.txn_id
         if self.writer_id is not None:
             out["writer"] = self.writer_id
-        if self.die is not None:
-            out["die"] = self.die
         if self.data_class is not None:
             out["data_class"] = self.data_class
         return out

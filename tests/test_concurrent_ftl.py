@@ -17,6 +17,8 @@ import pytest
 
 from repro.device import BlockDevice
 from repro.flash import (
+    FaultPlan,
+    FaultSpec,
     FlashArray,
     Geometry,
     MLC_TIMING,
@@ -40,9 +42,9 @@ WORKERS = 8
 STEPS = 350
 
 
-def _stress(make_ftl, seed, controller_slots=4):
+def _stress(make_ftl, seed, controller_slots=4, fault_plan=None):
     sim = Simulator()
-    array = FlashArray(GEO, MLC_TIMING)
+    array = FlashArray(GEO, MLC_TIMING, fault_plan=fault_plan)
     executor = SimExecutor(SimFlashDevice(sim, array))
     ftl = make_ftl()
     device = BlockDevice(sim, ftl, executor,
@@ -77,10 +79,25 @@ def _stress(make_ftl, seed, controller_slots=4):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_faster_linearizable_under_concurrency(seed):
     problems = _stress(
-        lambda: FASTer(GEO, op_ratio=0.12, log_fraction=0.07,
-                       use_sw_log=False, log_stripes=4),
+        lambda: FASTer(GEO, op_ratio=0.12),
         seed,
     )
+    assert problems == []
+
+
+@pytest.mark.parametrize("seed,die,window", [
+    (0, 3, (327, 629)),
+    (1, 2, (7883, 8076)),
+    (2, 0, (5094, 5429)),
+    (3, 3, (2409, 2539)),
+])
+def test_faster_linearizable_through_a_die_outage(seed, die, window):
+    """Concurrent operations on one die outlive a rejected program: a
+    later page of its block may be programmed, or the page itself read,
+    before the retry.  FASTer must neither program its log or data
+    blocks out of order nor read the page it never programmed."""
+    plan = FaultPlan([FaultSpec(kind="die_outage", die=die, window=window)], seed=0)
+    problems = _stress(lambda: FASTer(GEO, op_ratio=0.12), seed, fault_plan=plan)
     assert problems == []
 
 

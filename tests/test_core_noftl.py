@@ -249,7 +249,7 @@ class TestHeadlineDirection:
 
         array2 = FlashArray(GEO, SLC_TIMING)
         executor2 = SyncExecutor(SyncFlashDevice(array2))
-        faster = FASTer(GEO, op_ratio=0.25, log_fraction=0.1)
+        faster = FASTer(GEO, op_ratio=0.25)
         for lpn in range(span):
             executor2.run(faster.write(lpn, data=lpn))
         for lpn in trace:

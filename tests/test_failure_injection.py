@@ -143,8 +143,7 @@ class TestFASTerUnderBadBlocks:
         array = FlashArray(GEO, SLC_TIMING, initial_bad_block_rate=0.1,
                            rng=random.Random(11))
         executor = SyncExecutor(SyncFlashDevice(array))
-        ftl = FASTer(GEO, op_ratio=0.3, log_fraction=0.12,
-                     bad_blocks=array.factory_bad_blocks())
+        ftl = FASTer(GEO, op_ratio=0.3, bad_blocks=array.factory_bad_blocks())
         rng = random.Random(4)
         span = ftl.logical_pages // 3
         oracle = {}
@@ -428,8 +427,7 @@ class TestFASTerUnderTransientFaults:
         array = FlashArray(GEO, SLC_TIMING, rng=random.Random(13),
                            fault_plan=plan)
         executor = SyncExecutor(SyncFlashDevice(array))
-        ftl = FASTer(GEO, op_ratio=0.3, log_fraction=0.12,
-                     bad_blocks=array.factory_bad_blocks())
+        ftl = FASTer(GEO, op_ratio=0.3, bad_blocks=array.factory_bad_blocks())
         rng = random.Random(4)
         span = ftl.logical_pages // 3
         oracle = {}

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.flash import FlashArray, Geometry, SLC_TIMING, SyncExecutor, SyncFlashDevice
 from repro.ftl import PageMapFTL
-from repro.ftl.base import MappingState, UNMAPPED
+from repro.ftl.base import FTLStats, MappingState, UNMAPPED
+from repro.ftl.pagespace import PageMappedSpace
 
 GEO = Geometry(
     channels=1,
@@ -29,6 +30,21 @@ def make_ftl(**kwargs):
     defaults.update(kwargs)
     ftl = PageMapFTL(GEO, **defaults)
     return ftl, executor, array
+
+
+def make_space(**kwargs):
+    """PageMapFTL's engine with the GC and wear-leveling knobs NoFTL
+    configures (the on-device FTL fixes greedy GC, one stream, no wear
+    leveling): a single stream over every plane, 25 % over-provisioned."""
+    array = FlashArray(GEO, SLC_TIMING)
+    executor = SyncExecutor(SyncFlashDevice(array))
+    logical = int(GEO.total_pages * 0.75)
+    stats = FTLStats()
+    planes = [(die, plane) for die in range(GEO.total_dies)
+              for plane in range(GEO.planes_per_die)]
+    space = PageMappedSpace(GEO, MappingState(GEO, logical), planes, stats,
+                            separate_streams=False, **kwargs)
+    return space, stats, executor, array, logical
 
 
 class TestBasicIO:
@@ -132,48 +148,44 @@ class TestGarbageCollection:
 
     def test_gc_policies_both_work(self):
         for policy in ("greedy", "cost_benefit"):
-            ftl, executor, __ = make_ftl(op_ratio=0.25, gc_policy=policy)
+            space, stats, executor, __, logical = make_space(gc_policy=policy)
             rng = random.Random(5)
-            for __ in range(ftl.logical_pages * 4):
-                executor.run(ftl.write(rng.randrange(ftl.logical_pages // 2),
-                                       data=b"y"))
-            assert ftl.stats.gc_erases > 0
+            for __ in range(logical * 4):
+                executor.run(space.write(rng.randrange(logical // 2),
+                                         data=b"y"))
+            assert stats.gc_erases > 0
 
     def test_bad_gc_policy_rejected(self):
         with pytest.raises(ValueError):
-            make_ftl(gc_policy="nonsense")
+            make_space(gc_policy="nonsense")
 
     def test_gc_low_water_validation(self):
         with pytest.raises(ValueError):
-            make_ftl(gc_low_water=1)
+            make_space(gc_low_water=1)
 
 
 class TestWearLeveling:
     def test_wear_delta_bounded_with_wl(self):
-        array = FlashArray(GEO, SLC_TIMING)
-        executor = SyncExecutor(SyncFlashDevice(array))
-        ftl = PageMapFTL(GEO, op_ratio=0.25, wear_level_delta=8)
+        space, stats, executor, __, logical = make_space(wear_level_delta=8)
         rng = random.Random(2)
         # Static cold data pins its blocks (fully valid -> never a GC
         # victim) at low erase counts while a tiny hot set churns the
         # rest; only wear leveling can refresh the cold blocks.  (The
         # bucket-list victim policy rotates hot victims FIFO, so an
         # all-hot workload alone no longer develops any skew.)
-        for lpn in range(ftl.logical_pages // 2, ftl.logical_pages):
-            executor.run(ftl.write(lpn, data=b"c"))
+        for lpn in range(logical // 2, logical):
+            executor.run(space.write(lpn, data=b"c"))
         hot = list(range(8))
         for __ in range(6000):
-            executor.run(ftl.write(rng.choice(hot), data=b"h"))
-        assert ftl.stats.wl_moves > 0
+            executor.run(space.write(rng.choice(hot), data=b"h"))
+        assert stats.wl_moves > 0
 
     def test_wear_spreads_more_evenly_with_wl(self):
         def run(delta):
-            array = FlashArray(GEO, SLC_TIMING)
-            executor = SyncExecutor(SyncFlashDevice(array))
-            ftl = PageMapFTL(GEO, op_ratio=0.25, wear_level_delta=delta)
+            space, __, executor, array, __ = make_space(wear_level_delta=delta)
             rng = random.Random(2)
             for __ in range(6000):
-                executor.run(ftl.write(rng.randrange(8), data=b"h"))
+                executor.run(space.write(rng.randrange(8), data=b"h"))
             wear = array.wear_summary()
             return wear["max"] - wear["min"]
 

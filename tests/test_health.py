@@ -26,7 +26,7 @@ class TestDataClassResolution:
     def test_explicit_stamp_wins_leaf_first(self):
         root = OpContext("db-writer", data_class="heap")
         assert data_class_of(root) == "heap"
-        # The child inherits the stamp through child()'s setdefault.
+        # The child inherits the stamp through child().
         assert data_class_of(root.child("txn")) == "heap"
 
     def test_maintenance_leaf_resolves_to_none(self):

@@ -9,6 +9,7 @@ from repro.bench.health import run_db_rig, stream_stats_of
 from repro.bench.rigs import attach_database, build_noftl_rig
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
 from repro.db import TempArea
+from repro.db import temp as temp_module
 from repro.flash import (
     FlashArray,
     Geometry,
@@ -389,10 +390,11 @@ class TestTempProducer:
             assert lpn not in monitor.ledger.class_of
         assert temp.snapshot()["pages_spilled"] == 6
 
-    def test_process_is_bounded_and_drains_at_horizon(self):
+    def test_process_is_bounded_and_drains_at_horizon(self, monkeypatch):
+        monkeypatch.setattr(temp_module, "KEEP_RUNS", 1)
         rig, _, db = make_temp_rig()
         temp = TempArea(db)
-        rig.sim.process(temp.process(1_000.0, 2, keep=1,
+        rig.sim.process(temp.process(1_000.0, 2,
                                      until_us=rig.sim.now + 10_000.0))
         rig.sim.run()
         assert temp.spills >= 5

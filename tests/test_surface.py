@@ -19,12 +19,19 @@ dataclass, must be passed — by name or by position — by some call in
 those same trees; a value no caller varies belongs in a constant.  A
 call matches by the callee's bare name (for a constructor: the class or
 a subclass that inherits its ``__init__``; ``super().__init__`` reaches
-the enclosing class's bases); ``**mapping`` passes every keyword and
-``*args`` every position; a call through a local alias (``f =
-obj.method``, ``getattr(obj, "method")``) counts as a call of the
-method; and a function handed out as a value (a callback) counts as
-called with every position.  So this match, too, errs toward missing a
-knob.  ``main`` and dunders other than ``__init__`` are exempt; every
+the enclosing class's bases).  A ``**mapping`` passes the keys it can
+be shown to carry: those of a dict display or ``dict(k=...)``; those of
+a local name bound only to such values and changed only by constant-key
+``name[k] = ...`` or ``name.setdefault(k, ...)``; and, for the enclosing
+function's own ``**kwargs``, the keywords that function's callers pass.
+Any other ``**mapping`` passes every keyword, and ``*args`` every
+position.  A call through a local alias (``f = obj.method``,
+``getattr(obj, "method")``) counts as a call of the method.  A function
+handed out as a value (a callback) counts as called with every
+position: a bare name only when a module-level ``def`` or an import
+binds it, ``self.method`` only for the enclosing class's hierarchy, and
+any other ``obj.method`` by its bare name.  So this match, too, errs
+toward missing a knob.  ``main`` and dunders other than ``__init__`` are exempt; every
 other exemption is an entry of :data:`KNOB_ALLOWLIST` with its reason,
 and an entry that stops being needed fails the check.
 """
@@ -36,7 +43,8 @@ import functools
 import time
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set
+from typing import (
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple, Union)
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
@@ -191,6 +199,7 @@ class Knob(NamedTuple):
     callees: FrozenSet[str]
     position: Optional[int]  # positional index; None when keyword-only
     function: bool  # a function may be handed out as a callback
+    family: FrozenSet[str]  # a method's class, its bases and subclasses
 
 
 def _name_of(node: ast.AST) -> Optional[str]:
@@ -236,19 +245,29 @@ def knobs(source: Path) -> Dict[str, Knob]:
     modules = {str(path.relative_to(source)): _parse(path)
                for path in _python_files(source)}
     subclasses: Dict[Optional[str], Set[str]] = defaultdict(set)
+    bases: Dict[Optional[str], Set[str]] = defaultdict(set)
     for tree in modules.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 for base in node.bases:
                     subclasses[_name_of(base)].add(node.name)
+                    bases[node.name].add(_name_of(base))
 
-    def constructors(cls: str) -> FrozenSet[str]:
+    def closure(cls: str, edges) -> Set[str]:
         names, todo = {cls}, [cls]
         while todo:
-            for sub in subclasses[todo.pop()] - names:
-                names.add(sub)
-                todo.append(sub)
-        return frozenset(names)
+            for other in edges[todo.pop()] - names:
+                names.add(other)
+                todo.append(other)
+        return names
+
+    def constructors(cls: str) -> FrozenSet[str]:
+        return frozenset(closure(cls, subclasses))
+
+    def family(cls: Optional[str]) -> FrozenSet[str]:
+        if cls is None:
+            return frozenset()
+        return frozenset(closure(cls, subclasses) | closure(cls, bases))
 
     found: Dict[str, Knob] = {}
 
@@ -262,7 +281,7 @@ def knobs(source: Path) -> Dict[str, Knob]:
                               and isinstance(item.target, ast.Name)]
                     for position, name in enumerate(fields):
                         found[f"{node.name}({name}=)"] = Knob(
-                            where, callees, position, False)
+                            where, callees, position, False, frozenset())
                 visit(node.body, where, node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = node.name
@@ -276,12 +295,17 @@ def knobs(source: Path) -> Dict[str, Knob]:
                     else frozenset([name])
                 for param, position in _defaulted(node, owner is not None):
                     found[f"{qualname}({param}=)"] = Knob(
-                        where, callees, position, not constructor)
+                        where, callees, position, not constructor,
+                        family(owner))
                 visit(node.body, where, None)
 
     for where, tree in modules.items():
         visit(tree.body, where, None)
     return found
+
+
+#: What a ``**mapping`` is known to carry: constant keys, or everything.
+Keys = Optional[Set[str]]
 
 
 class Calls:
@@ -290,30 +314,66 @@ class Calls:
     def __init__(self) -> None:
         self.keywords: Dict[str, Set[str]] = defaultdict(set)
         self.positional: Dict[str, int] = defaultdict(int)
-        self.spread: Set[str] = set()  # called with **mapping
-        self.handed_out: Set[str] = set()  # referenced as a value
+        self.spread: Set[str] = set()  # called with a **mapping of any keys
+        #: callee -> functions whose own ``**kwargs`` it is handed on.
+        self.forwards: Dict[str, Set[str]] = defaultdict(set)
+        #: Bare names of functions referenced as values: a name a
+        #: module-level ``def`` or an import binds, or ``obj.method``.
+        self.handed_out: Set[str] = set()
+        #: ``(class, method)`` of each ``self.method`` referenced as a value.
+        self.handed_out_methods: Set[Tuple[str, str]] = set()
         self.aliases: Dict[str, Set[str]] = defaultdict(set)
 
-    def record(self, callee: str, call: ast.Call) -> None:
+    def record(self, callee: str, call: ast.Call, scope) -> None:
         for keyword in call.keywords:
-            if keyword.arg is None:
+            if keyword.arg is not None:
+                self.keywords[callee].add(keyword.arg)
+                continue
+            keys, forwarded_from = _spread_keys(scope, keyword.value)
+            if keys is None:
                 self.spread.add(callee)
             else:
-                self.keywords[callee].add(keyword.arg)
+                self.keywords[callee] |= keys
+            if forwarded_from is not None:
+                self.forwards[callee].add(forwarded_from)
         count = len(call.args)
         if any(isinstance(arg, ast.Starred) for arg in call.args):
             count = 1 << 30
         self.positional[callee] = max(self.positional[callee], count)
 
+    def _callers_of(self, name: str) -> Set[str]:
+        return {name} | self.aliases[name]
+
+    def resolve_forwards(self) -> None:
+        """Hand each forwarded ``**kwargs`` the keywords its function's
+        callers pass, to a fixpoint (forwards chain)."""
+        changed = True
+        while changed:
+            changed = False
+            for callee, sources in self.forwards.items():
+                for source in sources:
+                    callers = self._callers_of(source)
+                    if callee not in self.spread and callers & self.spread:
+                        self.spread.add(callee)
+                        changed = True
+                    for caller in callers:
+                        if not self.keywords[caller] <= self.keywords[callee]:
+                            self.keywords[callee] |= self.keywords[caller]
+                            changed = True
+
     def passes(self, knob: Knob, param: str) -> bool:
         for name in knob.callees:
-            for callee in {name} | self.aliases[name]:
+            for callee in self._callers_of(name):
                 if (param in self.keywords[callee] or callee in self.spread
                         or knob.position is not None and (
                             self.positional[callee] > knob.position
-                            or knob.function and callee in self.handed_out)):
+                            or knob.function and self._handed_out(knob, callee))):
                     return True
         return False
+
+    def _handed_out(self, knob: Knob, callee: str) -> bool:
+        return callee in self.handed_out or any(
+            (cls, callee) in self.handed_out_methods for cls in knob.family)
 
 
 def _is_super_init(func: ast.AST) -> bool:
@@ -322,17 +382,110 @@ def _is_super_init(func: ast.AST) -> bool:
             and _name_of(func.value.func) == "super")
 
 
+def _constant_key(node: ast.AST) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _display_keys(node: ast.AST) -> Keys:
+    """The keys of a dict display or ``dict(k=...)`` call; None when
+    ``node`` is neither or a key is not a constant."""
+    if isinstance(node, ast.Dict):
+        keys = [None if key is None else _constant_key(key)
+                for key in node.keys]
+        return None if None in keys else set(keys)
+    if (isinstance(node, ast.Call) and _name_of(node.func) == "dict"
+            and not node.args
+            and all(keyword.arg is not None for keyword in node.keywords)):
+        return {keyword.arg for keyword in node.keywords}
+    return None
+
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
+
+
+def _local_keys(function: FunctionNode, name: str) -> Tuple[Keys, bool]:
+    """``(keys, forwarded)`` of local ``name`` spread inside ``function``:
+    the constant keys it is bound to or given, and whether it is the
+    function's own ``**kwargs``.  ``keys`` is None unless every use of
+    ``name`` is one :func:`_spread_keys` can follow."""
+    args = function.args
+    forwarded = args.kwarg is not None and args.kwarg.arg == name
+    other_params = {arg.arg for arg in (args.posonlyargs + args.args
+                                        + args.kwonlyargs)}
+    if args.vararg is not None:
+        other_params.add(args.vararg.arg)
+    if name in other_params:
+        return None, False
+    keys: Set[str] = set()
+    bound = forwarded
+    uses = followed = 0
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and node.id == name:
+            uses += 1
+        elif (isinstance(node, ast.keyword) and node.arg is None
+              and isinstance(node.value, ast.Name) and node.value.id == name):
+            followed += 1
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id == name:
+                value_keys = _display_keys(node.value)
+                if value_keys is None:
+                    return None, False
+                keys |= value_keys
+                bound = True
+                followed += 1
+            elif (isinstance(target, ast.Subscript)
+                  and isinstance(target.value, ast.Name)
+                  and target.value.id == name
+                  and _constant_key(target.slice) is not None):
+                keys.add(_constant_key(target.slice))
+                followed += 1
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setdefault"
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == name
+              and node.args and _constant_key(node.args[0]) is not None):
+            keys.add(_constant_key(node.args[0]))
+            followed += 1
+    if not bound or uses != followed:
+        return None, False
+    return keys, forwarded
+
+
+def _callee_key(function: FunctionNode, cls: Optional[ast.ClassDef]) -> str:
+    """The bare name calls of ``function`` go by (a constructor's is its
+    class's)."""
+    name = getattr(function, "name", "<lambda>")
+    if name == "__init__" and cls is not None:
+        return cls.name
+    return name
+
+
 def calls(roots: Iterable[Path]) -> Calls:
     """Every call (and alias and handed-out function) under ``roots``."""
     found = Calls()
     for root in roots:
         for path in _python_files(root):
-            stack = [(_parse(path), None)]
+            tree = _parse(path)
+            # Names a module-level ``def`` or an import binds, and the
+            # bare names handed out as values (kept when so bound).
+            bindings = {node.name for node in tree.body if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            named: Set[str] = set()
+            stack: List[tuple] = [(tree, None, None)]
             while stack:
-                node, cls = stack.pop()
+                node, cls, scope = stack.pop()
                 values: List[ast.AST] = []
                 if isinstance(node, ast.ClassDef):
                     cls = node
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda)):
+                    scope = (node, cls)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    bindings.update(alias.asname or alias.name.split(".")[0]
+                                    for alias in node.names)
                 elif isinstance(node, ast.Call):
                     values = node.args + [kw.value for kw in node.keywords]
                     if cls is not None and _is_super_init(node.func):
@@ -341,7 +494,7 @@ def calls(roots: Iterable[Path]) -> Calls:
                         targets = [_name_of(node.func)]
                     for target in targets:
                         if target is not None:
-                            found.record(target, node)
+                            found.record(target, node, scope)
                 elif isinstance(node, (ast.List, ast.Tuple, ast.Set)):
                     values = node.elts
                 elif isinstance(node, ast.Dict):
@@ -354,11 +507,38 @@ def calls(roots: Iterable[Path]) -> Calls:
                         if target and value and target != value:
                             found.aliases[value].add(target)
                 for value in values:
-                    if isinstance(value, (ast.Name, ast.Attribute)):
-                        found.handed_out.add(_name_of(value))
-                stack.extend((child, cls)
+                    if isinstance(value, ast.Name):
+                        named.add(value.id)
+                    elif isinstance(value, ast.Attribute):
+                        if (isinstance(value.value, ast.Name)
+                                and value.value.id == "self"):
+                            if cls is not None:
+                                found.handed_out_methods.add(
+                                    (cls.name, value.attr))
+                        else:
+                            found.handed_out.add(value.attr)
+                stack.extend((child, cls, scope)
                              for child in ast.iter_child_nodes(node))
+            found.handed_out |= named & bindings
+    found.resolve_forwards()
     return found
+
+
+def _spread_keys(scope, value: ast.AST) -> Tuple[Keys, Optional[str]]:
+    """``(keys, forwarded_from)`` of a ``**value`` spread in ``scope``
+    (``(function, class)``, or None at module level): the keys it can be
+    shown to carry (None: any), and the callee name whose callers'
+    keywords it forwards, if it is that function's own ``**kwargs``."""
+    keys = _display_keys(value)
+    if keys is not None:
+        return keys, None
+    if not isinstance(value, ast.Name) or scope is None:
+        return None, None
+    function, cls = scope
+    keys, forwarded = _local_keys(function, value.id)
+    if keys is None:
+        return None, None
+    return keys, _callee_key(function, cls) if forwarded else None
 
 
 def _param_of(key: str) -> str:
@@ -456,6 +636,27 @@ def test_check_flags_an_unpassed_knob(tmp_path):
         "def by_name(a, value=1, unpassed=3):\n"
         "    return a + value + unpassed\n"
         "\n\n"
+        "def hook(a, tick=1):\n"
+        "    return a + tick\n"
+        "\n\n"
+        "class Worker:\n"
+        "    def step(self, a, keep=2):\n"
+        "        return a + keep\n"
+        "\n"
+        "    def run(self, a, beat=1):\n"
+        "        return a + beat\n"
+        "\n"
+        "    def start(self, register):\n"
+        "        register(self.run)\n"
+        "\n\n"
+        "class Other:\n"
+        "    def go(self, a, fast=False):\n"
+        "        return a\n"
+        "\n\n"
+        "class Stranger:\n"
+        "    def trigger(self, register):\n"
+        "        register(self.go)\n"
+        "\n\n"
         "@dataclass\n"
         "class TinyConfig:\n"
         "    used: int = 1\n"
@@ -463,13 +664,56 @@ def test_check_flags_an_unpassed_knob(tmp_path):
     caller = tmp_path / "caller"
     caller.mkdir()
     (caller / "run.py").write_text(
-        "from pkg.mod import Child, TinyConfig, by_name, by_position\n"
+        "from pkg.mod import Child, TinyConfig, by_name, by_position, hook\n"
         "by_position(0, 7)\n"
         "by_name(0, value=2)\n"
         "Child(extra=3)\n"
-        "TinyConfig(used=3)\n")
+        "TinyConfig(used=3)\n"
+        "callbacks = [hook]\n"
+        "step = 4\n"
+        "queue = [step, 5]\n")
+    # Handed out as values: ``hook`` (an import) and ``self.run`` (its
+    # own class) count as called; the local variable ``step`` and another
+    # class's ``self.go`` do not.
     assert unpassed(package, [package, caller], {}) == [
         "Base(mode=) (mod.py)",
+        "Other.go(fast=) (mod.py)",
         "TinyConfig(unused=) (mod.py)",
+        "Worker.step(keep=) (mod.py)",
         "by_name(unpassed=) (mod.py)",
+    ]
+
+
+def test_check_counts_only_the_keys_a_spread_carries(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def target(a, display=1, built=2, local=3, defaulted=4,\n"
+        "           forwarded=5, unpassed=6):\n"
+        "    return a\n"
+        "\n\n"
+        "def relay(a, **kwargs):\n"
+        "    kwargs.setdefault('defaulted', 0)\n"
+        "    return target(a, **kwargs)\n"
+        "\n\n"
+        "def loose(a, first=1, second=2):\n"
+        "    return a\n")
+    caller = tmp_path / "caller"
+    caller.mkdir()
+    (caller / "run.py").write_text(
+        "from pkg.mod import loose, relay, target\n"
+        "\n\n"
+        "def drive(extra):\n"
+        "    target(0, **{'display': 1})\n"
+        "    target(0, **dict(built=2))\n"
+        "    options = {}\n"
+        "    options['local'] = 3\n"
+        "    target(0, **options)\n"
+        "    relay(0, forwarded=5)\n"
+        "    changed = {'first': 1}\n"
+        "    changed.update(extra)\n"
+        "    loose(0, **changed)\n")
+    # ``changed`` is changed by other means, so it may carry any key.
+    assert unpassed(package, [package, caller], {}) == [
+        "target(unpassed=) (mod.py)",
     ]
