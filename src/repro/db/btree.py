@@ -67,7 +67,7 @@ class BTreeIndex:
             if split is not None:
                 yield from self._grow_root(split)
             self.entry_count += 1
-            txn.push_undo(lambda key=key: self._undo_insert(key))
+            txn.undo.append(lambda key=key: self._undo_insert(key))
         finally:
             self.latch.release_write()
 
@@ -81,7 +81,7 @@ class BTreeIndex:
         try:
             node_id = self.root_page_id
             while True:
-                frame = yield from buffer.fetch(node_id, hint)
+                frame = buffer.pin(node_id) or (yield from buffer.fetch(node_id, hint))
                 node = frame.page
                 keys = node.keys
                 if node.is_leaf:
@@ -100,34 +100,35 @@ class BTreeIndex:
               limit: Optional[int] = None):
         """Generator: sorted [(key, value)] with low <= key <= high,
         truncated to the first ``limit`` matches when given."""
+        buffer = self.db.buffer
         yield from self.db.cpu()
         yield from self.latch.acquire_read()
         try:
             node_id = self.root_page_id
             while True:
-                frame = yield from self.db.buffer.fetch(node_id, self.hint)
+                frame = buffer.pin(node_id) or (yield from buffer.fetch(node_id, self.hint))
                 node = frame.page
                 if node.is_leaf:
-                    self.db.buffer.unpin(node_id)
+                    buffer.unpin(node_id)
                     break
                 child = node.children[bisect_right(node.keys, low)]
-                self.db.buffer.unpin(node_id)
+                buffer.unpin(node_id)
                 node_id = child
             result: List[Tuple[int, int]] = []
             while node_id != -1:
-                frame = yield from self.db.buffer.fetch(node_id, self.hint)
+                frame = buffer.pin(node_id) or (yield from buffer.fetch(node_id, self.hint))
                 node = frame.page
                 for index, key in enumerate(node.keys):
                     if key > high:
-                        self.db.buffer.unpin(node_id)
+                        buffer.unpin(node_id)
                         return result
                     if key >= low:
                         result.append((key, node.values[index]))
                         if limit is not None and len(result) >= limit:
-                            self.db.buffer.unpin(node_id)
+                            buffer.unpin(node_id)
                             return result
                 next_leaf = node.next_leaf
-                self.db.buffer.unpin(node_id)
+                buffer.unpin(node_id)
                 node_id = next_leaf
             return result
         finally:
@@ -138,33 +139,34 @@ class BTreeIndex:
 
         Lazy deletion: leaves may underflow, which only wastes space.
         """
+        buffer = self.db.buffer
         yield from self.db.cpu()
         yield from self.latch.acquire_write()
         try:
             node_id = self.root_page_id
             while True:
-                frame = yield from self.db.buffer.fetch(node_id, self.hint)
+                frame = buffer.pin(node_id) or (yield from buffer.fetch(node_id, self.hint))
                 node = frame.page
                 if node.is_leaf:
                     index = bisect_left(node.keys, key)
                     if index >= len(node.keys) or node.keys[index] != key:
-                        self.db.buffer.unpin(node_id)
+                        buffer.unpin(node_id)
                         raise KeyError(f"{self.name}: key {key} not found")
                     value = node.values.pop(index)
                     node.keys.pop(index)
                     node.lsn = self.db.wal.append(
                         "index-delete", txn.txn_id, (self.name, key, value)
                     )
-                    self.db.buffer.mark_dirty(node_id)
-                    self.db.buffer.unpin(node_id)
+                    buffer.mark_dirty(node_id)
+                    buffer.unpin(node_id)
                     self.entry_count -= 1
-                    txn.push_undo(
+                    txn.undo.append(
                         lambda key=key, value=value:
                         self._undo_delete(key, value)
                     )
                     return value
                 child = node.children[bisect_right(node.keys, key)]
-                self.db.buffer.unpin(node_id)
+                buffer.unpin(node_id)
                 node_id = child
         finally:
             self.latch.release_write()
@@ -174,12 +176,13 @@ class BTreeIndex:
     def _insert_rec(self, node_id: int, key: int, value: int):
         """Generator: recursive insert; returns (sep_key, new_page_id) when
         this node split, else None."""
-        frame = yield from self.db.buffer.fetch(node_id, self.hint)
+        buffer = self.db.buffer
+        frame = buffer.pin(node_id) or (yield from buffer.fetch(node_id, self.hint))
         node = frame.page
         if node.is_leaf:
             index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
-                self.db.buffer.unpin(node_id)
+                buffer.unpin(node_id)
                 raise DuplicateKeyError(f"{self.name}: key {key} exists")
             node.keys.insert(index, key)
             node.values.insert(index, value)
@@ -187,16 +190,16 @@ class BTreeIndex:
             if len(node.keys) > node.capacity:
                 split = yield from self._split_leaf(node)
             self._touch(node_id, node)
-            self.db.buffer.unpin(node_id)
+            buffer.unpin(node_id)
             return split
         child_index = bisect_right(node.keys, key)
         child_id = node.children[child_index]
-        self.db.buffer.unpin(node_id)
+        buffer.unpin(node_id)
         child_split = yield from self._insert_rec(child_id, key, value)
         if child_split is None:
             return None
         sep_key, new_child = child_split
-        frame = yield from self.db.buffer.fetch(node_id, self.hint)
+        frame = buffer.pin(node_id) or (yield from buffer.fetch(node_id, self.hint))
         node = frame.page
         index = bisect_right(node.keys, sep_key)
         node.keys.insert(index, sep_key)
@@ -205,7 +208,7 @@ class BTreeIndex:
         if len(node.keys) > node.capacity:
             split = yield from self._split_inner(node)
         self._touch(node_id, node)
-        self.db.buffer.unpin(node_id)
+        buffer.unpin(node_id)
         return split
 
     def _split_leaf(self, node: BTreeNodePage):
@@ -270,9 +273,10 @@ class BTreeIndex:
             self.latch.release_write()
 
     def _silent_delete(self, key: int):
+        buffer = self.db.buffer
         node_id = self.root_page_id
         while True:
-            frame = yield from self.db.buffer.fetch(node_id, self.hint)
+            frame = buffer.pin(node_id) or (yield from buffer.fetch(node_id, self.hint))
             node = frame.page
             if node.is_leaf:
                 index = bisect_left(node.keys, key)
@@ -280,9 +284,9 @@ class BTreeIndex:
                     node.keys.pop(index)
                     node.values.pop(index)
                     self.entry_count -= 1
-                    self.db.buffer.mark_dirty(node_id)
-                self.db.buffer.unpin(node_id)
+                    buffer.mark_dirty(node_id)
+                buffer.unpin(node_id)
                 return
             child = node.children[bisect_right(node.keys, key)]
-            self.db.buffer.unpin(node_id)
+            buffer.unpin(node_id)
             node_id = child

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Optional
 
-from ..sim import Event, Granted, Simulator, WaitQueue
+from ..sim import Event, Simulator, WaitQueue
 from ..telemetry import CounterView, EventTrace, MetricsRegistry, OpContext, trace_or_quiet
 from .page import BTreeNodePage, decode_page
 from .storage import StorageAdapter
@@ -138,12 +138,6 @@ class BufferPool:
             "db.flush_us", layer="db")
         self.telemetry.register_collector("db.buffer", self.snapshot)
         CounterView.start_all(self)
-        # One reusable pre-completed grant for the hit path.  Every fetch
-        # call site is ``yield from buffer.fetch(...)``, which consumes
-        # the Granted synchronously in the same bytecode evaluation that
-        # called fetch() — the instance can never be live twice, so the
-        # pool avoids one allocation per buffer hit.
-        self._hit_grant = Granted(None)
 
     # -- configuration ------------------------------------------------------------
 
@@ -170,38 +164,33 @@ class BufferPool:
 
     # -- pin / unpin ----------------------------------------------------------------
 
-    def fetch(self, page_id: int, hint: str = "hot"):
-        """``yield from`` target: pin the page, loading it from storage on
-        a miss.  Hits complete without allocating a generator frame."""
+    def pin(self, page_id: int) -> Optional[Frame]:
+        """Pin a resident page and return its frame, or ``None`` on a miss
+        or an evicting frame.  Call sites read ``frame = buffer.pin(pid)
+        or (yield from buffer.fetch(pid, hint))``: a hit schedules no
+        event and costs no generator frame."""
         frame = self.frames.get(page_id)
-        if frame is not None and not frame.evicting:
-            frame.pin_count += 1
-            self.frames.move_to_end(page_id)
-            self._tm_hits.value += 1
-            if self.heat_hints:
-                frame.heat += 1
-            grant = self._hit_grant
-            grant.value = frame
-            return grant
-        return self._fetch_miss(page_id, hint)
+        if frame is None or frame.evicting:
+            return None
+        frame.pin_count += 1
+        self.frames.move_to_end(page_id)
+        self._tm_hits.value += 1
+        if self.heat_hints:
+            frame.heat += 1
+        return frame
 
-    def _fetch_miss(self, page_id: int, hint: str):
-        """Generator: the miss / load-in-flight path of :meth:`fetch`."""
+    def fetch(self, page_id: int, hint: str = "hot"):
+        """Generator: pin the page, loading it from storage on a miss or
+        joining a load already in flight."""
         while True:
-            frame = self.frames.get(page_id)
-            if frame is not None and not frame.evicting:
-                frame.pin_count += 1
-                self.frames.move_to_end(page_id)
-                self._tm_hits.inc()
-                if self.heat_hints:
-                    frame.heat += 1
+            frame = self.pin(page_id)
+            if frame is not None:
                 return frame
             loading = self._loading.get(page_id)
             if loading is not None:
                 yield loading
                 continue
-            # The context is only built on the miss path (eviction +
-            # storage read); hits skip the OpContext allocation.
+            # A miss: the context labels the eviction and storage read.
             ctx = OpContext("txn")
             done = self.sim.event()
             self._loading[page_id] = done

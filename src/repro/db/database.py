@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim import Simulator
+from ..sim import Simulator, Timeout
 from ..telemetry import EventTrace, MetricsRegistry, trace_or_quiet
 from .btree import BTreeIndex
 from .buffer import BufferPool
@@ -183,9 +183,10 @@ class Database:
     def cpu(self, ops: int = 1):
         """``yield from`` target: charge host CPU time for ``ops`` record
         operations.  A 1-tuple delegates exactly like a generator that
-        yields the timeout once, minus the generator frame."""
+        yields the timeout once, minus the generator frame; the
+        ``Timeout`` is built directly, without ``sim.timeout``'s call."""
         if self.cpu_us_per_op:
-            return (self.sim.timeout(self.cpu_us_per_op * ops),)
+            return (Timeout(self.sim, self.cpu_us_per_op * ops),)
         return ()
 
     def checkpoint(self):

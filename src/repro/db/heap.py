@@ -10,6 +10,7 @@ information asymmetry Figure 3 measures.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, NamedTuple, Tuple
 
 from .locks import LockMode
@@ -26,13 +27,17 @@ class RID(NamedTuple):
     slot: int
 
 
+#: ``RID`` from a pair without the Python-level ``__new__`` frame.
+_new_rid = partial(tuple.__new__, RID)
+
+
 def pack_rid(rid: RID) -> int:
     """RID as one non-negative int (B+-tree leaf payload)."""
     return (rid.page_id << 16) | rid.slot
 
 
 def unpack_rid(packed: int) -> RID:
-    return RID(packed >> 16, packed & 0xFFFF)
+    return _new_rid((packed >> 16, packed & 0xFFFF))
 
 
 class HeapFile:
@@ -59,7 +64,7 @@ class HeapFile:
         while True:
             if self._with_space:
                 page_id = self._with_space[-1]
-                frame = yield from buffer.fetch(page_id, self.hint)
+                frame = buffer.pin(page_id) or (yield from buffer.fetch(page_id, self.hint))
             else:
                 frame = yield from self._grow()
                 page_id = frame.page_id
@@ -69,7 +74,7 @@ class HeapFile:
                     self._with_space.pop()
                 buffer.unpin(page_id)
                 continue
-            rid = RID(page_id, slot)
+            rid = _new_rid((page_id, slot))
             lsn = db.wal.append("insert", txn.txn_id,
                                 (self.name, page_id, slot, record))
             frame.page.lsn = lsn
@@ -77,7 +82,7 @@ class HeapFile:
             buffer.mark_dirty(page_id)
             buffer.unpin(page_id)
             self.record_count += 1
-            txn.push_undo(lambda rid=rid: self._undo_insert(rid))
+            txn.undo.append(lambda rid=rid: self._undo_insert(rid))
             yield from db.txn_manager.lock(txn, (self.name, rid),
                                            LockMode.EXCLUSIVE)
             return rid
@@ -95,7 +100,7 @@ class HeapFile:
         yield from db.cpu()
         if acquire_lock:
             yield from db.txn_manager.lock(txn, (self.name, rid), mode)
-        frame = yield from buffer.fetch(rid.page_id, self.hint)
+        frame = buffer.pin(rid.page_id) or (yield from buffer.fetch(rid.page_id, self.hint))
         try:
             page = frame.page
             if not isinstance(page, SlottedPage):
@@ -121,7 +126,7 @@ class HeapFile:
         record = bytes(record)
         yield from db.txn_manager.lock(txn, (self.name, rid),
                                        LockMode.EXCLUSIVE)
-        frame = yield from buffer.fetch(rid.page_id, self.hint)
+        frame = buffer.pin(rid.page_id) or (yield from buffer.fetch(rid.page_id, self.hint))
         try:
             page = frame.page
             if not isinstance(page, SlottedPage):
@@ -145,7 +150,7 @@ class HeapFile:
             buffer.mark_dirty(rid.page_id)
         finally:
             buffer.unpin(rid.page_id)
-        txn.push_undo(
+        txn.undo.append(
             lambda rid=rid, before=before: self._undo_update(rid, before)
         )
         return rid
@@ -153,11 +158,12 @@ class HeapFile:
     def delete(self, txn: Transaction, rid: RID):
         """Generator: remove a record; empty pages are deallocated (and the
         flash trimmed) when the transaction commits."""
+        buffer = self.db.buffer
         yield from self.db.cpu()
-        yield from self.db.buffer.throttle()
+        yield from buffer.throttle()
         yield from self.db.txn_manager.lock(txn, (self.name, rid),
                                             LockMode.EXCLUSIVE)
-        frame = yield from self.db.buffer.fetch(rid.page_id, self.hint)
+        frame = buffer.pin(rid.page_id) or (yield from buffer.fetch(rid.page_id, self.hint))
         try:
             if not isinstance(frame.page, SlottedPage):
                 raise KeyError(
@@ -173,12 +179,12 @@ class HeapFile:
                                       before))
             frame.page.lsn = lsn
             txn.last_lsn = lsn
-            self.db.buffer.mark_dirty(rid.page_id)
+            buffer.mark_dirty(rid.page_id)
             emptied = frame.page.live_records == 0
         finally:
-            self.db.buffer.unpin(rid.page_id)
+            buffer.unpin(rid.page_id)
         self.record_count -= 1
-        txn.push_undo(
+        txn.undo.append(
             lambda rid=rid, before=before: self._undo_delete(rid, before)
         )
         if emptied:
@@ -191,47 +197,51 @@ class HeapFile:
     def scan(self, txn: Transaction):
         """Generator: all (rid, record) pairs under a table-level S lock
         (TPC-H style full scans)."""
+        buffer = self.db.buffer
         yield from self.db.txn_manager.lock(txn, self._table_lock_key,
                                             LockMode.SHARED)
         result: List[Tuple[RID, bytes]] = []
         for page_id in list(self.page_ids):
             yield from self.db.cpu()
-            frame = yield from self.db.buffer.fetch(page_id, self.hint)
+            frame = buffer.pin(page_id) or (yield from buffer.fetch(page_id, self.hint))
             try:
                 for slot, record in frame.page.iter_records():
                     result.append((RID(page_id, slot), record))
             finally:
-                self.db.buffer.unpin(page_id)
+                buffer.unpin(page_id)
         return result
 
     # -- undo actions -----------------------------------------------------------------
 
     def _undo_insert(self, rid: RID):
-        frame = yield from self.db.buffer.fetch(rid.page_id, self.hint)
+        buffer = self.db.buffer
+        frame = buffer.pin(rid.page_id) or (yield from buffer.fetch(rid.page_id, self.hint))
         try:
             if frame.page.get(rid.slot) is not None:
                 frame.page.delete(rid.slot)
                 self.record_count -= 1
-            self.db.buffer.mark_dirty(rid.page_id)
+            buffer.mark_dirty(rid.page_id)
         finally:
-            self.db.buffer.unpin(rid.page_id)
+            buffer.unpin(rid.page_id)
         self._note_space(rid.page_id)
 
     def _undo_update(self, rid: RID, before: bytes):
-        frame = yield from self.db.buffer.fetch(rid.page_id, self.hint)
+        buffer = self.db.buffer
+        frame = buffer.pin(rid.page_id) or (yield from buffer.fetch(rid.page_id, self.hint))
         try:
             frame.page.update(rid.slot, before)
-            self.db.buffer.mark_dirty(rid.page_id)
+            buffer.mark_dirty(rid.page_id)
         finally:
-            self.db.buffer.unpin(rid.page_id)
+            buffer.unpin(rid.page_id)
 
     def _undo_delete(self, rid: RID, before: bytes):
-        frame = yield from self.db.buffer.fetch(rid.page_id, self.hint)
+        buffer = self.db.buffer
+        frame = buffer.pin(rid.page_id) or (yield from buffer.fetch(rid.page_id, self.hint))
         try:
             frame.page.restore(rid.slot, before)
-            self.db.buffer.mark_dirty(rid.page_id)
+            buffer.mark_dirty(rid.page_id)
         finally:
-            self.db.buffer.unpin(rid.page_id)
+            buffer.unpin(rid.page_id)
         self.record_count += 1
 
     # -- space management ----------------------------------------------------------------
@@ -256,9 +266,10 @@ class HeapFile:
         reaches the NoFTL storage manager, which drops the mapping so GC
         never copies the dead page again.
         """
-        frame = yield from self.db.buffer.fetch(page_id, self.hint)
+        buffer = self.db.buffer
+        frame = buffer.pin(page_id) or (yield from buffer.fetch(page_id, self.hint))
         still_empty = frame.page.live_records == 0
-        self.db.buffer.unpin(page_id)
+        buffer.unpin(page_id)
         if not still_empty:
             return
         if page_id in self.page_ids:

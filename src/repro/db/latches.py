@@ -50,16 +50,19 @@ class RWLock:
         if self._active_readers <= 0:
             raise RuntimeError("release_read without acquire_read")
         self._active_readers -= 1
-        self._grant()
+        if self._queue:
+            self._grant()
 
     def release_write(self) -> None:
         if not self._writer_active:
             raise RuntimeError("release_write without acquire_write")
         self._writer_active = False
-        self._grant()
+        if self._queue:
+            self._grant()
 
     def _grant(self) -> None:
-        if self._writer_active or not self._queue:
+        """Wake the queue's head (and the readers right behind it)."""
+        if self._writer_active:
             return
         event, kind = self._queue[0]
         if kind == "w":

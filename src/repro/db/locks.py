@@ -9,17 +9,12 @@ exhibit under lock thrashing.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Deque, Dict, Set, Tuple
 
-from ..sim import AnyOf, Granted, Simulator
+from ..sim import AnyOf, Simulator
 
 __all__ = ["LockMode", "TxnAborted", "LockManager"]
-
-# Shared pre-completed target for every immediate-grant path: callers do
-# ``yield from acquire(...)`` either way, but the uncontended case costs
-# no generator frame and never suspends.
-_DONE = Granted(None)
 
 
 class LockMode:
@@ -48,7 +43,7 @@ class LockManager:
         self.sim = sim
         self.timeout_us = timeout_us
         self._locks: Dict[object, _LockRecord] = {}
-        self._held: Dict[int, Set[object]] = {}
+        self._held: Dict[int, Set[object]] = defaultdict(set)
         self.total_acquisitions = 0
         self.total_waits = 0
         self.total_timeouts = 0
@@ -57,29 +52,29 @@ class LockManager:
 
     def acquire(self, txn_id: int, key, mode: str):
         """``yield from`` target: blocks until granted; raises TxnAborted
-        on timeout.  Immediate grants complete without suspending."""
+        on timeout.  An immediate grant returns ``()``, which delegates
+        without a generator frame and never suspends."""
         if mode not in (LockMode.SHARED, LockMode.EXCLUSIVE):
             raise ValueError(f"bad lock mode {mode!r}")
         self.total_acquisitions += 1
-        # get-then-create instead of setdefault(key, _LockRecord()): the
-        # setdefault form constructs a throwaway record (deque + dict) on
-        # every acquire, and most acquires hit an existing key.
         record = self._locks.get(key)
         if record is None:
+            # Nobody holds or awaits the key: grant at once.
             record = self._locks[key] = _LockRecord()
-        held = record.holders.get(txn_id)
-        if held is not None:
-            if held == LockMode.EXCLUSIVE or mode == LockMode.SHARED:
-                return _DONE  # already strong enough
-            if len(record.holders) == 1:
-                record.holders[txn_id] = LockMode.EXCLUSIVE  # upgrade
-                return _DONE
-            # Upgrade with other readers present: queue like a fresh X.
-        if self._grantable(record, txn_id, mode):
-            record.holders[txn_id] = mode
-            self._held.setdefault(txn_id, set()).add(key)
-            return _DONE
-        return self._acquire_wait(record, txn_id, key, mode)
+        else:
+            held = record.holders.get(txn_id)
+            if held is not None:
+                if held == LockMode.EXCLUSIVE or mode == LockMode.SHARED:
+                    return ()  # already strong enough
+                if len(record.holders) == 1:
+                    record.holders[txn_id] = LockMode.EXCLUSIVE  # upgrade
+                    return ()
+                # Upgrade with other readers present: queue like a fresh X.
+            if not self._grantable(record, txn_id, mode):
+                return self._acquire_wait(record, txn_id, key, mode)
+        record.holders[txn_id] = mode
+        self._held[txn_id].add(key)
+        return ()
 
     def _acquire_wait(self, record: _LockRecord, txn_id: int, key, mode: str):
         """Generator: the contended path of :meth:`acquire`."""
@@ -98,7 +93,7 @@ class LockManager:
                 self.total_timeouts += 1
                 raise TxnAborted(f"lock timeout on {key!r}")
             # Removed already -> the grant raced the timeout: we hold it.
-        self._held.setdefault(txn_id, set()).add(key)
+        self._held[txn_id].add(key)
 
     def _grantable(self, record: _LockRecord, txn_id: int, mode: str) -> bool:
         if record.queue:
@@ -116,17 +111,26 @@ class LockManager:
     def release_all(self, txn_id: int) -> None:
         """End of transaction: drop every lock and wake compatible waiters.
 
-        Keys are released in sorted order so wake-up order (and therefore
-        the whole simulation) is independent of PYTHONHASHSEED.
+        Holders drop in any order: only a key with queued waiters can wake
+        anyone, and waking one key never touches another.  Those keys are
+        woken in ``repr`` order, so the wake-up order (and therefore the
+        whole simulation) is independent of PYTHONHASHSEED.
         """
-        for key in sorted(self._held.pop(txn_id, set()), key=repr):
-            record = self._locks.get(key)
+        locks = self._locks
+        queued = []
+        for key in self._held.pop(txn_id, ()):
+            record = locks.get(key)
             if record is None:
                 continue
             record.holders.pop(txn_id, None)
-            self._wake(record)
-            if not record.holders and not record.queue:
-                del self._locks[key]
+            if record.queue:
+                queued.append(key)
+            elif not record.holders:
+                del locks[key]
+        if queued:
+            queued.sort(key=repr)
+            for key in queued:
+                self._wake(locks[key])
 
     def _wake(self, record: _LockRecord) -> None:
         while record.queue:

@@ -72,9 +72,8 @@ class SlottedPage:
         self._records: Optional[List[Optional[bytes]]] = []
         self._nslots = 0
         # Live payload bytes, maintained incrementally by every mutator —
-        # used_bytes()/free_space() run on each insert/update and on the
-        # buffer pool's admission checks, so an O(records) recount here
-        # dominated whole-rig profiles.
+        # free_space() runs on each insert and update, so an O(records)
+        # recount here dominated whole-rig profiles.
         self._payload_bytes = 0
         # Cached serialised image + per-slot payload offsets.  The common
         # page lifecycle is decode -> update a record in place -> flush;
@@ -115,14 +114,12 @@ class SlottedPage:
     def live_records(self) -> int:
         return sum(1 for record in self._decoded() if record is not None)
 
-    def used_bytes(self) -> int:
+    def free_space(self) -> int:
         records = self._records
         if records is None:
             records = self._decoded()
-        return _DIRECTORY + _SLOT.size * len(records) + self._payload_bytes
-
-    def free_space(self) -> int:
-        return self.page_bytes - self.used_bytes()
+        return (self.page_bytes - _DIRECTORY - _SLOT.size * len(records)
+                - self._payload_bytes)
 
     # -- record operations -----------------------------------------------------
 
@@ -151,10 +148,12 @@ class SlottedPage:
 
     def get(self, slot: int) -> Optional[bytes]:
         """The record at ``slot`` (None if deleted)."""
-        self._check_slot(slot)
         records = self._records
         if records is not None:
+            if not 0 <= slot < len(records):  # _check_slot, inline
+                raise IndexError(f"slot {slot} out of range")
             return records[slot]
+        self._check_slot(slot)
         image = self._image
         offset, length = _SLOT.unpack_from(image, _DIRECTORY + _SLOT.size * slot)
         if offset == _TOMBSTONE:

@@ -150,7 +150,7 @@ def _fetch_or_recreate(db, page_id: int, report: RecoveryReport):
     """Generator: pin the page, materialising an empty one if it never
     reached storage before the crash."""
     try:
-        frame = yield from db.buffer.fetch(page_id)
+        frame = db.buffer.pin(page_id) or (yield from db.buffer.fetch(page_id))
     except KeyError:
         page = SlottedPage(page_id, db.page_bytes)
         frame = yield from db.buffer.new_page(page_id, page)

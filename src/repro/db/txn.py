@@ -45,9 +45,6 @@ class Transaction:
     def is_active(self) -> bool:
         return self.state == _ACTIVE
 
-    def push_undo(self, action: Callable) -> None:
-        self.undo.append(action)
-
 
 class TransactionManager:
     """Begin / commit / abort over the shared WAL and lock manager."""
@@ -103,7 +100,8 @@ class TransactionManager:
 
     def lock(self, txn: Transaction, key, mode: str = LockMode.EXCLUSIVE):
         """``yield from`` target: 2PL acquire on behalf of ``txn``."""
-        self._check_active(txn)
+        if txn.state != _ACTIVE:  # _check_active, inline: once per record
+            raise RuntimeError(f"transaction {txn.txn_id} is {txn.state}")
         return self.locks.acquire(txn.txn_id, key, mode)
 
     @staticmethod

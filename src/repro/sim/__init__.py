@@ -8,7 +8,6 @@ from .core import (
     AllOf,
     AnyOf,
     Event,
-    Granted,
     Interrupt,
     Process,
     Simulator,
@@ -27,7 +26,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Granted",
     "Interrupt",
     "Process",
     "Simulator",

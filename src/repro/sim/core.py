@@ -40,35 +40,12 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Granted",
     "Interrupt",
     "Simulator",
     "WaitQueue",
 ]
 
 _UNSET = object()
-
-
-class Granted:
-    """A pre-completed ``yield from`` target.
-
-    Delegating to it returns ``value`` immediately without suspending the
-    process — the allocation-light fast path for operations that turn out
-    to complete synchronously (an uncontended lock, a buffer-pool hit).
-    Unlike a generator that returns before its first yield, iterating it
-    costs no generator frame; instances are stateless and reusable.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any = None):
-        self.value = value
-
-    def __iter__(self) -> "Granted":
-        return self
-
-    def __next__(self):
-        raise StopIteration(self.value)
 
 
 class Interrupt(Exception):
@@ -148,7 +125,14 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.delay = delay
-        sim._schedule(self, delay)
+        # Scheduled here rather than through Simulator._schedule: a timeout
+        # is the one event born with a delay, and every record operation
+        # charges its CPU time with one.
+        seq = sim._seq = sim._seq + 1
+        if delay == 0.0:
+            sim._fast.append((seq, self))
+        else:
+            heapq.heappush(sim._queue, (sim._now + delay, seq, self))
 
 
 class Process(Event):
@@ -208,10 +192,14 @@ class Process(Event):
         self.sim._schedule(wakeup)
         wakeup.callbacks.append(self._resume_cb)
 
-    def _resume(self, event: Event) -> None:
-        self._resume_inner(event._ok, event._value)
-
-    def _resume_inner(self, ok: bool, value: Any) -> None:
+    def _resume(self, event: Optional[Event], ok: bool = True,
+                value: Any = None) -> None:
+        """Send the fired ``event``'s value into the generator.  A
+        fast-lane resume entry passes ``event=None`` with the ``(ok,
+        value)`` it carries: one frame either way."""
+        if event is not None:
+            ok = event._ok
+            value = event._value
         self._waiting_on = None
         sim = self.sim
         try:
@@ -556,18 +544,15 @@ class Simulator:
 
     # -- scheduling / running ------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue ``event`` to fire ``delay`` time units from now.
+    def _schedule(self, event: Event) -> None:
+        """Queue ``event`` to fire at the current time.
 
-        Zero-delay events take the FIFO fast lane: they fire at the
-        current time anyway, so the heap's ordering work is wasted on
-        them.  Sequence numbers keep the two lanes in one total order.
+        Immediate events take the FIFO fast lane: the heap's ordering work
+        would be wasted on them.  Sequence numbers keep the two lanes in
+        one total order; :class:`Timeout` pushes its own future entries.
         """
         self._seq += 1
-        if delay == 0.0:
-            self._fast.append((self._seq, event))
-        else:
-            heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        self._fast.append((self._seq, event))
 
     def _schedule_resume(self, process: Process, ok: bool, value: Any) -> list:
         """Fast-lane entry resuming ``process`` directly with ``(ok,
@@ -603,7 +588,7 @@ class Simulator:
                 process = entry[1]
                 if process is not None:
                     process._pending_resume = None
-                    process._resume_inner(entry[2], entry[3])
+                    process._resume(None, entry[2], entry[3])
             return
         when, __, event = heapq.heappop(self._queue)
         self._now = when
@@ -645,7 +630,7 @@ class Simulator:
                             process = entry[1]
                             if process is not None:
                                 process._pending_resume = None
-                                process._resume_inner(entry[2], entry[3])
+                                process._resume(None, entry[2], entry[3])
                         continue
                 elif not queue:
                     break

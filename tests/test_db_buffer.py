@@ -126,6 +126,84 @@ class TestFetch:
         assert log[1][0] == "prober-done"
 
 
+def evict_all(sim, pool, first=4, last=8):
+    """Cycle pages ``first..last-1`` through a 4-frame pool so none of
+    the pages below ``first`` stays resident."""
+
+    def wipe():
+        for page_id in range(first, last):
+            yield from pool.fetch(page_id)
+            pool.unpin(page_id)
+
+    sim.run_process(wipe())
+
+
+class TestPin:
+    """``pin`` serves hits synchronously; ``fetch`` serves the rest."""
+
+    def test_hit_pins_and_counts_without_scheduling_an_event(self):
+        sim, __, __, pool = make_pool()
+        seed_pages(sim, pool, 2)
+        sim.run()  # drain what the seeding left queued
+        hits = pool.telemetry.value("db.buffer.lookups", event="hit")
+        events = sim.events_processed
+        frame = pool.pin(0)
+        assert frame is pool.frames[0]
+        assert frame.pin_count == 1
+        assert pool.telemetry.value("db.buffer.lookups", event="hit") == hits + 1
+        sim.run()  # nothing was scheduled, so nothing fires
+        assert sim.events_processed == events
+        pool.unpin(0)
+        assert frame.pin_count == 0
+
+    def test_miss_returns_none_and_fetch_loads_the_page(self):
+        sim, __, __, pool = make_pool()
+        seed_pages(sim, pool, 8)
+        evict_all(sim, pool)
+        misses = pool.misses
+        assert pool.pin(0) is None
+        assert pool.misses == misses  # pin never counts a miss
+
+        def proc():
+            frame = pool.pin(0) or (yield from pool.fetch(0))
+            return frame
+
+        frame = sim.run_process(proc())
+        assert frame is pool.frames[0]
+        assert frame.pin_count == 1
+        assert frame.page.get(0) == b"page-0"
+        assert pool.misses == misses + 1
+
+    def test_evicting_frame_returns_none(self):
+        sim, __, __, pool = make_pool()
+        seed_pages(sim, pool, 2)
+        frame = pool.frames[0]
+        frame.evicting = True
+        hits = pool.hits
+        assert pool.pin(0) is None
+        assert frame.pin_count == 0
+        assert pool.hits == hits
+
+    def test_two_missing_processes_share_one_load(self):
+        sim, __, __, pool = make_pool(latency_us=100)
+        seed_pages(sim, pool, 8)
+        evict_all(sim, pool)
+        misses, hits = pool.misses, pool.hits
+        frames = []
+
+        def fetcher():
+            frame = pool.pin(0) or (yield from pool.fetch(0))
+            frames.append(frame)
+            pool.unpin(0)
+
+        sim.process(fetcher())
+        sim.process(fetcher())
+        sim.run()
+        assert len(frames) == 2 and frames[0] is frames[1]
+        assert pool.misses == misses + 1
+        assert pool.hits == hits + 1  # the second waited, then hit
+
+
 class TestDirtyAndFlush:
     def test_mark_dirty_requires_residency(self):
         __, __, __, pool = make_pool()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import LockManager, LockMode, RWLock, TxnAborted, WALog
+from repro.db.heap import RID
 from repro.sim import Simulator
 
 
@@ -191,6 +192,54 @@ class TestLockManager:
 
         sim.run_process(proc())
         assert locks.snapshot()["active_keys"] == 0
+
+    def test_release_all_wakes_queued_keys_in_repr_order(self):
+        """The wake-up order is the keys' ``repr`` order — not the order
+        the keys were locked, the waiters queued, or a set iterates — so
+        the schedule does not depend on PYTHONHASHSEED."""
+        sim = Simulator()
+        locks = LockManager(sim)
+        table = ("table", "orders")
+        stock = ("stock", RID(7, 2))
+        district = ("district", RID(1, 0))
+        quiet = [("item", RID(3, 1)), ("warehouse", 9), "zzz"]
+        granted = []
+        active = {}
+
+        def holder():
+            yield from locks.acquire(1, table, LockMode.EXCLUSIVE)
+            yield from locks.acquire(1, stock, LockMode.EXCLUSIVE)
+            yield from locks.acquire(1, district, LockMode.SHARED)
+            for key in quiet:
+                yield from locks.acquire(1, key, LockMode.EXCLUSIVE)
+            yield sim.timeout(10)
+            active["before"] = locks.snapshot()["active_keys"]
+            locks.release_all(1)
+            active["after"] = locks.snapshot()["active_keys"]
+
+        def waiter(txn_id, key, mode, delay):
+            yield sim.timeout(delay)
+            yield from locks.acquire(txn_id, key, mode)
+            granted.append((txn_id, key))
+
+        def upgrader():
+            yield sim.timeout(1)
+            yield from locks.acquire(5, district, LockMode.SHARED)
+            yield sim.timeout(3)  # queue behind the other waiters
+            yield from locks.acquire(5, district, LockMode.EXCLUSIVE)
+            granted.append((5, district))
+
+        sim.process(holder())
+        sim.process(waiter(3, table, LockMode.SHARED, 2))
+        sim.process(waiter(2, stock, LockMode.EXCLUSIVE, 3))
+        sim.process(upgrader())
+        sim.run()
+        assert granted == [(5, district), (2, stock), (3, table)]
+        assert [key for __, key in granted] == sorted(
+            [table, stock, district], key=repr)
+        assert locks.total_waits == 3
+        # The quiet keys are gone; each queued key is held by its waiter.
+        assert active == {"before": 6, "after": 3}
 
 
 class TestRWLock:

@@ -18,20 +18,35 @@ The second witness counts the same calls per commit over the measured
 window of :mod:`tests.test_golden_rig`'s TPC-B rig: the whole
 DBMS-on-NoFTL path (kernel, buffer pool, db-writers, NoFTL, flash).
 
-:data:`CALLS_PER_OP` and :data:`CALLS_PER_COMMIT` are the recorded
-values; the bound allows 2 % above each.  A change that lowers a count
-should lower its record with it.  If an interpreter changes the count,
-skip the test on that version rather than loosen the bound.
+The third counts them per commit on a cached TPC-C rig, shaped like the
+stack benchmark's ``tpcc_cached``: the buffer pool holds every page, so
+the window never reads the device and its calls are the record path
+(heap, B-tree, locks, WAL appends, CPU charges) and the kernel.
+
+:data:`CALLS_PER_OP`, :data:`CALLS_PER_COMMIT` and
+:data:`CALLS_PER_CACHED_COMMIT` are the recorded values; the bound allows
+2 % above each.  A change that lowers a count should lower its record
+with it.  If an interpreter changes the count, skip the test on that
+version rather than loosen the bound.
 """
 
 import cProfile
+import gc
 import os
 import pstats
 import random
 
 import repro
-from repro.bench.rigs import build_sync_noftl, geometry_for_footprint
+from repro.bench.rigs import (
+    attach_database,
+    build_noftl_rig,
+    build_sync_noftl,
+    geometry_for_footprint,
+    measure_workload_footprint,
+    sized_geometry,
+)
 from repro.core import NoFTLConfig
+from repro.workloads import TPCC, run_workload
 from tests.test_golden_rig import load_golden_rig, run_golden_window
 
 PAGES = 6000
@@ -41,9 +56,16 @@ WINDOW_OPS = 4_000
 CALLS_PER_OP = 41.1245
 #: Recorded calls per commit over the golden rig's window (600.29 before
 #: tracing became opt-in and the db-writers counted their own dirty
-#: frames).
-CALLS_PER_COMMIT = 562.3761
+#: frames; 561.38 before buffer hits and lock grants stopped yielding).
+CALLS_PER_COMMIT = 450.7595
+#: Recorded calls per commit over the cached TPC-C rig's window (1,379.64
+#: before buffer hits and lock grants stopped yielding, CPU charges built
+#: their timeouts directly and a lock release sorted only queued keys).
+CALLS_PER_CACHED_COMMIT = 924.7939
 TOLERANCE = 0.02
+
+CACHED_DIES = 4
+CACHED_WINDOW_US = 40_000.0
 
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 _REPRO_ROOT = os.path.join(os.path.dirname(repro.__file__), "")
@@ -89,23 +111,54 @@ def _repro_calls(profile: cProfile.Profile) -> int:
     return calls
 
 
+def _profiled(window):
+    """Run ``window()`` under cProfile; return its result and the repro
+    calls it made.  Earlier rigs' garbage is collected first, so none of
+    their generators is finalised, and counted, inside the window."""
+    gc.collect()
+    profile = cProfile.Profile()
+    profile.enable()
+    result = window()
+    profile.disable()
+    return result, _repro_calls(profile)
+
+
 def _calls_per_op() -> float:
     storage, ops = _rig_and_ops()
     _replay(storage, ops[:WARM_OPS])
-    profile = cProfile.Profile()
-    profile.enable()
-    _replay(storage, ops[WARM_OPS:])
-    profile.disable()
-    return _repro_calls(profile) / WINDOW_OPS
+    __, calls = _profiled(lambda: _replay(storage, ops[WARM_OPS:]))
+    return calls / WINDOW_OPS
 
 
 def _calls_per_commit() -> float:
     rig, db, workload = load_golden_rig()
-    profile = cProfile.Profile()
-    profile.enable()
-    stats = run_golden_window(rig, db, workload)
-    profile.disable()
-    return _repro_calls(profile) / stats.commits
+    stats, calls = _profiled(lambda: run_golden_window(rig, db, workload))
+    return calls / stats.commits
+
+
+def _calls_per_cached_commit() -> float:
+    workload = TPCC(warehouses=1, customers_per_district=20, items=80)
+    footprint = measure_workload_footprint(workload)
+    headroom = footprint  # what the window inserts fits several times
+    geometry = sized_geometry(footprint, CACHED_DIES, utilization=0.85,
+                              headroom_pages=headroom)
+    rig = build_noftl_rig(
+        geometry=geometry,
+        config=NoFTLConfig(num_regions=CACHED_DIES, op_ratio=0.12),
+        seed=11,
+    )
+    # Eight times the loaded data plus the headroom, as ``tpcc_cached``
+    # sizes it: every page the window touches or inserts stays resident.
+    db = attach_database(rig, buffer_capacity=8 * footprint + headroom,
+                         foreground_flush=False)
+    db.start_writers(CACHED_DIES, policy="region")
+    rig.sim.run_process(workload.load(db))
+    misses = db.buffer.misses
+    stats, calls = _profiled(lambda: run_workload(
+        rig.sim, db, workload, duration_us=CACHED_WINDOW_US,
+        num_terminals=8, rng=random.Random(3), preloaded=True))
+    assert db.buffer.misses == misses, "the cached rig read the device"
+    return calls / stats.commits
 
 
 def test_calls_per_op_is_exact_and_within_the_record():
@@ -121,4 +174,12 @@ def test_calls_per_commit_is_exact_and_within_the_record():
     assert first == second, "the call count is not deterministic"
     assert first <= CALLS_PER_COMMIT * (1 + TOLERANCE), (
         f"{first:.4f} calls per commit, recorded {CALLS_PER_COMMIT}"
+    )
+
+
+def test_calls_per_cached_commit_is_exact_and_within_the_record():
+    first, second = _calls_per_cached_commit(), _calls_per_cached_commit()
+    assert first == second, "the call count is not deterministic"
+    assert first <= CALLS_PER_CACHED_COMMIT * (1 + TOLERANCE), (
+        f"{first:.4f} calls per commit, recorded {CALLS_PER_CACHED_COMMIT}"
     )

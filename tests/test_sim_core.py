@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     AnyOf,
-    Granted,
     Interrupt,
     Resource,
     Simulator,
@@ -286,31 +285,6 @@ def test_anyof_detaches_losers_on_failure():
 
     assert sim.run_process(proc()) == "failed"
     assert survivor.callbacks == []
-
-
-def test_granted_returns_value_without_suspending():
-    sim = Simulator()
-
-    def proc():
-        before = sim.now
-        value = yield from Granted("instant")
-        assert sim.now == before  # no event fired, no time passed
-        empty = yield from Granted()
-        return value, empty
-
-    assert sim.run_process(proc()) == ("instant", None)
-
-
-def test_granted_is_reusable():
-    sim = Simulator()
-    shared = Granted(7)
-
-    def proc():
-        first = yield from shared
-        second = yield from shared
-        return first + second
-
-    assert sim.run_process(proc()) == 14
 
 
 def test_determinism_same_seed_same_schedule():
