@@ -12,7 +12,7 @@ relocations and clearly more erases than NoFTL on identical traces.
 Absolute counts differ (short traces, scaled kits).
 """
 
-from repro.bench import fig3_gc_overhead
+from repro.bench.fig3 import fig3_gc_overhead
 from repro.bench.reporting import emit, export_metrics, render_table
 
 PAPER_RELATIVE = {

@@ -11,14 +11,16 @@
 | ``parallelism``   | §3.2 — 32 NCQ slots vs ~160 native flash commands  |
 | ``lifetime``      | §5 — half the erases => ~2x flash lifetime         |
 | ``ablation``      | DESIGN.md E10 — NoFTL design-choice ablation       |
-| ``chaos``         | Fault model — TPC under injected flash faults      |
+| ``robust``        | Fault model — chaos, power-cut and siege scenarios |
 | ``health``        | Device health: WA ledger, wear, saturation windows |
+
+Modules with a command line (``fig3``, ``robust``, ``health``,
+``observe``, ``streams``) are not imported here: ``python -m`` would
+otherwise find them already imported and warn.
 """
 
 from .ablation import AblationResult, AblationRow, ablate_noftl
-from .chaos import ChaosReport, ChecksumOracle, default_chaos_plan, run_chaos
 from .dftl_slowdown import DFTLPoint, DFTLResult, dftl_slowdown
-from .fig3 import Fig3Result, Fig3Row, fig3_gc_overhead, record_trace
 from .fig4 import Fig4Point, Fig4Result, fig4_dbwriters
 from .headline import HeadlinePoint, HeadlineResult, headline_throughput
 from .latency import LatencyProfile, latency_outliers
@@ -40,15 +42,14 @@ from .rigs import (
     geometry_with_dies,
     make_ftl,
     measure_workload_footprint,
+    record_trace,
     sized_geometry,
 )
 from .validation import ValidationReport, ValidationRow, validate_emulator
 
 __all__ = [
     "AblationResult", "AblationRow", "ablate_noftl",
-    "ChaosReport", "ChecksumOracle", "default_chaos_plan", "run_chaos",
     "DFTLPoint", "DFTLResult", "dftl_slowdown",
-    "Fig3Result", "Fig3Row", "fig3_gc_overhead", "record_trace",
     "Fig4Point", "Fig4Result", "fig4_dbwriters",
     "HeadlinePoint", "HeadlineResult", "headline_throughput",
     "LatencyProfile", "latency_outliers",
@@ -58,6 +59,6 @@ __all__ = [
     "DEMO_GEOMETRY", "attach_database", "build_blockdev_rig",
     "build_noftl_rig", "build_sync_blockdev", "build_sync_noftl",
     "geometry_for_footprint", "geometry_with_dies", "make_ftl",
-    "measure_workload_footprint", "sized_geometry",
+    "measure_workload_footprint", "record_trace", "sized_geometry",
     "ValidationReport", "ValidationRow", "validate_emulator",
 ]

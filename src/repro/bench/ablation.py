@@ -21,8 +21,14 @@ from typing import List
 
 from ..core import NoFTLConfig
 from ..workloads import replay_trace
-from .fig3 import REPLAY_DIES, REPLAY_OP_RATIO, REPLAY_UTILIZATION, record_trace
-from .rigs import build_sync_noftl, geometry_for_footprint
+from .rigs import (
+    REPLAY_DIES,
+    REPLAY_OP_RATIO,
+    REPLAY_UTILIZATION,
+    build_sync_noftl,
+    geometry_for_footprint,
+    record_trace,
+)
 
 __all__ = ["AblationRow", "AblationResult", "ablate_noftl"]
 

@@ -15,32 +15,24 @@ FASTer's disfavour.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..db import Database
-from ..db.storage import RAMStorageAdapter
-from ..sim import Simulator
 from ..telemetry import HealthMonitor
-from ..workloads import (
-    TPCB,
-    TPCC,
-    TPCE,
-    TraceRecordingAdapter,
-    replay_trace,
-    run_workload,
-)
+from ..workloads import replay_trace
 from .reporting import ratio
 from .rigs import (
-    DEMO_GEOMETRY,
-    OP_RATIO,
+    REPLAY_DIES,
+    REPLAY_OP_RATIO,
+    REPLAY_UTILIZATION,
     build_sync_blockdev,
     build_sync_noftl,
     geometry_for_footprint,
+    record_trace,
 )
+from .sweep import SweepTask, run_sweep
 
-__all__ = ["Fig3Row", "Fig3Result", "record_trace", "fig3_gc_overhead",
+__all__ = ["Fig3Row", "Fig3Result", "fig3_gc_overhead",
            "WORKLOAD_LABELS", "main"]
 
 WORKLOAD_LABELS = {
@@ -73,46 +65,6 @@ class Fig3Result:
             if candidate.workload == workload and candidate.io_type == io_type:
                 return candidate
         raise KeyError((workload, io_type))
-
-
-def _make_workload(name: str, scale: float):
-    if name == "tpcc":
-        return TPCC(warehouses=max(1, int(2 * scale)),
-                    customers_per_district=40, items=150)
-    if name == "tpcb":
-        return TPCB(sf=max(1, int(4 * scale)), accounts_per_branch=700)
-    if name == "tpce":
-        return TPCE(customers=max(100, int(1000 * scale)), securities=80)
-    raise ValueError(f"unknown workload {name!r}")
-
-
-def record_trace(workload_name: str, duration_us: float = 3_000_000,
-                 scale: float = 1.0, seed: int = 11):
-    """Run a workload on an in-memory database (8 terminals, a 96-frame
-    buffer pool) and capture its I/O trace."""
-    sim = Simulator()
-    logical_pages = int(DEMO_GEOMETRY.total_pages * 0.85)
-    ram = RAMStorageAdapter(sim, logical_pages=logical_pages,
-                            latency_us=25.0)
-    adapter = TraceRecordingAdapter(ram)
-    db = Database(sim, adapter, page_bytes=DEMO_GEOMETRY.page_bytes,
-                  buffer_capacity=96, cpu_us_per_op=2.0)
-    db.start_writers(4, policy="global")
-    workload = _make_workload(workload_name, scale)
-    run_workload(sim, db, workload, duration_us=duration_us,
-                 num_terminals=8, rng=random.Random(seed))
-    sim.run_process(db.checkpoint())
-    return adapter.trace
-
-
-#: Replay-device sizing.  Calibrated so both targets run in GC steady
-#: state (12% over-provisioning — FASTer's log area must fit inside it —
-#: and ~82% logical space utilization), the regime where the paper's ~2x
-#: copyback factor appears.  Lower utilization exaggerates NoFTL's win,
-#: higher drowns it; see the E10 ablation for the sensitivity.
-REPLAY_UTILIZATION = 0.85
-REPLAY_OP_RATIO = OP_RATIO  # the black-box arm's, fixed in make_ftl
-REPLAY_DIES = 2
 
 
 def _fig3_task(name: str, duration_us: float, scale: float,
@@ -189,8 +141,6 @@ def fig3_gc_overhead(workloads=("tpcc", "tpcb", "tpce"),
     across a process pool; results assemble in workload order, identical
     to the sequential run.
     """
-    from .sweep import SweepTask, run_sweep
-
     tasks = [
         SweepTask(
             label=f"fig3:{name}",

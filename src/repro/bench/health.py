@@ -46,15 +46,17 @@ from ..core.badblock import DegradedModeError
 from ..device import FrontendConfig
 from ..telemetry import HealthMonitor
 from ..workloads import TPCB, TPCC, replay_trace, run_workload
-from .fig3 import REPLAY_OP_RATIO, REPLAY_UTILIZATION, record_trace
 from .reporting import emit, export_metrics, ratio, render_table
 from .rigs import (
+    REPLAY_OP_RATIO,
+    REPLAY_UTILIZATION,
     attach_database,
     build_noftl_rig,
     build_sync_blockdev,
     build_sync_noftl,
     geometry_for_footprint,
     measure_workload_footprint,
+    record_trace,
     sized_geometry,
 )
 

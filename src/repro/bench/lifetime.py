@@ -19,9 +19,16 @@ from typing import Dict, Optional
 
 from ..core import NoFTLConfig
 from ..flash import SLC_TIMING, Geometry
-from .fig3 import REPLAY_DIES, REPLAY_OP_RATIO, REPLAY_UTILIZATION, record_trace
 from .reporting import ratio
-from .rigs import build_sync_blockdev, build_sync_noftl, geometry_for_footprint
+from .rigs import (
+    REPLAY_DIES,
+    REPLAY_OP_RATIO,
+    REPLAY_UTILIZATION,
+    build_sync_blockdev,
+    build_sync_noftl,
+    geometry_for_footprint,
+    record_trace,
+)
 from ..workloads import replay_trace
 
 __all__ = ["LifetimeReport", "lifetime_factor", "wear_spread"]

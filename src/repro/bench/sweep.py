@@ -19,23 +19,17 @@ recombined without perturbing a single byte of output.  The contract:
 Registries cross the process pipe via pickle (collectors and the clock
 are dropped in transit — see ``MetricsRegistry.__getstate__``) and fold
 into the parent's master registry with ``merge_from`` in seed order.
-
-CLI (the CI ``crash-smoke`` job runs its sweep step)::
-
-    python -m repro.bench.sweep crash --workers 4 --cuts 8 ...
-    python -m repro.bench.sweep siege --workers 4 --seeds 11 12 13 14
-    python -m repro.bench.sweep fig3  --workers 3
-
-Each subcommand forwards to the bench module's own CLI (each grew a
-``--workers`` flag that routes through :func:`run_sweep`).
+The rigs that fan out (``bench.robust``'s crash sweep and siege seeds,
+``bench.fig3``'s replays) take ``--workers N`` themselves.
 """
 
 from __future__ import annotations
 
 import importlib
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
-__all__ = ["SweepTask", "run_sweep", "main"]
+__all__ = ["SweepTask", "run_sweep"]
 
 
 class SweepTask(NamedTuple):
@@ -82,58 +76,23 @@ def run_sweep(
     """
     tasks = list(tasks)
     results: List[Any] = []
-    if workers <= 1 or len(tasks) <= 1:
-        for index, task in enumerate(tasks):
-            result = _call_task(task)
-            if on_result is not None:
-                on_result(index, task, result)
-            results.append(result)
-        return results
+    pool = None
+    if workers > 1 and len(tasks) > 1:
+        import multiprocessing
 
-    import multiprocessing
-
-    # Fork (Linux) inherits warm imports — rig construction starts
-    # immediately.  Elsewhere fall back to the platform default; tasks
-    # are import-path specs precisely so spawn works too.
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-    with context.Pool(processes=min(workers, len(tasks))) as pool:
-        for index, result in enumerate(pool.imap(_call_task, tasks)):
+        # Fork (Linux) inherits warm imports — rig construction starts
+        # immediately.  Elsewhere fall back to the platform default; tasks
+        # are import-path specs precisely so spawn works too.
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in methods else None
+        )
+        pool = context.Pool(processes=min(workers, len(tasks)))
+    with pool or nullcontext():
+        stream = map(_call_task, tasks) if pool is None \
+            else pool.imap(_call_task, tasks)
+        for index, result in enumerate(stream):
             if on_result is not None:
                 on_result(index, tasks[index], result)
             results.append(result)
     return results
-
-
-# -- CLI ----------------------------------------------------------------------
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import sys
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    usage = (
-        "usage: python -m repro.bench.sweep "
-        "{crash,siege,fig3} [bench options...]\n"
-        "  each forwards to that bench's CLI (all accept --workers N)."
-    )
-    if not argv or argv[0] in ("-h", "--help"):
-        print(usage)
-        return 0
-    bench, rest = argv[0], argv[1:]
-    if bench == "crash":
-        from .crash import main as bench_main
-    elif bench == "siege":
-        from .siege import main as bench_main
-    elif bench == "fig3":
-        from .fig3 import main as bench_main
-    else:
-        print(usage)
-        return 2
-    return bench_main(rest)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

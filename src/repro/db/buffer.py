@@ -47,7 +47,7 @@ class Frame:
     """One resident page."""
 
     __slots__ = ("page_id", "page", "pin_count", "dirty", "dirty_seq",
-                 "hint", "heat", "flush_event", "evicting", "writer")
+                 "hint", "heat", "flush_event", "writer")
 
     def __init__(self, page_id: int, page, hint: str = "hot"):
         self.page_id = page_id
@@ -58,7 +58,6 @@ class Frame:
         self.hint = hint
         self.heat = 0
         self.flush_event: Optional[Event] = None
-        self.evicting = False
         #: The db-writer bucket the page counts against while dirty.
         self.writer = 0
 
@@ -165,12 +164,12 @@ class BufferPool:
     # -- pin / unpin ----------------------------------------------------------------
 
     def pin(self, page_id: int) -> Optional[Frame]:
-        """Pin a resident page and return its frame, or ``None`` on a miss
-        or an evicting frame.  Call sites read ``frame = buffer.pin(pid)
+        """Pin a resident page and return its frame, or ``None`` on a
+        miss.  Call sites read ``frame = buffer.pin(pid)
         or (yield from buffer.fetch(pid, hint))``: a hit schedules no
         event and costs no generator frame."""
         frame = self.frames.get(page_id)
-        if frame is None or frame.evicting:
+        if frame is None:
             return None
         frame.pin_count += 1
         self.frames.move_to_end(page_id)
@@ -402,7 +401,6 @@ class BufferPool:
                 self._tm_stalls.inc()
                 yield from self._flush_frame(victim, ctx)
                 continue  # re-pick: state may have changed while flushing
-            victim.evicting = True
             del self.frames[victim.page_id]
             self._tm_evictions.inc()
 
@@ -412,8 +410,7 @@ class BufferPool:
     def _pick_victim(self) -> Optional[Frame]:
         """Oldest unpinned frame (LRU order), dirty or clean."""
         for frame in self.frames.values():
-            if frame.pin_count == 0 and not frame.evicting \
-                    and frame.flush_event is None:
+            if frame.pin_count == 0 and frame.flush_event is None:
                 return frame
         return None
 

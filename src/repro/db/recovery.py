@@ -29,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .page import SlottedPage
 from .wal import WALRecord
 
-__all__ = ["ColdStart", "RecoveryReport", "cold_start", "recover_database"]
+__all__ = ["ColdStart", "RecoveryReport", "cold_start", "mount_array",
+           "recover_database"]
 
 
 class RecoveryReport:
@@ -236,6 +237,29 @@ class ColdStart:
     recovery: RecoveryReport
 
 
+def mount_array(array, geometry, config=None, telemetry=None):
+    """Power-cycle ``array`` if it died powered off, then OOB-mount a
+    fresh NoFTL storage manager over it (checksum-verified scan, torn
+    pages rejected, allocation + bad-block state rebuilt).  The scan only
+    reads, so mounting the same array twice is safe.  Returns the new
+    simulator, manager, storage and mount report."""
+    from ..core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
+    from ..flash import SimExecutor, SimFlashDevice
+    from ..sim import Simulator
+
+    if array.powered_off:
+        array.power_cycle()
+    sim = Simulator()
+    executor = SimExecutor(SimFlashDevice(sim, array))
+    manager = NoFTLStorageManager(
+        geometry, config or NoFTLConfig(),
+        factory_bad_blocks=array.factory_bad_blocks(),
+        telemetry=telemetry,
+    )
+    storage = NoFTLStorage(sim, manager, executor)
+    return sim, manager, storage, sim.run_process(storage.mount())
+
+
 def cold_start(array, geometry, records: Iterable[WALRecord],
                durable_lsn: int, rebuild_schema, *,
                config=None, buffer_capacity: int = 24,
@@ -253,28 +277,15 @@ def cold_start(array, geometry, records: Iterable[WALRecord],
     is consulted, deliberately: the page allocator floor comes from the
     mount scan and the durable log, never from the dead process's RAM.
 
-    Pipeline: power-cycle → OOB mount scan (checksum-verified, torn pages
-    rejected, allocation + bad-block state rebuilt) → fresh Database over
-    the mounted storage → allocator floor from scan + log → schema →
-    ARIES redo/undo via :func:`recover_database` → free-list re-derived.
+    Pipeline: :func:`mount_array` → fresh Database over the mounted
+    storage → allocator floor from scan + log → schema → ARIES redo/undo
+    via :func:`recover_database` → free-list re-derived.
     """
-    from ..core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
-    from ..flash import SimExecutor, SimFlashDevice
     from ..ftl.base import UNMAPPED
-    from ..sim import Simulator
     from .database import Database
 
-    if array.powered_off:
-        array.power_cycle()
-    sim = Simulator()
-    executor = SimExecutor(SimFlashDevice(sim, array))
-    manager = NoFTLStorageManager(
-        geometry, config or NoFTLConfig(),
-        factory_bad_blocks=array.factory_bad_blocks(),
-        telemetry=telemetry,
-    )
-    storage = NoFTLStorage(sim, manager, executor)
-    mount_report = sim.run_process(storage.mount())
+    sim, manager, storage, mount_report = mount_array(
+        array, geometry, config=config, telemetry=telemetry)
 
     db = Database(sim, storage,
                   page_bytes=geometry.page_bytes,

@@ -23,9 +23,9 @@ it returns, every write acknowledged before it was called is on media
 (*durable*).  On a power cut **only un-barriered cache contents may
 vanish** — the listener registered with the flash array drops the cache
 the instant the cut fires, exactly like real DRAM behind a capacitor-less
-controller.  The chaos oracle (:class:`repro.bench.chaos.ChecksumOracle`)
+controller.  The checksum oracle (:class:`repro.bench.robust.ChecksumOracle`)
 distinguishes acked-volatile from acked-durable versions to prove the
-contract under fire (``python -m repro.bench.siege``).
+contract under fire (``python -m repro.bench.robust siege``).
 
 **Priority admission with backpressure.**  A bounded slot pool admits
 reads ahead of barrier destages ahead of trims ahead of background

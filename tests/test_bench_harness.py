@@ -16,10 +16,10 @@ from repro.bench import (
     render_series,
     render_table,
     ratio,
+    record_trace,
     sized_geometry,
     validate_emulator,
 )
-from repro.bench.fig3 import record_trace
 from repro.workloads import TPCB, IOTrace, replay_trace
 from repro.workloads.trace import TRIM, WRITE
 

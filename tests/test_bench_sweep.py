@@ -1,9 +1,9 @@
 """The sweep-merge determinism contract (DESIGN.md §13).
 
-``python -m repro.bench.sweep`` exists to buy wall-clock, never to
-change a byte of output: a multi-run rig executed across N pool workers
-must produce a merged report and merged telemetry **bit-identical** to
-the same sweep run in-process.  These tests pin the contract end to end
+The sweep executor (``repro.bench.sweep``) exists to buy wall-clock,
+never to change a byte of output: a multi-run rig executed across N pool
+workers must produce a merged report and merged telemetry
+**bit-identical** to the same sweep run in-process.  These tests pin the contract end to end
 on the crash harness (the heaviest consumer: per-cut registries, ordered
 ``merge_from``, per-cut CutReports) plus the executor and registry
 pickling pieces it stands on.
@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.bench.crash import run_crash_sweep
+from repro.bench.robust import run_crash_sweep
 from repro.bench.sweep import SweepTask, run_sweep
 from repro.telemetry import MetricsRegistry
 

@@ -350,17 +350,34 @@ class TestColdStartPipeline:
 
 
 class TestCrashSweepSmoke:
-    def test_miniature_tpcb_sweep_survives(self):
-        from repro.bench.crash import run_crash_sweep
+    @pytest.fixture(scope="class")
+    def report(self):
+        from repro.bench.robust import run_crash_sweep
 
-        report = run_crash_sweep("tpcb", cuts=2, duration_us=60_000.0,
-                                 resume_us=20_000.0)
+        return run_crash_sweep("tpcb", cuts=2, duration_us=60_000.0,
+                               resume_us=20_000.0)
+
+    def test_miniature_tpcb_sweep_survives(self, report):
         assert len(report.cuts) == 2
         assert report.ok, [c.snapshot() for c in report.cuts if not c.ok]
         for cut in report.cuts:
             assert cut.fired
             assert cut.acked_commits > 0
             assert cut.resumed_commits > 0
+
+    def test_pinned_numbers(self, report):
+        """The crash sweep shares its rig, cut snapshot and recovery path
+        with the chaos and siege scenarios; these numbers pin that
+        pipeline to the runs the sweep made before it was shared."""
+        assert (report.baseline_commits, report.baseline_ops,
+                report.load_ops) == (501, 339, 15)
+        # cut op, durable LSN, acked, torn, redo, undo, resumed
+        assert [(cut.cut_op, cut.durable_lsn, cut.acked_commits,
+                 cut.torn_pages, cut.redo_applied, cut.undo_applied,
+                 cut.resumed_commits) for cut in report.cuts] == [
+            (93, 1_138, 122, 1, 27, 8, 170),
+            (181, 1_814, 257, 1, 26, 9, 150),
+        ]
 
 
 class TestDegradedModeCut:

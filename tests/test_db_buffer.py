@@ -174,16 +174,6 @@ class TestPin:
         assert frame.page.get(0) == b"page-0"
         assert pool.misses == misses + 1
 
-    def test_evicting_frame_returns_none(self):
-        sim, __, __, pool = make_pool()
-        seed_pages(sim, pool, 2)
-        frame = pool.frames[0]
-        frame.evicting = True
-        hits = pool.hits
-        assert pool.pin(0) is None
-        assert frame.pin_count == 0
-        assert pool.hits == hits
-
     def test_two_missing_processes_share_one_load(self):
         sim, __, __, pool = make_pool(latency_us=100)
         seed_pages(sim, pool, 8)

@@ -19,9 +19,8 @@ Three layers:
 
 import pytest
 
-from repro.bench.chaos import ChecksumOracle
 from repro.bench.rigs import build_noftl_rig
-from repro.bench.siege import run_siege
+from repro.bench.robust import ChecksumOracle, run_siege
 from repro.core import NoFTLConfig
 from repro.core.badblock import DegradedModeError
 from repro.device import DeviceFrontend, FrontendConfig, FrontendShedError
@@ -435,8 +434,11 @@ class TestFrontendOnRealRig:
 
 
 class TestSiege:
-    def test_all_gates_hold(self):
-        report = run_siege(seed=11)
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_siege(seed=11)
+
+    def test_all_gates_hold(self, report):
         assert report.fired
         assert not report.lost_durable
         assert not report.corrupt_durable
@@ -445,3 +447,13 @@ class TestSiege:
         assert report.sheds_reported > 0
         assert report.sheds_reported == report.sheds_observed
         assert report.ok
+
+    def test_pinned_numbers(self, report):
+        """The siege shares its rig, cut snapshot and recovery path with
+        the chaos and crash scenarios; these numbers pin that pipeline to
+        the run the siege made before it was shared."""
+        assert (report.cut_op, report.commits, report.resumed_commits) \
+            == (870, 859, 312)
+        assert (report.sheds_reported, report.sheds_observed) \
+            == (2_345, 2_345)
+        assert (report.durable_pages, report.volatile_pages) == (114, 44)

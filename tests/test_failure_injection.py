@@ -441,11 +441,14 @@ class TestFASTerUnderTransientFaults:
 
 
 class TestChaosFullStack:
-    def test_chaos_run_loses_no_committed_data(self):
-        from repro.bench.chaos import run_chaos
+    @pytest.fixture(scope="class")
+    def report(self):
+        from repro.bench.robust import run_chaos
 
-        report = run_chaos(workload_name="tpcb", duration_us=200_000.0,
-                           seed=7)
+        return run_chaos(workload_name="tpcb", duration_us=200_000.0,
+                         seed=7)
+
+    def test_chaos_run_loses_no_committed_data(self, report):
         assert report.ok, (report.pages_lost, report.pages_corrupted)
         assert report.injected.get("program_fail", 0) >= 10
         assert report.injected.get("die_outage", 0) >= 1
@@ -454,6 +457,16 @@ class TestChaosFullStack:
         assert report.scrubs > 0
         assert report.program_remaps > 0
         assert not report.degraded
+
+    def test_pinned_numbers(self, report):
+        """The chaos, crash and siege scenarios share one rig and one
+        pipeline; these numbers pin it to the flash-command stream the
+        chaos rig drove before it was shared."""
+        assert (report.commits, report.pages_checked) == (2_807, 119)
+        assert report.injected == {
+            "program_fail": 12, "transient_read": 5, "latency_spike": 29,
+            "erase_fail": 1, "die_outage": 117,
+        }
 
 
 class TestTPCCConsistency:

@@ -16,6 +16,7 @@ from repro.bench.rigs import (
     geometry_for_footprint,
     geometry_with_dies,
     measure_workload_footprint,
+    record_trace,
     sized_geometry,
 )
 from repro.core import NoFTLConfig, NoFTLStorageManager
@@ -27,7 +28,6 @@ from repro.telemetry import (
     sum_per_die,
 )
 from repro.workloads import TPCB, replay_trace, run_workload
-from repro.bench.fig3 import record_trace
 
 
 class TestRegistry:
