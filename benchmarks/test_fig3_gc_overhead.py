@@ -69,6 +69,17 @@ def test_fig3_gc_overhead(benchmark, scale):
         )
         # Magnitude: the paper's ~2x copyback factor within a loose band.
         assert 1.2 < copyback.relative < 8.0
+        # The health ledger on each replay array: NoFTL programs fewer
+        # flash pages per logical write, and the ledger's erase total is
+        # the registry's ERASE count exactly (one accounting source, two
+        # independent paths to it).
+        targets = result.reports[workload]
+        wa = {arch: target["health"]["wa"]["write_amplification"]
+              for arch, target in targets.items()}
+        assert wa["NoFTL"] < wa["FASTer"], f"{workload}: ledger WA {wa}"
+        for arch, target in targets.items():
+            assert target["health"]["wa"]["erases"]["total"] \
+                == target["erases"], f"{workload}/{arch}: ledger erases"
 
     # Per-target replay reports (with per-die command breakdowns sourced
     # from the flash telemetry registries) as a CI artifact.

@@ -9,14 +9,15 @@
 | ``latency``       | §3 — 0.45 ms mean / 80 ms outlier write latency    |
 | ``validation``    | Demo 1 — emulator validated against OpenSSD        |
 | ``parallelism``   | §3.2 — 32 NCQ slots vs ~160 native flash commands  |
-| ``lifetime``      | §5 — half the erases => ~2x flash lifetime         |
+| ``lifetime``      | §5 — half the erases => ~2x flash lifetime (reads  |
+|                   | Figure 3's replay: ``rigs.replay_pair``)           |
 | ``ablation``      | DESIGN.md E10 — NoFTL design-choice ablation       |
 | ``robust``        | Fault model — chaos, power-cut and siege scenarios |
-| ``health``        | Device health: WA ledger, wear, saturation windows |
+| ``observe``       | Observability — tail blame, device health, streams |
 
-Modules with a command line (``fig3``, ``robust``, ``health``,
-``observe``, ``streams``) are not imported here: ``python -m`` would
-otherwise find them already imported and warn.
+Modules with a command line (``fig3``, ``robust``, ``observe``) are not
+imported here: ``python -m`` would otherwise find them already imported
+and warn.
 """
 
 from .ablation import AblationResult, AblationRow, ablate_noftl
@@ -43,6 +44,8 @@ from .rigs import (
     make_ftl,
     measure_workload_footprint,
     record_trace,
+    replay_geometry,
+    replay_pair,
     sized_geometry,
 )
 from .validation import ValidationReport, ValidationRow, validate_emulator
@@ -59,6 +62,7 @@ __all__ = [
     "DEMO_GEOMETRY", "attach_database", "build_blockdev_rig",
     "build_noftl_rig", "build_sync_blockdev", "build_sync_noftl",
     "geometry_for_footprint", "geometry_with_dies", "make_ftl",
-    "measure_workload_footprint", "record_trace", "sized_geometry",
+    "measure_workload_footprint", "record_trace", "replay_geometry",
+    "replay_pair", "sized_geometry",
     "ValidationReport", "ValidationRow", "validate_emulator",
 ]

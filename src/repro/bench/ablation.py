@@ -22,12 +22,10 @@ from typing import List
 from ..core import NoFTLConfig
 from ..workloads import replay_trace
 from .rigs import (
-    REPLAY_DIES,
     REPLAY_OP_RATIO,
-    REPLAY_UTILIZATION,
     build_sync_noftl,
-    geometry_for_footprint,
     record_trace,
+    replay_geometry,
 )
 
 __all__ = ["AblationRow", "AblationResult", "ablate_noftl"]
@@ -70,12 +68,7 @@ def ablate_noftl(workload_name: str = "tpcc",
                  duration_us: float = 6_000_000) -> AblationResult:
     """Replay one trace against every NoFTL variant."""
     trace = record_trace(workload_name, duration_us=duration_us, seed=SEED)
-    geometry = geometry_for_footprint(
-        trace.max_page() + 1,
-        utilization=REPLAY_UTILIZATION,
-        op_ratio=REPLAY_OP_RATIO,
-        dies=REPLAY_DIES,
-    )
+    geometry = replay_geometry(trace)
     result = AblationResult(workload_name)
     for variant, overrides in VARIANTS.items():
         config = NoFTLConfig(op_ratio=REPLAY_OP_RATIO, **overrides)

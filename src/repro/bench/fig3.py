@@ -18,18 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..telemetry import HealthMonitor
-from ..workloads import replay_trace
 from .reporting import ratio
-from .rigs import (
-    REPLAY_DIES,
-    REPLAY_OP_RATIO,
-    REPLAY_UTILIZATION,
-    build_sync_blockdev,
-    build_sync_noftl,
-    geometry_for_footprint,
-    record_trace,
-)
 from .sweep import SweepTask, run_sweep
 
 __all__ = ["Fig3Row", "Fig3Result", "fig3_gc_overhead",
@@ -67,70 +56,6 @@ class Fig3Result:
         raise KeyError((workload, io_type))
 
 
-def _fig3_task(name: str, duration_us: float, scale: float,
-               seed: int) -> dict:
-    """Record + replay one workload (sweep task body).
-
-    Fully self-contained — every rig here builds its own fresh registry
-    — and returns plain picklable data, so the per-workload comparisons
-    can fan out over a process pool with results identical to the
-    sequential loop.
-    """
-    from ..core import NoFTLConfig
-
-    trace = record_trace(name, duration_us=duration_us, scale=scale,
-                         seed=seed)
-
-    # Size the replay device to the trace footprint so both targets
-    # run at the same realistic space utilization (steady-state GC).
-    geometry = geometry_for_footprint(
-        trace.max_page() + 1,
-        utilization=REPLAY_UTILIZATION,
-        op_ratio=REPLAY_OP_RATIO,
-        dies=REPLAY_DIES,
-    )
-
-    faster_dev, faster_array = build_sync_blockdev(
-        "faster", geometry=geometry, seed=seed)
-    faster_health = HealthMonitor()
-    faster_health.attach_array(faster_array)
-    faster_report = replay_trace(trace, faster_dev)
-
-    noftl_dev, noftl_array = build_sync_noftl(
-        geometry=geometry, seed=seed,
-        config=NoFTLConfig(op_ratio=REPLAY_OP_RATIO),
-    )
-    noftl_health = HealthMonitor()
-    noftl_health.attach_array(noftl_array)
-    noftl_report = replay_trace(trace, noftl_dev)
-
-    # The health ledger is the single accounting source for WA and
-    # wear in the exported report; the Fig3Row axes below stay on the
-    # registry counters the benchmark gate has always used, and
-    # ``bench.health --check`` asserts both sources agree.
-    return {
-        "workload": name,
-        "trace_counts": trace.counts(),
-        "report": {
-            "FASTer": {
-                **faster_report.as_dict(),
-                "health": faster_health.report(),
-            },
-            "NoFTL": {
-                **noftl_report.as_dict(),
-                "health": noftl_health.report(),
-            },
-        },
-        # Both axes come from each rig's shared telemetry registry: the
-        # COPYBACK row counts page relocations (``ftl.relocations`` —
-        # what the paper's hardware issues as copyback commands; here
-        # cross-plane moves fall back to read+program but are the same
-        # GC traffic), the ERASE row counts ``flash.commands{op=erase}``.
-        "copyback": (faster_report.relocations, noftl_report.relocations),
-        "erase": (faster_report.erases, noftl_report.erases),
-    }
-
-
 def fig3_gc_overhead(workloads=("tpcc", "tpcb", "tpce"),
                      duration_us: float = 10_000_000,
                      scale: float = 1.0, seed: int = 11,
@@ -144,7 +69,7 @@ def fig3_gc_overhead(workloads=("tpcc", "tpcb", "tpce"),
     tasks = [
         SweepTask(
             label=f"fig3:{name}",
-            fn="repro.bench.fig3:_fig3_task",
+            fn="repro.bench.rigs:replay_pair",
             kwargs={"name": name, "duration_us": duration_us,
                     "scale": scale, "seed": seed},
         )
@@ -157,9 +82,16 @@ def fig3_gc_overhead(workloads=("tpcc", "tpcb", "tpce"),
     def on_result(index, task, data):
         name = data["workload"]
         traces[name] = data["trace_counts"]
-        reports[name] = data["report"]
-        rows.append(Fig3Row(name, "COPYBACK", *data["copyback"]))
-        rows.append(Fig3Row(name, "ERASE", *data["erase"]))
+        report = reports[name] = data["report"]
+        # Both axes come from each rig's telemetry registry: COPYBACK
+        # counts page relocations (``ftl.relocations`` — what the paper's
+        # hardware issues as copyback commands; cross-plane moves fall
+        # back to read+program here but are the same GC traffic), ERASE
+        # counts ``flash.commands{op=erase}``.
+        for io_type, key in (("COPYBACK", "relocations"),
+                             ("ERASE", "erases")):
+            rows.append(Fig3Row(name, io_type, report["FASTer"][key],
+                                report["NoFTL"][key]))
 
     run_sweep(tasks, workers=workers, on_result=on_result)
     return Fig3Result(rows, traces, reports)

@@ -5,10 +5,12 @@ doubles the lifetime of the Flash storage"*.
 
 NAND endurance is a per-block program/erase budget, so for a fixed
 amount of *useful work* (host page writes), lifetime scales inversely
-with erases consumed.  This bench derives the lifetime factor from the
-Figure 3 replay (identical trace on both targets) and additionally
-checks NoFTL's wear leveling: the erase-count spread across blocks stays
-bounded, so the budget is actually consumable.
+with erases consumed.  This bench reads the lifetime factor off the
+Figure 3 replay (:func:`~repro.bench.rigs.replay_pair`, identical trace
+on both targets): at the same trace and seed it *is* Figure 3's ERASE
+ratio.  It additionally checks NoFTL's wear leveling: the erase-count
+spread across blocks stays bounded, so the budget is actually
+consumable.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from typing import Dict, Optional
 from ..core import NoFTLConfig
 from ..flash import SLC_TIMING, Geometry
 from .reporting import ratio
-from .rigs import (
-    REPLAY_DIES,
-    REPLAY_OP_RATIO,
-    REPLAY_UTILIZATION,
-    build_sync_blockdev,
-    build_sync_noftl,
-    geometry_for_footprint,
-    record_trace,
-)
-from ..workloads import replay_trace
+from .rigs import build_sync_noftl, replay_pair
 
 __all__ = ["LifetimeReport", "lifetime_factor", "wear_spread"]
 
@@ -54,30 +47,18 @@ class LifetimeReport:
 def lifetime_factor(workload_name: str = "tpcb",
                     duration_us: float = 10_000_000) -> LifetimeReport:
     """Erase budget consumed per unit of work, FASTer vs NoFTL."""
-    seed = LIFETIME_SEED
-    trace = record_trace(workload_name, duration_us=duration_us, seed=seed)
-    geometry = geometry_for_footprint(
-        trace.max_page() + 1,
-        utilization=REPLAY_UTILIZATION,
-        op_ratio=REPLAY_OP_RATIO,
-        dies=REPLAY_DIES,
-    )
-    faster_dev, __ = build_sync_blockdev("faster", geometry=geometry,
-                                         seed=seed)
-    faster_report = replay_trace(trace, faster_dev)
-    noftl_dev, __ = build_sync_noftl(
-        geometry=geometry, seed=seed,
-        config=NoFTLConfig(op_ratio=REPLAY_OP_RATIO),
-    )
-    noftl_report = replay_trace(trace, noftl_dev)
-    writes = max(1, faster_report.host_writes)
+    report = replay_pair(workload_name, duration_us, scale=1.0,
+                         seed=LIFETIME_SEED)["report"]
+    writes = report["FASTer"]["host_writes"]
+    faster_erases = report["FASTer"]["erases"]
+    noftl_erases = report["NoFTL"]["erases"]
     return LifetimeReport(
         workload=workload_name,
-        host_writes=faster_report.host_writes,
-        faster_erases=faster_report.erases,
-        noftl_erases=noftl_report.erases,
-        faster_erases_per_kwrite=1000.0 * faster_report.erases / writes,
-        noftl_erases_per_kwrite=1000.0 * noftl_report.erases / writes,
+        host_writes=writes,
+        faster_erases=faster_erases,
+        noftl_erases=noftl_erases,
+        faster_erases_per_kwrite=1000.0 * faster_erases / max(1, writes),
+        noftl_erases_per_kwrite=1000.0 * noftl_erases / max(1, writes),
     )
 
 

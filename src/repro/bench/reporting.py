@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, List, Optional, Sequence
 
 __all__ = ["emit", "render_table", "render_series", "ratio",
-           "export_metrics", "DEFAULT_METRICS_DIR"]
+           "export_metrics", "cli_verdict", "DEFAULT_METRICS_DIR"]
 
 #: Default landing directory for BENCH_*.json run output: under
 #: ``benchmarks/`` next to the tracked baselines, but gitignored.
@@ -68,6 +68,20 @@ def export_metrics(name: str, registry, extra: Optional[dict] = None) -> str:
         json.dump(payload, handle, indent=2, default=str)
         handle.write("\n")
     return path
+
+
+def cli_verdict(args, name: str, payload, extra: Optional[dict], ok: bool,
+                passed: str, failed: str) -> bool:
+    """A bench command line's report path: under ``--export`` write
+    ``payload`` (a registry or a report dict, ``extra`` riding along) as
+    ``<name>.json`` through :func:`export_metrics`; then print the
+    verdict line, which ``REPRO_QUIET`` does not silence.  Returns
+    ``ok``; the caller turns it into the ``--check`` exit status."""
+    if args.export:
+        path = export_metrics(name, payload, extra=extra)
+        print(f"snapshot: {path}")
+    print(passed if ok else failed)
+    return ok
 
 
 def _format_cell(value) -> str:

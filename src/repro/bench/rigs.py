@@ -29,12 +29,13 @@ from ..flash import (
 )
 from ..ftl import DFTL, FASTer, PageMapFTL
 from ..sim import Simulator
-from ..telemetry import EventTrace, MetricsRegistry
+from ..telemetry import EventTrace, HealthMonitor, MetricsRegistry
 from ..workloads import (
     TPCB,
     TPCC,
     TPCE,
     TraceRecordingAdapter,
+    replay_trace,
     run_workload,
 )
 
@@ -50,6 +51,8 @@ __all__ = [
     "build_sync_blockdev",
     "attach_database",
     "record_trace",
+    "replay_geometry",
+    "replay_pair",
 ]
 
 #: Total flash pages kept constant while the die count varies (the paper
@@ -397,3 +400,53 @@ def record_trace(workload_name: str, duration_us: float = 3_000_000,
                  num_terminals=8, rng=random.Random(seed))
     sim.run_process(db.checkpoint())
     return adapter.trace
+
+
+def replay_geometry(trace) -> Geometry:
+    """The replay device for ``trace``: its final footprint
+    (``max_page() + 1``) fills :data:`REPLAY_UTILIZATION` of the
+    exported space on :data:`REPLAY_DIES` dies.  Every trace replay sizes
+    its device here, so a change of sizing (a declared utilization, a
+    preconditioned fill) is one edit."""
+    return geometry_for_footprint(
+        trace.max_page() + 1,
+        utilization=REPLAY_UTILIZATION,
+        op_ratio=REPLAY_OP_RATIO,
+        dies=REPLAY_DIES,
+    )
+
+
+def _monitored_replay(trace, target) -> dict:
+    device, array = target
+    monitor = HealthMonitor()
+    monitor.attach_array(array)
+    return {**replay_trace(trace, device).as_dict(),
+            "health": monitor.report()}
+
+
+def replay_pair(name: str, duration_us: float, scale: float,
+                seed: int) -> dict:
+    """Figure 3's off-line methodology for one workload: record its
+    trace on an in-memory database, then replay it into a black-box
+    FASTer SSD (no trims) and into NoFTL on the same replay device, with
+    a health monitor (WA ledger, wear) on each array.
+
+    Returns plain picklable data, so a sweep can fan workloads out over
+    a process pool: the trace's op counts, and per target (``"FASTer"``,
+    ``"NoFTL"``) the replay report with the monitor's report under
+    ``"health"``.
+    """
+    trace = record_trace(name, duration_us=duration_us, scale=scale,
+                         seed=seed)
+    geometry = replay_geometry(trace)
+    return {
+        "workload": name,
+        "trace_counts": trace.counts(),
+        "report": {
+            "FASTer": _monitored_replay(trace, build_sync_blockdev(
+                "faster", geometry=geometry, seed=seed)),
+            "NoFTL": _monitored_replay(trace, build_sync_noftl(
+                geometry=geometry, seed=seed,
+                config=NoFTLConfig(op_ratio=REPLAY_OP_RATIO))),
+        },
+    }

@@ -50,7 +50,7 @@ from ..flash import (
 from ..ftl.base import UNMAPPED
 from ..telemetry import HealthMonitor, MetricsRegistry, OpContext
 from ..workloads import TPCB, TPCC, run_workload
-from .reporting import emit, export_metrics, render_table
+from .reporting import cli_verdict, emit, render_table
 from .rigs import attach_database, build_noftl_rig, sized_geometry, \
     measure_workload_footprint
 from .sweep import SweepTask, run_sweep
@@ -148,7 +148,6 @@ class ChecksumOracle:
         self.num_regions = adapter.num_regions
         self.telemetry = getattr(adapter, "telemetry", None)
         self.checksums: Dict[int, int] = {}
-        self.writes_acked = 0
         self.shadow_reads = shadow_reads
         #: Per-page append-only checksum history of acknowledged writes
         #: (newest last); restarted by an acknowledged trim.
@@ -166,7 +165,6 @@ class ChecksumOracle:
         self.trimmed: set = set()
         #: Pages whose trim died mid-flight: content is unknowable.
         self.indeterminate: set = set()
-        self.barriers_completed = 0
         self.reads_checked = 0
         self.hazard_violations: List[dict] = []
 
@@ -202,7 +200,6 @@ class ChecksumOracle:
         yield from self.adapter.write(page_id, data, hint, ctx=ctx)
         # Only reached when the write was acknowledged (no exception).
         self.checksums[page_id] = page_checksum(data)
-        self.writes_acked += 1
         self.trimmed.discard(page_id)
         self.indeterminate.discard(page_id)
         self.history.setdefault(page_id, []).append(self.checksums[page_id])
@@ -257,7 +254,6 @@ class ChecksumOracle:
                 continue
             if idx > self.durable_floor.get(lpn, -1):
                 self.durable_floor[lpn] = idx
-        self.barriers_completed += 1
 
     def acceptable_after_cut(self, page_id: int) -> List[int]:
         """Every checksum a post-cut readback may legally return for a
@@ -1116,21 +1112,12 @@ def run_siege(seed: int = 11, duration_us: float = 140_000.0,
     return report
 
 
-def _verdict(args, name: str, telemetry, extra: dict, ok: bool,
-             passed: str, failed: str) -> bool:
-    if args.export:
-        path = export_metrics(name, telemetry, extra=extra)
-        print(f"telemetry snapshot: {path}")
-    print(passed if ok else failed)
-    return ok
-
-
 def _one_run(args, name: str, report, passed: str,
              failed: str) -> List[bool]:
     snap = report.snapshot()
     for key, value in snap.items():
         emit(f"  {key}: {value}")
-    return [_verdict(args, name, report.telemetry, snap, report.ok, passed,
+    return [cli_verdict(args, name, report.telemetry, snap, report.ok, passed,
                      failed)]
 
 
@@ -1164,7 +1151,7 @@ def _crash(args) -> List[bool]:
              for cut in report.cuts],
         ))
         bad = [c.cut_op for c in report.cuts if not c.ok]
-        verdicts.append(_verdict(
+        verdicts.append(cli_verdict(
             args, f"crash_{name}", report.telemetry, report.snapshot(),
             report.ok,
             f"{name}: {len(report.cuts)} cuts survived — no acknowledged "
@@ -1192,7 +1179,7 @@ def _siege(args) -> List[bool]:
         f"seed {report.seed}: cut@{report.cut_op} commits={report.commits} "
         f"sheds={report.sheds_reported} resumed={report.resumed_commits}"))
     bad = [r.seed for r in reports if not r.ok]
-    return [_verdict(args, "siege-sweep", telemetry,
+    return [cli_verdict(args, "siege-sweep", telemetry,
                      {"seeds": {str(r.seed): r.snapshot() for r in reports}},
                      not bad, f"siege sweep ok: {len(reports)} seeds survived",
                      f"SIEGE SWEEP FAILED at seeds {bad}")]

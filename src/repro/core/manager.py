@@ -570,7 +570,7 @@ class NoFTLStorageManager:
 
     def health_snapshot(self) -> dict:
         """Per-device health view in the same shape the FTLs export
-        (``BaseFTL.health_snapshot``), so ``bench.health`` can cross-
+        (``BaseFTL.health_snapshot``), so the health report can cross-
         validate the WA ledger against either side of the NoFTL/FTL
         comparison without special cases.  Carries the host-side wear
         shadow per region; device truth lives in ``array.erase_counts``

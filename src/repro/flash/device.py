@@ -63,31 +63,29 @@ def _phase_of(command) -> int:
 
 
 class SyncFlashDevice:
-    """Zero-wait command execution with per-die busy-time bookkeeping.
+    """Zero-wait command execution.
 
     ``elapsed_us`` approximates wall-clock time of the replayed command
-    stream under perfect die pipelining (max of per-die busy times);
-    ``serial_us`` is the fully serialized time.  Real throughput lies in
-    between; the DES front-end is authoritative when timing matters.
+    stream under perfect die pipelining: the busiest die's busy time, as
+    the array's ``flash.busy_us{die}`` series hold it.  ``serial_us`` is
+    the fully serialized time.  Real throughput lies in between; the DES
+    front-end is authoritative when timing matters.
     """
 
     def __init__(self, array: FlashArray):
         self.array = array
         self.geometry = array.geometry
         self.telemetry = array.telemetry
-        self.die_busy_us: List[float] = [0.0] * array.geometry.total_dies
         self.serial_us = 0.0
 
     def execute(self, command: FlashCommand) -> CommandResult:
         result = self.array.apply(command)
         self.serial_us += result.latency_us
-        if result.die is not None:
-            self.die_busy_us[result.die] += result.latency_us
         return result
 
     @property
     def elapsed_us(self) -> float:
-        return max(self.die_busy_us) if self.die_busy_us else 0.0
+        return max(self.telemetry.series("flash.busy_us", "die").values())
 
 
 class SimFlashDevice:

@@ -170,9 +170,9 @@ class BaseFTL:
 
     def health_snapshot(self) -> dict:
         """Per-FTL contribution to the device health report
-        (``python -m repro.bench.health``): the classic stats counters —
-        the spot-check the WA ledger's numbers are cross-validated
-        against.  Subclasses extend with their own state (log occupancy,
+        (``python -m repro.bench.observe health``): the classic stats
+        counters — the spot-check the WA ledger's numbers are
+        cross-validated against.  Subclasses extend with their own state (log occupancy,
         map-cache hit ratio, ...)."""
         return {"ftl": self.name, "stats": self.stats.snapshot()}
 

@@ -7,8 +7,8 @@ map / temp / recovery); this module makes it *actionable*: each data
 class gets its own named allocation point per plane, so blocks fill with
 single-class data and GC never co-locates a short-lived WAL segment with
 a cold heap page.  "Enlightening Flash Storage to Stream Writes by
-Objects" (PAPERS.md) quantifies the win; ``repro.bench.streams`` gates
-it here.
+Objects" (PAPERS.md) quantifies the win; ``repro.bench.observe
+streams`` gates it here.
 
 Three namespaces, all plain strings used as keys of a plane's
 ``active`` dict:

@@ -12,10 +12,11 @@ On top of the counters, :class:`OpContext` carries each request's root
 cause down to individual flash commands, and
 :mod:`repro.telemetry.attribution` decomposes tail latency into media /
 queueing-behind-GC / retry shares from the resulting trace events (the
-``python -m repro.bench.observe`` dashboard).
+``python -m repro.bench.observe tail`` dashboard).
 :mod:`repro.telemetry.health` adds the opt-in device-health layer: the
 write-amplification ledger, wear/endurance accounting, and the live
-windowed load/saturation engine behind ``python -m repro.bench.health``.
+windowed load/saturation engine behind ``python -m repro.bench.observe
+health``.
 """
 
 from .attribution import (

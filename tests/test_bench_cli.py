@@ -1,10 +1,11 @@
 """Every bench front door README.md quotes (``python -m repro.bench.X``,
-and each robustness rig ``python -m repro.bench.robust <rig>``) imports
-and answers ``--help`` with exit status 0 — a wiring check for the
-argument parsers, not a run of the rigs behind them — and every
-bench module with a ``main`` runs under ``python -m`` without runpy's
-"found in sys.modules" warning (the package ``__init__`` must not import
-it first)."""
+and each subcommand of the two harnesses, ``python -m
+repro.bench.robust <rig>`` and ``python -m repro.bench.observe
+<scenario>``) imports and answers ``--help`` with exit status 0 — a
+wiring check for the argument parsers, not a run of the rigs behind
+them — and every bench module with a ``main`` runs under ``python -m``
+without runpy's "found in sys.modules" warning (the package
+``__init__`` must not import it first)."""
 
 import ast
 import importlib
@@ -22,15 +23,16 @@ BENCH = ROOT / "src" / "repro" / "bench"
 README_TEXT = README.read_text(encoding="utf-8")
 FRONT_DOORS = sorted(set(re.findall(
     r"python -m (repro\.bench\.\w+)", README_TEXT)))
-#: The robustness rigs, each a subcommand of ``repro.bench.robust``; a
-#: rig's help check is named for the rig, ``repro.bench.<rig>``.
-ROBUST_RIGS = sorted(set(re.findall(
-    r"python -m repro\.bench\.robust (\w+)", README_TEXT)))
+#: ``(harness, subcommand)``: the robustness rigs and the observability
+#: scenarios.  A subcommand's help check is named for it,
+#: ``repro.bench.<subcommand>``.
+SUBCOMMANDS = sorted(set(re.findall(
+    r"python -m (repro\.bench\.(?:robust|observe)) (\w+)", README_TEXT)))
 HELP_CALLS = [
     pytest.param(module, ["--help"], id=module) for module in FRONT_DOORS
 ] + [
-    pytest.param("repro.bench.robust", [rig, "--help"],
-                 id=f"repro.bench.{rig}") for rig in ROBUST_RIGS
+    pytest.param(module, [sub, "--help"], id=f"repro.bench.{sub}")
+    for module, sub in SUBCOMMANDS
 ]
 WITH_MAIN = sorted(
     f"repro.bench.{path.stem}" for path in BENCH.glob("*.py")
@@ -40,8 +42,11 @@ WITH_MAIN = sorted(
 
 def test_readme_quotes_the_front_doors():
     assert [name.rpartition(".")[2] for name in FRONT_DOORS] == [
-        "fig3", "health", "observe", "robust", "streams"]
-    assert ROBUST_RIGS == ["chaos", "crash", "siege"]
+        "fig3", "observe", "robust"]
+    assert [(module.rpartition(".")[2], sub)
+            for module, sub in SUBCOMMANDS] == [
+        ("observe", "health"), ("observe", "streams"), ("observe", "tail"),
+        ("robust", "chaos"), ("robust", "crash"), ("robust", "siege")]
 
 
 @pytest.mark.parametrize("module, argv", HELP_CALLS)

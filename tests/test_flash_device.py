@@ -30,14 +30,18 @@ GEO = Geometry(
 )
 
 
+def _die_busy_us(device):
+    return device.telemetry.series("flash.busy_us", "die")
+
+
 class TestSyncDevice:
     def test_execute_and_busy_accounting(self):
         device = SyncFlashDevice(FlashArray(GEO, SLC_TIMING))
         device.execute(ProgramPage(ppn=0, data=b"a"))
         device.execute(ReadPage(ppn=0))
         assert device.serial_us > 0
-        assert device.die_busy_us[0] == pytest.approx(device.serial_us)
-        assert device.elapsed_us == device.die_busy_us[0]
+        assert _die_busy_us(device)[0] == pytest.approx(device.serial_us)
+        assert device.elapsed_us == _die_busy_us(device)[0]
 
     def test_elapsed_is_max_over_dies(self):
         device = SyncFlashDevice(FlashArray(GEO, SLC_TIMING))
@@ -45,8 +49,10 @@ class TestSyncDevice:
         ppn_die1 = GEO.ppn_of(GEO.blocks_of_die(1)[0], 0)
         device.execute(ProgramPage(ppn=ppn_die1, data=b"b"))
         device.execute(ProgramPage(ppn=1, data=b"c"))
-        assert device.elapsed_us == pytest.approx(device.die_busy_us[0])
-        assert device.serial_us == pytest.approx(sum(device.die_busy_us))
+        busy = _die_busy_us(device)
+        assert device.elapsed_us == pytest.approx(busy[0])
+        assert busy[0] > busy[1] > 0
+        assert device.serial_us == pytest.approx(sum(busy.values()))
 
 
 class TestSyncExecutor:

@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from repro.bench.observe import analyze_trace, run_checks
+from repro.bench.observe import (
+    analyze_trace,
+    check_tail,
+    run_db_rig,
+    run_saturation_rig,
+)
 from repro.bench.rigs import (
     attach_database,
     build_noftl_rig,
@@ -240,5 +245,36 @@ class TestEndToEndTrace:
         assert report["commit_blame"]["tail_buckets"]["wal_us"] > 0
         # both dies show up in the utilization series
         assert set(report["series"]["die_busy"]) == {0, 1}
-        failures = run_checks({"noftl": report}, dies=2)
+        failures = check_tail({"noftl": report}, dies=2)
         assert failures == []
+
+
+class TestHealthScenario:
+    """Exact short-horizon numbers of the observe harness's health
+    scenario (seed 11, its own): a change of rig assembly, construction
+    order or RNG draws moves them."""
+
+    def test_tpcb_rig_numbers_are_pinned(self):
+        out = run_db_rig("tpcb", 11, 150_000.0)
+        health = out["health"]
+        assert out["commits"] == 2106
+        wa = health["wa"]
+        assert (wa["logical_writes"], wa["physical_writes"],
+                wa["erases"]["total"]) == (949, 949, 9)
+        assert wa["per_die"] == {0: 242, 1: 239, 2: 232, 3: 236}
+        wear = health["wear"]
+        assert (wear["skew"], wear["max"], wear["mean"]) == (5.3333, 1, 0.1875)
+        assert wear["lifetime"]["remaining_host_writes"] == 2_846_051
+        assert wear["lifetime"]["projected_total_host_writes"] == 2_847_000
+        assert len(health["windows"]["windows"]) == 17
+
+    def test_saturation_rig_numbers_are_pinned(self):
+        out = run_saturation_rig(11)
+        assert out["offered"] == {"acked": 518, "shed": 6091}
+        assert out["saturation"] == {
+            "saturated": True,
+            "point": {"kind": "shed-onset", "window": 3, "at_us": 12_000.0,
+                      "sheds": 10},
+        }
+        assert (out["frontend"]["coalesced"],
+                out["frontend"]["destages"]) == (316, 226)

@@ -5,7 +5,9 @@ WA ledger's class learning/forgetting around all of it."""
 
 import random
 
-from repro.bench.health import run_db_rig, stream_stats_of
+import pytest
+
+from repro.bench.observe import run_arm, stream_stats_of
 from repro.bench.rigs import attach_database, build_noftl_rig
 from repro.core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager
 from repro.db import TempArea
@@ -415,16 +417,43 @@ class TestTempProducer:
 
 
 class TestStreamsOnDatabaseRun:
-    def test_tpcb_run_classifies_everything(self):
-        out = run_db_rig("tpcb", duration_us=30_000.0, dies=2,
-                         write_streams=True)
-        assert out["commits"] > 0
-        assert out["streams"]["mixed_class_victims"] == 0
-        per_class = out["health"]["wa"]["per_class"]
+    """The observe harness's streams arm on TPC-B, cut to 60 ms (seed 17:
+    the scenario's own), run once for the class."""
+
+    @pytest.fixture(scope="class")
+    def arm(self):
+        return run_arm("tpcb", True, 17, 60_000.0)
+
+    def test_tpcb_run_classifies_everything(self, arm):
+        assert arm["commits"] > 0
+        assert arm["stream_stats"]["mixed_class_victims"] == 0
+        per_class = arm["wa"]["per_class"]
         # Fully stamped stack: nothing falls through to 'unknown'.
         assert per_class.get("unknown", {}).get("physical", 0) == 0
-        # This rig keeps its WAL off-flash (bench.streams puts it on),
-        # so the page classes are the ones that must show up.
-        for cls in ("heap", "btree"):
+        # The arm puts its WAL on flash and runs a temp producer, so
+        # every producing class shows up; only recovery stays silent.
+        for cls in ("wal", "heap", "btree", "temp"):
             assert per_class[cls]["logical"] > 0
-        assert "wal" in out["health"]["wa"]["producerless_classes"]
+        assert arm["wa"]["producerless_classes"] == ["recovery"]
+
+    def test_tpcb_arm_numbers_are_pinned(self, arm):
+        """Exact short-horizon numbers of the streams scenario: a change
+        of rig assembly, construction order or RNG draws moves them."""
+        assert arm["commits"] == 64
+        assert arm["steady"] == {
+            "warmup_us": 45_000.0, "logical_writes": 23,
+            "physical_writes": 23, "erases": 2, "write_amplification": 1.0,
+            "erases_per_write": 0.08696, "victims": 2,
+            "mixed_class_victims": 0,
+        }
+        assert (arm["wa"]["logical_writes"], arm["wa"]["physical_writes"],
+                arm["wa"]["erases"]["total"]) == (3960, 3960, 39)
+        assert arm["stream_stats"] == {
+            "victims": 39, "mixed_class_victims": 0, "frontiers_adopted": 0}
+        assert arm["wal_volume"] == {
+            "pages_programmed": 1093, "wraps": 17, "window_pages": 64}
+        assert arm["temp"] == {"spills": 3, "pages_spilled": 12,
+                               "pages_reclaimed": 12, "live_runs": 0}
+        assert arm["write_blame"]["count"] == 3959
+        assert arm["write_blame"]["p99_us"] == 3624.4799999999814
+        assert arm["trace_events"] == 9805

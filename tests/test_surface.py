@@ -104,8 +104,6 @@ KNOB_ALLOWLIST: Dict[str, str] = {
     "keeps the TPC-C consistency test quick",
     "run_chaos(fault_plan=)": "the README's scripted chaos run passes its "
     "own fault plan",
-    "run_db_rig(dies=)": "test seam: the streams test runs the health rig "
-    "on two dies to stay quick",
 }
 
 
