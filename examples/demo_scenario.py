@@ -19,31 +19,18 @@ Usage examples:
 """
 
 import argparse
-import random
+from dataclasses import replace
 
-from repro.bench import (
-    attach_database,
-    build_blockdev_rig,
-    build_noftl_rig,
-    measure_workload_footprint,
-    render_table,
-    sized_geometry,
-)
-from repro.core import NoFTLConfig
-from repro.workloads import TPCB, TPCC, TPCE, TPCH, run_workload
+from repro.bench import KITS, SHAPES, build_closed_loop, render_table
 
-WORKLOADS = {
-    "tpcb": lambda: TPCB(sf=8, accounts_per_branch=400),
-    "tpcc": lambda: TPCC(warehouses=4, customers_per_district=30, items=100),
-    "tpce": lambda: TPCE(customers=400, securities=60),
-    "tpch": lambda: TPCH(customers=60, orders=300),
-}
+#: The headline experiment's kits (E4), one per TPC benchmark.
+WORKLOADS = sorted(name for family, name in KITS if family == "headline")
 
 
 def parse_args():
     parser = argparse.ArgumentParser(
         description="NoFTL demonstration testbed (EDBT'15 Demo Scenario 2)")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
+    parser.add_argument("--workload", choices=WORKLOADS,
                         default="tpcc", help="TPC benchmark to run")
     parser.add_argument("--arch", choices=("noftl", "faster", "dftl"),
                         default="noftl",
@@ -75,40 +62,26 @@ def main():
                        "block devices expose a single opaque region")
         raise SystemExit(f"error: {parser_hint}")
 
-    workload = WORKLOADS[args.workload]()
-    footprint = measure_workload_footprint(workload)
-    geometry = sized_geometry(footprint, dies=args.dies,
-                              utilization=args.utilization,
-                              headroom_pages=footprint // 2)
+    # The headline rig with the audience's flash layout and load; DFTL
+    # keeps a fixed 1024-entry mapping cache here.
+    shape = replace(SHAPES["headline"], dies=args.dies,
+                    utilization=args.utilization, writers=writers,
+                    terminals=args.terminals, cmt_entries=1024)
+    loop = build_closed_loop(shape, args.workload, args.arch, args.seed,
+                             policy=policy)
+    rig, db = loop.rig, loop.db
+    geometry = rig.geometry
     print(f"flash layout: {geometry.total_dies} dies x "
           f"{geometry.planes_per_die} planes, "
           f"{geometry.total_pages} pages "
           f"({geometry.capacity_bytes // (1 << 20)} MiB), "
-          f"workload footprint {footprint} pages")
-
-    if args.arch == "noftl":
-        regions = args.dies
-        rig = build_noftl_rig(geometry=geometry,
-                              config=NoFTLConfig(num_regions=regions,
-                                                 op_ratio=0.12),
-                              seed=args.seed)
-        maintenance = rig.manager.stats
-    else:
-        rig = build_blockdev_rig(args.arch, geometry=geometry,
-                                 seed=args.seed)
-        maintenance = rig.ftl.stats
-
-    db = attach_database(rig, buffer_capacity=max(64, footprint // 8),
-                         foreground_flush=False)
-    db.start_writers(writers, policy=policy)
+          f"workload footprint {loop.footprint} pages")
+    maintenance = (rig.manager if args.arch == "noftl" else rig.ftl).stats
 
     print(f"running {args.workload.upper()} on {args.arch} "
           f"({writers} db-writers, {policy} assignment, "
           f"{args.terminals} terminals, {args.duration:.1f} s simulated) ...")
-    stats = run_workload(rig.sim, db, WORKLOADS[args.workload](),
-                         duration_us=args.duration * 1e6,
-                         num_terminals=args.terminals,
-                         rng=random.Random(args.seed))
+    stats = loop.drive(args.duration * 1e6, args.seed, preloaded=False)
 
     print(render_table(
         "Transactional throughput",

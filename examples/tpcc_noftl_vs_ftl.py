@@ -15,44 +15,19 @@ them.
 Run:  python examples/tpcc_noftl_vs_ftl.py [duration_seconds]
 """
 
-import random
 import sys
 
-from repro.bench import (
-    attach_database,
-    build_blockdev_rig,
-    build_noftl_rig,
-    measure_workload_footprint,
-    render_table,
-    sized_geometry,
-)
-from repro.core import NoFTLConfig
-from repro.workloads import TPCC, run_workload
+from repro.bench import SHAPES, build_closed_loop, render_table
 
 
 def run_architecture(architecture: str, duration_us: float):
-    workload = TPCC(warehouses=4, customers_per_district=30, items=100)
-    footprint = measure_workload_footprint(workload)
-    geometry = sized_geometry(footprint, dies=8, utilization=0.88,
-                              headroom_pages=footprint // 2)
-    if architecture == "noftl":
-        rig = build_noftl_rig(geometry=geometry,
-                              config=NoFTLConfig(num_regions=8,
-                                                 op_ratio=0.12))
-        stats = rig.manager.stats
-    else:
-        # DFTL scales its CMT with the device (~3% of pages), as on real
-        # controllers — see repro.bench.headline
-        rig = build_blockdev_rig(
-            architecture, geometry=geometry,
-            cmt_entries=max(128, geometry.total_pages // 32))
-        stats = rig.ftl.stats
-    db = attach_database(rig, buffer_capacity=max(64, footprint // 8),
-                         foreground_flush=False)
-    db.start_writers(8, policy="region" if architecture == "noftl"
-                     else "global")
-    outcome = run_workload(rig.sim, db, workload, duration_us=duration_us,
-                           num_terminals=16, rng=random.Random(11))
+    # The headline experiment's rig (repro.bench.headline): DFTL scales
+    # its CMT with the device (~3% of pages), as on real controllers.
+    loop = build_closed_loop(SHAPES["headline"], "tpcc", architecture,
+                             seed=0)
+    rig = loop.rig
+    stats = (rig.manager if architecture == "noftl" else rig.ftl).stats
+    outcome = loop.drive(duration_us, seed=11, preloaded=False)
     return {
         "architecture": architecture,
         "tps": round(outcome.tps, 1),

@@ -34,8 +34,11 @@ from .parallelism import (
 from .reporting import emit, ratio, render_series, render_table
 from .rigs import (
     DEMO_GEOMETRY,
+    KITS,
+    SHAPES,
     attach_database,
     build_blockdev_rig,
+    build_closed_loop,
     build_noftl_rig,
     build_sync_blockdev,
     build_sync_noftl,
@@ -59,8 +62,9 @@ __all__ = [
     "LifetimeReport", "lifetime_factor", "wear_spread",
     "ParallelismPoint", "ParallelismResult", "interface_parallelism",
     "emit", "ratio", "render_series", "render_table",
-    "DEMO_GEOMETRY", "attach_database", "build_blockdev_rig",
-    "build_noftl_rig", "build_sync_blockdev", "build_sync_noftl",
+    "DEMO_GEOMETRY", "KITS", "SHAPES", "attach_database",
+    "build_blockdev_rig", "build_closed_loop", "build_noftl_rig",
+    "build_sync_blockdev", "build_sync_noftl",
     "geometry_for_footprint", "geometry_with_dies", "make_ftl",
     "measure_workload_footprint", "record_trace", "replay_geometry",
     "replay_pair", "sized_geometry",

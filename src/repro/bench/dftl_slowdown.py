@@ -14,24 +14,15 @@ outruns the CMT, so the sweep varies CMT capacity.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
-from ..workloads import TPCB, TPCC, run_workload
 from .reporting import ratio
-from .rigs import (
-    attach_database,
-    build_blockdev_rig,
-    measure_workload_footprint,
-    sized_geometry,
-)
+from .rigs import SHAPES, build_closed_loop
 
 __all__ = ["DFTLPoint", "DFTLResult", "dftl_slowdown"]
 
-#: The testbed every FTL shares: terminals, dies, and the seed of every run.
-NUM_TERMINALS = 16
-DIES = 8
+#: The seed of every run.
 SEED = 41
 
 
@@ -70,46 +61,30 @@ class DFTLResult:
                    for entries in candidates)
 
 
-def _make_workload(name: str):
-    if name == "tpcc":
-        return TPCC(warehouses=4, customers_per_district=30, items=100)
-    if name == "tpcb":
-        return TPCB(sf=8, accounts_per_branch=400)
-    raise ValueError(f"unknown workload {name!r}")
-
-
 def dftl_slowdown(
     workloads: Sequence[str] = ("tpcb",),
     cmt_sizes: Sequence[int] = (64, 256, 1024),
     duration_us: float = 1_500_000,
 ) -> DFTLResult:
-    """TPS of pure page mapping vs DFTL at several CMT capacities."""
+    """TPS of pure page mapping vs DFTL at several CMT capacities, on
+    the :data:`~repro.bench.rigs.SHAPES` ``"dftl"`` rig."""
     result = DFTLResult()
     for workload_name in workloads:
-        footprint = measure_workload_footprint(_make_workload(workload_name))
-        geometry = sized_geometry(footprint, DIES, utilization=0.85,
-                                  headroom_pages=footprint // 2)
-        buffer_capacity = max(64, footprint // 10)
-
+        footprint = SHAPES["dftl"].kit_footprint(workload_name)
         configs = [("pagemap", 0)] + [("dftl", size) for size in cmt_sizes]
         for ftl_name, cmt_entries in configs:
-            rig = build_blockdev_rig(ftl_name, geometry=geometry, seed=SEED,
-                                     cmt_entries=cmt_entries)
-            db = attach_database(rig, buffer_capacity=buffer_capacity)
-            db.start_writers(4, policy="global")
-            stats = run_workload(
-                rig.sim, db, _make_workload(workload_name),
-                duration_us=duration_us,
-                num_terminals=NUM_TERMINALS,
-                rng=random.Random(SEED),
-            )
+            loop = build_closed_loop(
+                replace(SHAPES["dftl"], cmt_entries=cmt_entries),
+                workload_name, ftl_name, SEED, footprint=footprint)
+            ftl = loop.rig.ftl
+            stats = loop.drive(duration_us, SEED, preloaded=False)
             result.points.append(DFTLPoint(
                 workload=workload_name,
                 ftl=ftl_name,
                 cmt_entries=cmt_entries,
                 tps=stats.tps,
-                cmt_hit_ratio=getattr(rig.ftl, "cmt_hit_ratio", 1.0),
-                map_reads=rig.ftl.stats.map_reads,
-                map_programs=rig.ftl.stats.map_programs,
+                cmt_hit_ratio=getattr(ftl, "cmt_hit_ratio", 1.0),
+                map_reads=ftl.stats.map_reads,
+                map_programs=ftl.stats.map_programs,
             ))
     return result

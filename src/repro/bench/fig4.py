@@ -17,24 +17,15 @@ die count, up to 1.5x (TPC-C) / 1.43x (TPC-B).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
-from ..core import NoFTLConfig
-from ..workloads import TPCB, TPCC, run_workload
 from .reporting import ratio
-from .rigs import (
-    attach_database,
-    build_noftl_rig,
-    measure_workload_footprint,
-    sized_geometry,
-)
+from .rigs import SHAPES, build_closed_loop
 
 __all__ = ["Fig4Point", "Fig4Result", "fig4_dbwriters"]
 
-#: The figure's 16 read processes, and the seed of every run.
-NUM_READERS = 16
+#: The seed of every run.
 SEED = 23
 
 
@@ -64,17 +55,6 @@ class Fig4Result:
         return ratio(by_policy["region"], by_policy["global"])
 
 
-def _make_workload(name: str):
-    # Scaled-down renditions of the figure's captions (sf=50 TPC-C,
-    # sf=500 TPC-B): enough branches/warehouses that row locks never cap
-    # throughput before the storage does.
-    if name == "tpcc":
-        return TPCC(warehouses=8, customers_per_district=30, items=100)
-    if name == "tpcb":
-        return TPCB(sf=16, accounts_per_branch=400)
-    raise ValueError(f"unknown workload {name!r}")
-
-
 def fig4_dbwriters(
     workload_name: str = "tpcc",
     dies_list: Sequence[int] = (1, 2, 4, 8, 16, 32),
@@ -88,42 +68,23 @@ def fig4_dbwriters(
     warm (footprint-sized) and a dirty-page throttle couples transaction
     admission to db-writer cleaning throughput — Shore-MT's checkpoint /
     log-recycling back-pressure — which is exactly the channel through
-    which writer-to-chip contention reaches TPS in the paper.
+    which writer-to-chip contention reaches TPS in the paper
+    (:data:`~repro.bench.rigs.SHAPES` ``"fig4"``, re-sliced per point).
     """
-    footprint = measure_workload_footprint(_make_workload(workload_name))
-    # headroom for tables that grow during the run (orders, history)
-    headroom = footprint // 2
+    footprint = SHAPES["fig4"].kit_footprint(workload_name)
     result = Fig4Result(workload_name, list(dies_list))
     for dies in dies_list:
+        shape = replace(SHAPES["fig4"], dies=dies, writers=dies)
         for policy in ("global", "region"):
-            rig = build_noftl_rig(
-                geometry=sized_geometry(footprint, dies,
-                                        utilization=0.85,
-                                        headroom_pages=headroom,
-                                        pages_per_block=16),
-                config=NoFTLConfig(num_regions=dies, op_ratio=0.12),
-                seed=SEED,
-            )
-            db = attach_database(rig,
-                                 buffer_capacity=footprint + headroom,
-                                 cpu_us_per_op=1.0,
-                                 wal_flush_latency_us=60.0,
-                                 foreground_flush=False,
-                                 dirty_throttle_fraction=0.10)
-            db.start_writers(dies, policy=policy)
-            workload = _make_workload(workload_name)
-            stats = run_workload(
-                rig.sim, db, workload,
-                duration_us=duration_us,
-                num_terminals=NUM_READERS,
-                rng=random.Random(SEED),
-            )
+            loop = build_closed_loop(shape, workload_name, "noftl", SEED,
+                                     policy=policy, footprint=footprint)
+            stats = loop.drive(duration_us, SEED, preloaded=False)
             result.points.append(Fig4Point(
                 dies=dies,
                 policy=policy,
                 tps=stats.tps,
-                dirty_eviction_stalls=db.buffer.dirty_eviction_stalls,
-                region_lock_waits=rig.storage.region_lock_contention()[
+                dirty_eviction_stalls=loop.db.buffer.dirty_eviction_stalls,
+                region_lock_waits=loop.rig.storage.region_lock_contention()[
                     "total_waits"],
             ))
     return result

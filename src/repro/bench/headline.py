@@ -19,31 +19,17 @@ variable is the storage architecture:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from ..core import NoFTLConfig
-from ..workloads import TPCB, TPCC, TPCE, TPCH, run_workload
 from .reporting import ratio
-from .rigs import (
-    attach_database,
-    build_blockdev_rig,
-    build_noftl_rig,
-    measure_workload_footprint,
-    sized_geometry,
-)
+from .rigs import SHAPES, build_closed_loop
 
 __all__ = ["HeadlinePoint", "HeadlineResult", "headline_throughput"]
 
 ARCHITECTURES = ("noftl", "faster", "dftl")
 
-#: The testbed every architecture shares: terminals, db-writers, dies
-#: and device utilization; and the seed of every run.
-NUM_TERMINALS = 16
-NUM_WRITERS = 8
-DIES = 8
-UTILIZATION = 0.88
+#: The seed of every run.
 SEED = 37
 
 
@@ -73,58 +59,28 @@ class HeadlineResult:
         return ratio(self.tps(workload, "noftl"), self.tps(workload, over))
 
 
-def _make_workload(name: str):
-    if name == "tpcc":
-        return TPCC(warehouses=4, customers_per_district=30, items=100)
-    if name == "tpcb":
-        return TPCB(sf=8, accounts_per_branch=400)
-    if name == "tpce":
-        return TPCE(customers=400, securities=60)
-    if name == "tpch":
-        return TPCH(customers=60, orders=300)
-    raise ValueError(f"unknown workload {name!r}")
-
-
 def headline_throughput(
     workloads: Sequence[str] = ("tpcc", "tpcb"),
     architectures: Sequence[str] = ARCHITECTURES,
     duration_us: float = 2_000_000,
 ) -> HeadlineResult:
-    """Run each workload on each storage architecture; report TPS."""
+    """Run each workload on each storage architecture; report TPS.
+
+    Every architecture runs the :data:`~repro.bench.rigs.SHAPES`
+    ``"headline"`` rig, where DFTL's mapping cache scales with the
+    device as real controllers' do: ~3% of the page population (a 1 GiB
+    mapping table does not fit in device SRAM — Section 3.1)."""
     result = HeadlineResult()
+    shape = SHAPES["headline"]
     for workload_name in workloads:
-        footprint = measure_workload_footprint(_make_workload(workload_name))
-        geometry = sized_geometry(footprint, DIES, utilization=UTILIZATION,
-                                  headroom_pages=footprint // 2)
-        buffer_capacity = max(64, footprint // 8)
+        footprint = shape.kit_footprint(workload_name)
         for architecture in architectures:
-            if architecture == "noftl":
-                rig = build_noftl_rig(
-                    geometry=geometry,
-                    config=NoFTLConfig(num_regions=DIES, op_ratio=0.12),
-                    seed=SEED,
-                )
-                stats_source = rig.manager.stats
-            else:
-                # DFTL scales its CMT with the device as real controllers
-                # do: ~3% of the page population (a 1 GiB mapping table
-                # does not fit in device SRAM — Section 3.1).
-                rig = build_blockdev_rig(
-                    architecture, geometry=geometry, seed=SEED,
-                    cmt_entries=max(128, geometry.total_pages // 32))
-                stats_source = rig.ftl.stats
-            db = attach_database(rig, buffer_capacity=buffer_capacity,
-                                 foreground_flush=False)
-            db.start_writers(
-                NUM_WRITERS,
-                policy="region" if architecture == "noftl" else "global",
-            )
-            stats = run_workload(
-                rig.sim, db, _make_workload(workload_name),
-                duration_us=duration_us,
-                num_terminals=NUM_TERMINALS,
-                rng=random.Random(SEED),
-            )
+            loop = build_closed_loop(shape, workload_name, architecture,
+                                     SEED, footprint=footprint)
+            rig = loop.rig
+            stats = loop.drive(duration_us, SEED, preloaded=False)
+            maintenance = rig.manager if architecture == "noftl" \
+                else rig.ftl
             result.points.append(HeadlinePoint(
                 workload=workload_name,
                 architecture=architecture,
@@ -132,7 +88,7 @@ def headline_throughput(
                 commits=stats.commits,
                 p99_latency_us=stats.latency.pct(99)
                 if stats.latency.samples else 0.0,
-                gc_relocations=stats_source.gc_relocations,
+                gc_relocations=maintenance.stats.gc_relocations,
                 erases=rig.array.counters.erases,
             ))
     return result

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core import NoFTLConfig
 from ..flash import SLC_TIMING, Geometry
 from ..workloads import SyntheticSpec, run_synthetic
 from .rigs import build_blockdev_rig, build_noftl_rig
@@ -75,7 +74,7 @@ def latency_outliers(
 
     # NoFTL on native flash.
     noftl = build_noftl_rig(geometry=LATENCY_GEOMETRY, timing=SLC_TIMING,
-                            config=NoFTLConfig(op_ratio=0.12), seed=SEED)
+                            seed=SEED)
     span = int(noftl.storage.logical_pages * SPAN_FRACTION)
     result = run_synthetic(
         noftl.sim, noftl.storage,

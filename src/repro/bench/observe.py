@@ -30,9 +30,11 @@
   transient, so each arm records a **warmup mark** of the ledger
   counters and the gates compare the **steady tail** after it.
 
-Every scenario runs on the one closed-loop rig (:func:`_mount`: a kit
-from :data:`KITS`, sized and mounted per :data:`RIGS`, a health monitor
-on the array).  ``--check`` turns a report into an exit code:
+Every scenario runs on the closed-loop rig builder,
+:func:`~repro.bench.rigs.build_closed_loop`: tail on the ``"fig4"``
+shape of :data:`~repro.bench.rigs.SHAPES`, health and streams on their
+own shapes with a health monitor on the array.  ``--check`` turns a
+report into an exit code:
 
 * tail: every flash command carries an origin, the NoFTL per-die series
   covers every die, and FASTer's p99 write tail carries a strictly
@@ -58,7 +60,6 @@ import argparse
 import json
 import os
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core import NoFTLConfig
@@ -75,7 +76,6 @@ from ..telemetry import (
     verify_origins,
     windowed_series,
 )
-from ..workloads import TPCB, TPCC, run_workload
 from .reporting import (
     DEFAULT_METRICS_DIR,
     cli_verdict,
@@ -83,13 +83,7 @@ from .reporting import (
     ratio,
     render_table,
 )
-from .rigs import (
-    attach_database,
-    build_blockdev_rig,
-    build_noftl_rig,
-    measure_workload_footprint,
-    sized_geometry,
-)
+from .rigs import OP_RATIO, SHAPES, build_closed_loop, build_noftl_rig
 
 __all__ = [
     "run_arch",
@@ -109,136 +103,6 @@ __all__ = [
 
 ARCHES = ("noftl", "faster", "pagemap", "dftl")
 WORKLOADS = ("tpcb", "tpcc")
-
-#: Kit sizes per (scenario, workload).  tail runs the Figure 4 bench's
-#: scaled-down TPC-B.  health's kits are smaller than the stack
-#: benchmark's (rigs plus a double run stay CI-smoke sized) but keep its
-#: shapes and write mixes.  streams' kits are bigger: the placement
-#: comparison needs the data footprint to fill the device.
-KITS: Dict[tuple, Callable] = {
-    ("tail", "tpcb"): lambda: TPCB(sf=16, accounts_per_branch=400),
-    ("health", "tpcb"): lambda: TPCB(sf=4, accounts_per_branch=200),
-    ("health", "tpcc"): lambda: TPCC(warehouses=1, customers_per_district=20,
-                                     items=80),
-    ("streams", "tpcb"): lambda: TPCB(sf=32, accounts_per_branch=2000),
-    ("streams", "tpcc"): lambda: TPCC(warehouses=8,
-                                      customers_per_district=500,
-                                      items=1600),
-}
-
-
-@dataclass(frozen=True)
-class _Rig:
-    """One scenario's closed-loop rig: device sizing, FTL, database mount
-    and load shape."""
-
-    dies: int
-    utilization: float
-    #: Sizing headroom: ``footprint // headroom_divisor`` extra pages.
-    headroom_divisor: int
-    pages_per_block: int
-    #: Logical pages kept out of the db allocator's reach (sized in).
-    reserved_pages: int
-    gc_low_water: int
-    buffer_frames: Callable[[int], int]
-    cpu_us_per_op: float
-    wal_flush_latency_us: float
-    dirty_throttle_fraction: Optional[float]
-    writers: int
-    terminals: int
-
-
-#: Logical pages reserved at the top of the address space for the
-#: streams rig's circular WAL segment window.
-WAL_WINDOW_PAGES = 64
-
-RIGS = {
-    # Eight dies, one writer per die (NoFTL: die-wise), a buffer large
-    # enough to hold the kit; cheap CPU so the device sets the pace.
-    "tail": _Rig(dies=8, utilization=0.85, headroom_divisor=2,
-                 pages_per_block=16, reserved_pages=0, gc_low_water=2,
-                 buffer_frames=lambda footprint: footprint + footprint // 2,
-                 cpu_us_per_op=1.0, wal_flush_latency_us=60.0,
-                 dirty_throttle_fraction=0.10, writers=8, terminals=16),
-    "health": _Rig(dies=4, utilization=0.85, headroom_divisor=2,
-                   pages_per_block=32, reserved_pages=0, gc_low_water=2,
-                   buffer_frames=lambda footprint: max(64, footprint // 4),
-                   cpu_us_per_op=3.0, wal_flush_latency_us=120.0,
-                   dirty_throttle_fraction=None, writers=4, terminals=8),
-    # One die filled to 97 % with small blocks: placement only matters
-    # once steady-state GC runs inside the arm, and each plane must hold
-    # per-class open frontiers plus GC headroom.  gc_low_water is raised
-    # (identically in both arms) because the streams arm keeps one open
-    # block per class frontier: GC must start while there is slack left.
-    "streams": _Rig(dies=1, utilization=0.97, headroom_divisor=20,
-                    pages_per_block=16, reserved_pages=WAL_WINDOW_PAGES,
-                    gc_low_water=4,
-                    buffer_frames=lambda footprint: max(64, footprint // 4),
-                    cpu_us_per_op=3.0, wal_flush_latency_us=120.0,
-                    dirty_throttle_fraction=None, writers=4, terminals=8),
-}
-
-
-def _mount(scenario: str, workload_name: str, seed: int, arch: str,
-           streams: bool, trace: Optional[EventTrace]):
-    """Build one scenario's rig and mount the database on it.
-
-    The kit is sized by its measured footprint; a :class:`HealthMonitor`
-    feeds on the array (and, on NoFTL, on the manager's trims); the
-    db-writers are started — die-wise on NoFTL, global on a black box,
-    where one opaque region makes die-wise assignment impossible.
-    ``streams`` turns on object-aware placement: per-class allocation
-    points plus the buffer pool's reference-heat hints.  Returns the rig,
-    the database, the monitor and the (not yet loaded) kit.
-    """
-    shape = RIGS[scenario]
-    workload = KITS[scenario, workload_name]()
-    footprint = measure_workload_footprint(workload)
-    geometry = sized_geometry(
-        footprint + shape.reserved_pages, shape.dies,
-        utilization=shape.utilization,
-        headroom_pages=footprint // shape.headroom_divisor,
-        pages_per_block=shape.pages_per_block,
-    )
-    if arch == "noftl":
-        rig = build_noftl_rig(
-            geometry=geometry,
-            config=NoFTLConfig(num_regions=shape.dies, op_ratio=0.12,
-                               gc_low_water=shape.gc_low_water,
-                               write_streams=streams),
-            seed=seed,
-            trace=trace,
-        )
-        policy = "region"
-    else:
-        rig = build_blockdev_rig(arch, geometry=geometry, seed=seed,
-                                 trace=trace)
-        policy = "global"
-    monitor = HealthMonitor(clock=lambda: rig.sim.now)
-    monitor.attach_array(rig.array)
-    if arch == "noftl":
-        monitor.attach_manager(rig.manager)
-    monitor.install(rig.telemetry)
-    db = attach_database(rig,
-                         buffer_capacity=shape.buffer_frames(footprint),
-                         cpu_us_per_op=shape.cpu_us_per_op,
-                         wal_flush_latency_us=shape.wal_flush_latency_us,
-                         foreground_flush=False,
-                         dirty_throttle_fraction=shape.dirty_throttle_fraction,
-                         heat_hints=streams)
-    db.start_writers(shape.writers, policy=policy)
-    return rig, db, monitor, workload
-
-
-def _drive(scenario: str, workload_name: str, rig, db, seed: int,
-           duration_us: float):
-    """The timed window on a loaded rig: a fresh kit instance on the
-    scenario's terminals, seeded."""
-    return run_workload(rig.sim, db, KITS[scenario, workload_name](),
-                        duration_us=duration_us,
-                        num_terminals=RIGS[scenario].terminals,
-                        rng=random.Random(seed), preloaded=True)
-
 
 def _witness(workload_name: str, first: dict,
              rerun: Callable[[], dict]) -> dict:
@@ -266,10 +130,10 @@ def run_arch(arch: str, trace_path: str, seed: int,
     """
     with open(trace_path, "w", encoding="utf-8") as sink:
         trace = EventTrace(capacity=8192, sink=sink)
-        rig, db, __, workload = _mount("tail", "tpcb", seed, arch,
-                                       streams=False, trace=trace)
-        rig.sim.run_process(workload.load(db))
-        stats = _drive("tail", "tpcb", rig, db, seed, duration_us)
+        loop = build_closed_loop(SHAPES["fig4"], "tpcb", arch, seed,
+                                 trace=trace)
+        loop.load()
+        stats = loop.drive(duration_us, seed)
         # Detach before closing: DES processes parked mid-GC finalize
         # lazily and would otherwise emit span ends into a closed file.
         trace.enabled = False
@@ -278,7 +142,7 @@ def run_arch(arch: str, trace_path: str, seed: int,
         "arch": arch,
         "policy": "region" if arch == "noftl" else "global",
         "seed": seed,
-        "dies": RIGS["tail"].dies,
+        "dies": SHAPES["fig4"].dies,
         "duration_us": duration_us,
         "tps": stats.tps,
         "commits": stats.commits,
@@ -429,18 +293,18 @@ def run_db_rig(workload_name: str, seed: int, duration_us: float) -> dict:
     ``heap`` / ``btree`` by the buffer pool, and the monitor's clock is
     wired to the simulator so die-busy windows are live, not replayed.
     """
-    rig, db, monitor, workload = _mount("health", workload_name, seed,
-                                        "noftl", streams=False, trace=None)
-    rig.sim.run_process(workload.load(db))
-    stats = _drive("health", workload_name, rig, db, seed, duration_us)
+    loop = build_closed_loop(SHAPES["health"], workload_name, "noftl",
+                             seed, monitor=True)
+    loop.load()
+    stats = loop.drive(duration_us, seed)
     return {
         "workload": workload_name,
         "arch": "noftl",
         "seed": seed,
         "duration_us": duration_us,
         "commits": stats.commits,
-        "health": monitor.report(),
-        "manager": rig.manager.health_snapshot(),
+        "health": loop.monitor.report(),
+        "manager": loop.rig.manager.health_snapshot(),
     }
 
 
@@ -457,7 +321,7 @@ def run_saturation_rig(seed: int) -> dict:
     end sheds.  The windowed engine must see it happen.
     """
     rig = build_noftl_rig(
-        config=NoFTLConfig(num_regions=2, op_ratio=0.12),
+        config=NoFTLConfig(num_regions=2, op_ratio=OP_RATIO),
         seed=seed,
         frontend_config=SATURATION_FRONTEND,
     )
@@ -625,20 +489,23 @@ def run_arm(workload_name: str, streams: bool, seed: int,
     """
     warmup_us = min(WARMUP_US, duration_us * 0.75)
     trace = EventTrace(capacity=65536)
-    rig, db, monitor, workload = _mount("streams", workload_name, seed,
-                                        "noftl", streams=streams,
-                                        trace=trace)
+    loop = build_closed_loop(SHAPES["streams"], workload_name, "noftl",
+                             seed, streams=streams, trace=trace,
+                             monitor=True)
+    rig, db = loop.rig, loop.db
 
-    # Real WAL traffic: circular segment window at the top of the
-    # logical space, clear of the db allocator growing from 0.
+    # Real WAL traffic: circular segment window in the shape's reserved
+    # pages at the top of the logical space, clear of the db allocator
+    # growing from 0.
+    window = loop.shape.reserved_pages
     volume = FlashLogVolume(
         db.storage,
-        base_page=rig.adapter.logical_pages - WAL_WINDOW_PAGES,
-        window_pages=WAL_WINDOW_PAGES,
+        base_page=rig.adapter.logical_pages - window,
+        window_pages=window,
     )
     db.wal.segment_writer = volume.writer
 
-    rig.sim.run_process(workload.load(db))
+    loop.load()
 
     # Real temp traffic: periodic spill/merge churn for the whole run
     # (bounded: the closed loop ends by draining the event queue).
@@ -648,7 +515,7 @@ def run_arm(workload_name: str, streams: bool, seed: int,
 
     # Steady-state mark: snapshot the ledger and stream counters once
     # the fill transient is over, so the gates can compare tail deltas.
-    ledger = monitor.ledger
+    ledger = loop.monitor.ledger
     mark: dict = {}
 
     def _mark_steady():
@@ -665,7 +532,7 @@ def run_arm(workload_name: str, streams: bool, seed: int,
 
     rig.sim.process(_mark_steady())
 
-    stats = _drive("streams", workload_name, rig, db, seed, duration_us)
+    stats = loop.drive(duration_us, seed)
     trace.enabled = False
 
     events = [event.as_dict() for event in trace.events]
@@ -916,7 +783,7 @@ def _tail(args) -> bool:
         reports[arch] = analyze_trace(path)
         render_report(arch, runs.get(arch), reports[arch])
 
-    failures = check_tail(reports, RIGS["tail"].dies)
+    failures = check_tail(reports, SHAPES["fig4"].dies)
     payload = {
         "runs": {arch: run for arch, run in runs.items() if run},
         "reports": reports,

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from ..core import NoFTLConfig
 from ..flash import Geometry, TLC_TIMING
 from ..workloads import SyntheticSpec, run_synthetic
 from .rigs import build_blockdev_rig, build_noftl_rig
@@ -99,7 +98,6 @@ def interface_parallelism(
 
         # Native interface through NoFTL: per-region concurrency, no cap.
         noftl = build_noftl_rig(geometry=geometry, timing=TLC_TIMING,
-                                config=NoFTLConfig(op_ratio=0.12),
                                 seed=SEED)
         span = int(noftl.storage.logical_pages * span_fraction)
         outcome = run_synthetic(

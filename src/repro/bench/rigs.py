@@ -9,8 +9,8 @@ identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..core import NoFTLConfig, NoFTLStorage, NoFTLStorageManager, SyncNoFTLStorage
 from ..db import Database, BlockDeviceAdapter
@@ -34,7 +34,10 @@ from ..workloads import (
     TPCB,
     TPCC,
     TPCE,
+    TPCH,
     TraceRecordingAdapter,
+    Workload,
+    WorkloadStats,
     replay_trace,
     run_workload,
 )
@@ -50,6 +53,11 @@ __all__ = [
     "build_sync_noftl",
     "build_sync_blockdev",
     "attach_database",
+    "KITS",
+    "RigShape",
+    "SHAPES",
+    "ClosedLoop",
+    "build_closed_loop",
     "record_trace",
     "replay_geometry",
     "replay_pair",
@@ -109,7 +117,7 @@ DEMO_GEOMETRY = geometry_with_dies(8)
 def geometry_for_footprint(
     footprint_pages: int,
     utilization: float = 0.8,
-    op_ratio: float = 0.12,
+    op_ratio: float = OP_RATIO,
     dies: int = 8,
 ) -> Geometry:
     """Size a device so ``footprint_pages`` fills ``utilization`` of the
@@ -191,7 +199,6 @@ def build_noftl_rig(
     telemetry: Optional[MetricsRegistry] = None,
     trace: Optional[EventTrace] = None,
     fault_plan: Optional[FaultPlan] = None,
-    store_data: bool = True,
     frontend_config: Optional[FrontendConfig] = None,
 ) -> NoFTLRig:
     """Figure 1.c: DBMS on native flash through NoFTL.
@@ -208,7 +215,7 @@ def build_noftl_rig(
         trace.set_clock(lambda: sim.now)
     array = FlashArray(geometry, timing, rng=random.Random(seed),
                        telemetry=telemetry, trace=trace,
-                       fault_plan=fault_plan, store_data=store_data)
+                       fault_plan=fault_plan)
     executor = SimExecutor(SimFlashDevice(sim, array))
     manager = NoFTLStorageManager(
         geometry,
@@ -317,7 +324,7 @@ def sized_geometry(
     footprint_pages: int,
     dies: int,
     utilization: float = 0.85,
-    op_ratio: float = 0.12,
+    op_ratio: float = OP_RATIO,
     pages_per_block: int = PAGES_PER_BLOCK,
     headroom_pages: int = 0,
 ) -> Geometry:
@@ -359,6 +366,268 @@ def attach_database(
     )
     rig.db = db
     return db
+
+
+#: The closed-loop rigs' TPC kits, per (family, workload): a rig runs
+#: the kit of its shape's family.
+#:
+#: * ``fig4`` — scaled-down renditions of Figure 4's captions (sf=50
+#:   TPC-C, sf=500 TPC-B): enough warehouses and branches that row locks
+#:   never cap throughput before the storage does;
+#: * ``headline`` — E4's kits, which E5 and the demo examples run too;
+#: * ``health`` — smaller than the stack benchmark's (rigs plus a double
+#:   run stay CI-smoke sized) but with its shapes and write mixes;
+#: * ``streams`` — bigger: the placement comparison needs the data
+#:   footprint to fill the device;
+#: * ``chaos`` and ``cut`` — the robustness harness's; the power-cut
+#:   kits are smaller, since a sweep replays the whole run once per cut.
+KITS: Dict[Tuple[str, str], Callable[[], Workload]] = {
+    ("fig4", "tpcc"): lambda: TPCC(warehouses=8, customers_per_district=30,
+                                   items=100),
+    ("fig4", "tpcb"): lambda: TPCB(sf=16, accounts_per_branch=400),
+    ("headline", "tpcc"): lambda: TPCC(warehouses=4,
+                                       customers_per_district=30, items=100),
+    ("headline", "tpcb"): lambda: TPCB(sf=8, accounts_per_branch=400),
+    ("headline", "tpce"): lambda: TPCE(customers=400, securities=60),
+    ("headline", "tpch"): lambda: TPCH(customers=60, orders=300),
+    ("health", "tpcb"): lambda: TPCB(sf=4, accounts_per_branch=200),
+    ("health", "tpcc"): lambda: TPCC(warehouses=1, customers_per_district=20,
+                                     items=80),
+    ("streams", "tpcb"): lambda: TPCB(sf=32, accounts_per_branch=2000),
+    ("streams", "tpcc"): lambda: TPCC(warehouses=8,
+                                      customers_per_district=500,
+                                      items=1600),
+    ("chaos", "tpcc"): lambda: TPCC(warehouses=2, customers_per_district=20,
+                                    items=60),
+    ("chaos", "tpcb"): lambda: TPCB(sf=4, accounts_per_branch=200),
+    ("cut", "tpcc"): lambda: TPCC(warehouses=1, customers_per_district=12,
+                                  items=48),
+    ("cut", "tpcb"): lambda: TPCB(sf=2, accounts_per_branch=120),
+}
+
+
+@dataclass(frozen=True)
+class RigShape:
+    """One closed-loop rig: its kit family, device sizing, database
+    mount and load.
+
+    The device is sized by :func:`sized_geometry`: the kit's measured
+    footprint, ``footprint // headroom_divisor`` pages of growth and
+    ``reserved_pages`` kept out of the db allocator's reach fill
+    ``utilization`` of the exported space, with ``op_ratio`` of the
+    flash over-provisioned, on ``dies`` dies (one NoFTL region each).
+    """
+
+    kits: str
+    dies: int
+    utilization: float
+    op_ratio: float
+    buffer_frames: Callable[[int], int]
+    writers: int
+    terminals: int
+    headroom_divisor: int = 2
+    pages_per_block: int = PAGES_PER_BLOCK
+    reserved_pages: int = 0
+    #: NoFTL's GC trigger, free blocks per plane.
+    gc_low_water: int = 2
+    #: DFTL's mapping cache; ``None`` scales it with the device, ~3 % of
+    #: the page population, as real controllers must (Section 3.1).
+    cmt_entries: Optional[int] = 1024
+    cpu_us_per_op: float = 3.0
+    wal_flush_latency_us: float = 120.0
+    foreground_flush: bool = False
+    dirty_throttle_fraction: Optional[float] = None
+
+    def kit_footprint(self, workload: str) -> int:
+        """The measured page footprint of this shape's ``workload`` kit,
+        for a caller that builds several rigs of one kit."""
+        return measure_workload_footprint(KITS[self.kits, workload]())
+
+
+_CHAOS = RigShape(kits="chaos", dies=8, utilization=0.8, op_ratio=0.28,
+                  buffer_frames=lambda footprint: max(64, footprint // 8),
+                  writers=4, terminals=8)
+
+#: Every closed-loop rig of the figure benches, the two harnesses and
+#: the examples.  ``footprint`` below is the kit's measured page count.
+SHAPES: Dict[str, RigShape] = {
+    # E2/E3 (Figure 4) at eight dies, and the tail scenario: one writer
+    # per die, a warm buffer holding the kit and its growth, cheap CPU so
+    # the device sets the pace, and a dirty-page throttle that couples
+    # admission to db-writer cleaning (Shore-MT's back-pressure).
+    "fig4": RigShape(kits="fig4", dies=8, utilization=0.85,
+                     op_ratio=OP_RATIO, pages_per_block=16,
+                     buffer_frames=lambda footprint: footprint
+                     + footprint // 2,
+                     writers=8, terminals=16, cpu_us_per_op=1.0,
+                     wal_flush_latency_us=60.0,
+                     dirty_throttle_fraction=0.10),
+    # E4: every architecture on one device, DFTL's CMT scaled with it.
+    "headline": RigShape(kits="headline", dies=8, utilization=0.88,
+                         op_ratio=OP_RATIO,
+                         buffer_frames=lambda footprint: max(64,
+                                                             footprint // 8),
+                         writers=8, terminals=16, cmt_entries=None),
+    # E5: PageMap vs DFTL, which sweeps ``cmt_entries``; transactions
+    # write their own dirty pages back on eviction.
+    "dftl": RigShape(kits="headline", dies=8, utilization=0.85,
+                     op_ratio=OP_RATIO,
+                     buffer_frames=lambda footprint: max(64,
+                                                         footprint // 10),
+                     writers=4, terminals=16, foreground_flush=True),
+    "health": RigShape(kits="health", dies=4, utilization=0.85,
+                       op_ratio=OP_RATIO,
+                       buffer_frames=lambda footprint: max(64,
+                                                           footprint // 4),
+                       writers=4, terminals=8),
+    # One die filled to 97 % with small blocks: placement only matters
+    # once steady-state GC runs inside the arm, and each plane must hold
+    # per-class open frontiers plus GC headroom.  GC starts earlier
+    # (identically in both arms) because the streams arm keeps one open
+    # block per class frontier.  The reserved pages are the circular WAL
+    # segment window at the top of the logical space.
+    "streams": RigShape(kits="streams", dies=1, utilization=0.97,
+                        op_ratio=OP_RATIO, headroom_divisor=20,
+                        pages_per_block=16,
+                        buffer_frames=lambda footprint: max(64,
+                                                            footprint // 4),
+                        writers=4, terminals=8, reserved_pages=64,
+                        gc_low_water=4),
+    # The robustness harness: generous over-provisioning, since faults
+    # retire blocks.
+    "chaos": _CHAOS,
+    "cut": replace(_CHAOS, kits="cut"),
+    # The siege reserves its burst clients' high-LPN range, and its pool
+    # holds the kit: foreground transactions never evict, so never meet
+    # a write shed they cannot catch.
+    "siege": replace(_CHAOS, kits="cut", reserved_pages=512,
+                     buffer_frames=lambda footprint: footprint + 96,
+                     terminals=6),
+}
+
+
+@dataclass
+class ClosedLoop:
+    """A mounted closed-loop rig: the database on a device sized for its
+    kit, the db-writers started."""
+
+    shape: RigShape
+    workload: str
+    rig: object
+    db: Database
+    #: The kit whose footprint sized the device (not loaded by the
+    #: builder unless asked to).
+    kit: Workload
+    footprint: int
+    monitor: Optional[HealthMonitor]
+
+    def load(self) -> None:
+        self.rig.sim.run_process(self.kit.load(self.db))
+
+    def drive(self, duration_us: float, seed: int,
+              preloaded: bool = True) -> WorkloadStats:
+        """The timed window: a fresh kit on the shape's terminals,
+        seeded (loaded first unless ``preloaded``)."""
+        return run_workload(self.rig.sim, self.db,
+                            KITS[self.shape.kits, self.workload](),
+                            duration_us=duration_us,
+                            num_terminals=self.shape.terminals,
+                            rng=random.Random(seed), preloaded=preloaded)
+
+
+def build_closed_loop(
+    shape: RigShape,
+    workload: str,
+    arch: str,
+    seed: int,
+    *,
+    policy: Optional[str] = None,
+    streams: bool = False,
+    trace: Optional[EventTrace] = None,
+    telemetry: Optional[MetricsRegistry] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    frontend_config: Optional[FrontendConfig] = None,
+    wrap: Optional[Callable] = None,
+    monitor: bool = False,
+    preload: bool = False,
+    footprint: Optional[int] = None,
+) -> ClosedLoop:
+    """Size, build and mount one closed-loop rig.
+
+    The device is sized per ``shape`` for the kit's ``footprint``,
+    measured here unless the caller passes the one it measured for an
+    earlier rig of the same kit (nothing is cached: ``OpContext`` ids
+    are process-global, so a hidden cache would shift a later traced
+    run's ids).  ``arch`` is ``"noftl"`` or a :func:`make_ftl` name
+    behind a block device; the telemetry, fault-plan and front-end seams
+    are NoFTL's.  The construction order is the same on every call, so
+    a power-cut run replays its baseline's flash-command sequence
+    exactly until the plug is pulled.
+
+    ``monitor`` feeds a :class:`HealthMonitor` on the array (and, on
+    NoFTL, the manager's trims).  ``wrap`` is the seam for a
+    storage-adapter wrapper: it gets what the DBMS would mount and
+    returns what it mounts instead.  ``streams`` turns on object-aware
+    placement: per-class allocation points plus the buffer pool's
+    reference-heat hints.  The db-writers start last: by default
+    die-wise on NoFTL and global on a black box, where one opaque region
+    makes die-wise assignment impossible.  With ``preload`` the kit is
+    loaded before they start, the WAL keeping its records (the power-cut
+    runs, which count the load's flash commands).
+    """
+    kit = KITS[shape.kits, workload]()
+    if footprint is None:
+        footprint = measure_workload_footprint(kit)
+    geometry = sized_geometry(
+        footprint + shape.reserved_pages, shape.dies,
+        utilization=shape.utilization, op_ratio=shape.op_ratio,
+        headroom_pages=footprint // shape.headroom_divisor,
+        pages_per_block=shape.pages_per_block,
+    )
+    if arch == "noftl":
+        rig = build_noftl_rig(
+            geometry=geometry,
+            config=NoFTLConfig(num_regions=shape.dies,
+                               op_ratio=shape.op_ratio,
+                               gc_low_water=shape.gc_low_water,
+                               write_streams=streams),
+            seed=seed, telemetry=telemetry, trace=trace,
+            fault_plan=fault_plan, frontend_config=frontend_config,
+        )
+    else:
+        cmt_entries = shape.cmt_entries
+        if cmt_entries is None:
+            cmt_entries = max(128, geometry.total_pages // 32)
+        rig = build_blockdev_rig(arch, geometry=geometry, seed=seed,
+                                 trace=trace, cmt_entries=cmt_entries)
+    health = None
+    if monitor:
+        health = HealthMonitor(clock=lambda: rig.sim.now)
+        health.attach_array(rig.array)
+        if arch == "noftl":
+            health.attach_manager(rig.manager)
+        health.install(rig.telemetry)
+    if wrap is not None:
+        if getattr(rig, "frontend", None) is not None:
+            rig.frontend = wrap(rig.frontend)
+        else:
+            rig.adapter = wrap(rig.adapter)
+    db = attach_database(
+        rig,
+        buffer_capacity=shape.buffer_frames(footprint),
+        cpu_us_per_op=shape.cpu_us_per_op,
+        wal_flush_latency_us=shape.wal_flush_latency_us,
+        foreground_flush=shape.foreground_flush,
+        dirty_throttle_fraction=shape.dirty_throttle_fraction,
+        heat_hints=streams,
+    )
+    loop = ClosedLoop(shape, workload, rig, db, kit, footprint, health)
+    if preload:
+        db.wal.keep_records = True
+        loop.load()
+    db.start_writers(shape.writers, policy=policy or (
+        "region" if arch == "noftl" else "global"))
+    return loop
 
 
 #: Replay-device sizing.  Calibrated so both targets run in GC steady

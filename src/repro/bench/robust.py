@@ -15,9 +15,10 @@ manager, mini-DBMS):
 * ``siege`` — the device front end's contracts under burst overload, a
   die outage and a power cut at once (:func:`run_siege`).
 
-They share one pipeline: the rig (:func:`_build`, :func:`_mount`), the
-workload sizes (:data:`WORKLOADS`), the cut and its WAL snapshot
-(:func:`_run_to_cut`), recovery (:func:`_recover`: cold start,
+They share one pipeline: the rig (the ``"chaos"``, ``"cut"`` and
+``"siege"`` shapes of :data:`~repro.bench.rigs.SHAPES`, built by
+:func:`~repro.bench.rigs.build_closed_loop`), the cut and its WAL
+snapshot (:func:`_run_to_cut`), recovery (:func:`_recover`: cold start,
 integrity, consistency, resume, consistency), the process-pool fan-out
 (:func:`_sweep`) and the report path (:func:`main`).  Command line (the
 CI ``robustness-smoke`` job)::
@@ -34,7 +35,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core import NoFTLConfig
 from ..core.badblock import DegradedModeError
 from ..db import RID, cold_start
 from ..db.recovery import mount_array
@@ -49,31 +49,18 @@ from ..flash import (
 )
 from ..ftl.base import UNMAPPED
 from ..telemetry import HealthMonitor, MetricsRegistry, OpContext
-from ..workloads import TPCB, TPCC, run_workload
+from ..workloads import run_workload
 from .reporting import cli_verdict, emit, render_table
-from .rigs import attach_database, build_noftl_rig, sized_geometry, \
-    measure_workload_footprint
+from .rigs import SHAPES, build_closed_loop
 from .sweep import SweepTask, run_sweep
 
 __all__ = ["ChecksumOracle", "ChaosReport", "CutReport", "CrashReport",
            "SiegeReport", "default_chaos_plan", "run_chaos",
            "run_crash_sweep", "run_siege"]
 
-#: The rig: dies (one region each), over-provisioning, the share of the
-#: logical space the footprint plus half again fills, region-bound
-#: db-writers, and the storage manager's configuration.
-DIES = 8
-OP_RATIO = 0.28
-UTILIZATION = 0.8
-NUM_WRITERS = 4
-CONFIG = NoFTLConfig(num_regions=DIES, op_ratio=OP_RATIO)
-#: Terminals of the chaos and crash runs, and of the siege's TPC-B.
-NUM_TERMINALS = 8
-SIEGE_TERMINALS = 6
-#: The siege's burst clients and their reserved high-LPN range, which
-#: the device needs room for beyond the footprint.
+#: The siege's burst clients (their high-LPN range is the ``"siege"``
+#: shape's reserved pages).
 BURST_CLIENTS = 5
-SIEGE_HEADROOM_PAGES = 512
 #: Where the siege pulls the plug: this share of the baseline's flash-op
 #: span past the load.
 SIEGE_CUT_FRACTION = 0.72
@@ -97,18 +84,6 @@ SIEGE_FRONTEND = FrontendConfig(
     trim_deadline_us=200_000.0,
     gc_blame_threshold=0.5,
 )
-
-#: Workload sizes.  The power-cut scenarios run deliberately smaller
-#: than chaos: a sweep replays the whole run once per cut point, so the
-#: footprint is the multiplier.
-WORKLOADS = {
-    ("chaos", "tpcc"): lambda: TPCC(warehouses=2, customers_per_district=20,
-                                    items=60),
-    ("chaos", "tpcb"): lambda: TPCB(sf=4, accounts_per_branch=200),
-    ("cut", "tpcc"): lambda: TPCC(warehouses=1, customers_per_district=12,
-                                  items=48),
-    ("cut", "tpcb"): lambda: TPCB(sf=2, accounts_per_branch=120),
-}
 
 _HEAP_KINDS = ("insert", "update", "delete")
 
@@ -277,42 +252,6 @@ class ChecksumOracle:
         return self.adapter.region_of_page(page_id)
 
 
-def _sized(workload, headroom_pages: int = 0):
-    """Measure ``workload``'s footprint and size the device so the
-    footprint, half again as much and ``headroom_pages`` fill
-    :data:`UTILIZATION` of the logical space."""
-    footprint = measure_workload_footprint(workload)
-    return footprint, sized_geometry(
-        footprint, DIES, utilization=UTILIZATION, op_ratio=OP_RATIO,
-        headroom_pages=footprint // 2 + headroom_pages)
-
-
-def _build(geometry, seed: int, plan, telemetry=None, frontend_config=None):
-    """The harness's one testbed, page payloads kept for readback.  The
-    construction order is identical on every call, so a cut run replays
-    its baseline's flash-command sequence exactly until the plug is
-    pulled."""
-    return build_noftl_rig(geometry=geometry, config=CONFIG, seed=seed,
-                           telemetry=telemetry, fault_plan=plan,
-                           store_data=True, frontend_config=frontend_config)
-
-
-def _mount(rig, buffer_capacity: int, workload=None):
-    """Mount the DBMS (db-writers flush, terminals never do) and start
-    the region-bound db-writers.  With ``workload``: load it first and
-    keep the WAL's records for the cut snapshot.  Returns the database
-    and the flash commands the load issued."""
-    db = attach_database(rig, buffer_capacity=buffer_capacity,
-                         foreground_flush=False)
-    load_ops = 0
-    if workload is not None:
-        db.wal.keep_records = True
-        rig.sim.run_process(workload.load(db))
-        load_ops = rig.array.fault_injector.ops
-    db.start_writers(NUM_WRITERS, policy="region")
-    return db, load_ops
-
-
 @dataclass(kw_only=True)
 class _Recovery:
     """The verdicts every power-cut scenario shares."""
@@ -333,7 +272,7 @@ class _Recovery:
                 and self.resumed_commits > 0 and self.resumed_consistent)
 
 
-def _run_to_cut(report: _Recovery, rig, db, drive):
+def _run_to_cut(report: _Recovery, loop, drive):
     """Run ``drive()`` until the power dies; return the durable LSN and
     the durable WAL records at the cut, or ``None`` if it never fired.
 
@@ -342,12 +281,13 @@ def _run_to_cut(report: _Recovery, rig, db, drive):
     unwinds may leak into what recovery gets to see.
     """
     at_cut: dict = {}
+    db = loop.db
 
     def on_cut(command):
         at_cut["durable_lsn"] = db.wal.flushed_lsn
         at_cut["records"] = list(db.wal.records)
 
-    rig.array.on_power_cut = on_cut
+    loop.rig.array.on_power_cut = on_cut
     try:
         drive()
     except PowerCutError:
@@ -360,18 +300,20 @@ def _run_to_cut(report: _Recovery, rig, db, drive):
     return durable_lsn, [r for r in at_cut["records"] if r.lsn <= durable_lsn]
 
 
-def _recover(report: _Recovery, rig, geometry, cut, workload,
-             buffer_capacity: int, resume_us: float, resume_seed: int,
-             terminals: int, telemetry=None, audit=None):
-    """Cold start from the array and the durable WAL alone, then
-    ``verify_integrity`` → ``audit(boot)`` → consistency → resume new
-    traffic → consistency again; a failure sets ``report.error``."""
+def _recover(report: _Recovery, loop, cut, resume_us: float,
+             resume_seed: int, telemetry=None, audit=None):
+    """Cold start from the array and the durable WAL alone (the rig's
+    configuration, buffer and kit), then ``verify_integrity`` →
+    ``audit(boot)`` → consistency → resume new traffic on the shape's
+    terminals → consistency again; a failure sets ``report.error``."""
     durable_lsn, durable = cut
+    rig, shape, workload = loop.rig, loop.shape, loop.kit
     try:
         boot = cold_start(
-            rig.array, geometry, durable, durable_lsn,
-            workload.declare_schema, config=CONFIG,
-            buffer_capacity=buffer_capacity, telemetry=telemetry,
+            rig.array, rig.geometry, durable, durable_lsn,
+            workload.declare_schema, config=rig.manager.config,
+            buffer_capacity=shape.buffer_frames(loop.footprint),
+            telemetry=telemetry,
             db_kwargs={"foreground_flush": False},
         )
     except Exception as exc:  # a crash here IS the bug being hunted
@@ -384,9 +326,10 @@ def _recover(report: _Recovery, rig, geometry, cut, workload,
         boot.sim.run_process(workload.verify_consistency(boot.db))
     )
     try:
-        boot.db.start_writers(NUM_WRITERS, policy="region")
+        boot.db.start_writers(shape.writers, policy="region")
         stats = run_workload(boot.sim, boot.db, workload,
-                             duration_us=resume_us, num_terminals=terminals,
+                             duration_us=resume_us,
+                             num_terminals=shape.terminals,
                              rng=random.Random(resume_seed), preloaded=True)
         report.resumed_commits = stats.commits
         report.resumed_consistent = bool(
@@ -505,19 +448,13 @@ def run_chaos(
     committed data), then the workload's own ``verify_consistency``
     audits the business invariants.
     """
-    workload = WORKLOADS["chaos", workload_name]()
-    footprint, geometry = _sized(workload)
-    rig = _build(geometry, seed, fault_plan if fault_plan is not None
-                 else default_chaos_plan(seed=seed))
-    oracle = ChecksumOracle(rig.adapter)
-    rig.adapter = oracle
-    db, __ = _mount(rig, max(64, footprint // 8))
-    stats = run_workload(
-        rig.sim, db, WORKLOADS["chaos", workload_name](),
-        duration_us=duration_us,
-        num_terminals=NUM_TERMINALS,
-        rng=random.Random(seed),
-    )
+    loop = build_closed_loop(
+        SHAPES["chaos"], workload_name, "noftl", seed,
+        fault_plan=fault_plan if fault_plan is not None
+        else default_chaos_plan(seed=seed),
+        wrap=ChecksumOracle)
+    rig, db, oracle = loop.rig, loop.db, loop.rig.adapter
+    stats = loop.drive(duration_us, seed, preloaded=False)
 
     report = ChaosReport(
         workload=workload_name,
@@ -542,7 +479,7 @@ def run_chaos(
 
     # -- audit 2: business-level invariants -------------------------------
     report.consistency_ok = bool(
-        rig.sim.run_process(workload.verify_consistency(db))
+        rig.sim.run_process(loop.kit.verify_consistency(db))
     )
 
     manager_stats = rig.manager.stats
@@ -663,20 +600,17 @@ def _committed_slot_image(durable, committed):
     return slots, owner
 
 
-def _run_one_cut(workload_name: str, geometry, footprint: int, seed: int,
+def _run_one_cut(workload_name: str, footprint: int, seed: int,
                  cut_op: int, duration_us: float,
                  resume_us: float) -> CutReport:
     """One power-cut audit against a fresh registry (a sweep task)."""
     telemetry = MetricsRegistry()
     report = CutReport(cut_op=cut_op, telemetry=telemetry)
-    rig = _build(geometry, seed, FaultPlan.power_cut_at(cut_op, seed=seed),
-                 telemetry)
-    db, __ = _mount(rig, max(64, footprint // 8),
-                    WORKLOADS["cut", workload_name]())
-    cut = _run_to_cut(report, rig, db, lambda: run_workload(
-        rig.sim, db, WORKLOADS["cut", workload_name](),
-        duration_us=duration_us, num_terminals=NUM_TERMINALS,
-        rng=random.Random(seed), preloaded=True))
+    loop = build_closed_loop(
+        SHAPES["cut"], workload_name, "noftl", seed, telemetry=telemetry,
+        fault_plan=FaultPlan.power_cut_at(cut_op, seed=seed), preload=True,
+        footprint=footprint)
+    cut = _run_to_cut(report, loop, lambda: loop.drive(duration_us, seed))
     if cut is None:
         return report
     report.durable_lsn, durable = cut
@@ -731,9 +665,8 @@ def _run_one_cut(workload_name: str, geometry, footprint: int, seed: int,
 
         boot.sim.run_process(check_slots())
 
-    _recover(report, rig, geometry, cut, WORKLOADS["cut", workload_name](),
-             max(64, footprint // 8), resume_us, seed + cut_op,
-             NUM_TERMINALS, telemetry=telemetry, audit=audit)
+    _recover(report, loop, cut, resume_us, seed + cut_op,
+             telemetry=telemetry, audit=audit)
     return report
 
 
@@ -761,19 +694,17 @@ def run_crash_sweep(
     telemetry = MetricsRegistry()
     report = CrashReport(workload=workload_name, seed=seed,
                          telemetry=telemetry)
-    footprint, geometry = _sized(WORKLOADS["cut", workload_name]())
 
     # -- baseline: learn the run's flash-command span ---------------------
-    rig = _build(geometry, seed, None, telemetry)
-    db, load_ops = _mount(rig, max(64, footprint // 8),
-                          WORKLOADS["cut", workload_name]())
-    stats = run_workload(rig.sim, db, WORKLOADS["cut", workload_name](),
-                         duration_us=duration_us,
-                         num_terminals=NUM_TERMINALS,
-                         rng=random.Random(seed), preloaded=True)
+    loop = build_closed_loop(SHAPES["cut"], workload_name, "noftl", seed,
+                             telemetry=telemetry, preload=True)
+    footprint = loop.footprint
+    injector = loop.rig.array.fault_injector
+    load_ops = injector.ops
+    stats = loop.drive(duration_us, seed)
     report.baseline_commits = stats.commits
     report.load_ops = load_ops
-    report.baseline_ops = rig.array.fault_injector.ops
+    report.baseline_ops = injector.ops
     if report.baseline_ops <= load_ops + 1:
         raise RuntimeError("workload issued no flash commands to cut")
 
@@ -790,7 +721,6 @@ def run_crash_sweep(
     report.cuts = _sweep(telemetry, "_run_one_cut", [
         (f"{workload_name}@op{cut_op}", {
             "workload_name": workload_name,
-            "geometry": geometry,
             "footprint": footprint,
             "seed": seed,
             "cut_op": cut_op,
@@ -957,27 +887,25 @@ def _checkpointer(sim, db, interval_us: float, counts: Dict[str, int],
             return
 
 
-def _siege_rig(geometry, footprint: int, seed: int, plan, telemetry=None):
-    rig = _build(geometry, seed, plan, telemetry, SIEGE_FRONTEND)
-    frontend = rig.frontend
-    oracle = ChecksumOracle(frontend, shadow_reads=True)
-    # The DBMS mounts the oracle, which wraps the front end: every
-    # host-level ack/barrier is witnessed at the exact layer where the
-    # durability contract is spoken.
-    rig.frontend = oracle
-    # The pool is sized past the footprint: foreground transactions never
-    # evict (and so never meet a write shed they cannot catch); overload
-    # pressure reaches them only as latency.
-    db, load_ops = _mount(rig, footprint + 96, WORKLOADS["cut", "tpcb"]())
-    return rig, db, oracle, frontend, load_ops
+def _siege_rig(seed: int, plan, telemetry=None, footprint=None):
+    """The siege's rig, loaded; returns it, the oracle and the flash
+    commands the load issued.  The DBMS mounts the oracle, which wraps
+    the front end: every host-level ack/barrier is witnessed at the
+    exact layer where the durability contract is spoken."""
+    loop = build_closed_loop(
+        SHAPES["siege"], "tpcb", "noftl", seed, telemetry=telemetry,
+        fault_plan=plan, frontend_config=SIEGE_FRONTEND,
+        wrap=lambda frontend: ChecksumOracle(frontend, shadow_reads=True),
+        preload=True, footprint=footprint)
+    return loop, loop.rig.frontend, loop.rig.array.fault_injector.ops
 
 
-def _run_traffic(rig, db, oracle, seed: int, duration_us: float,
+def _run_traffic(loop, oracle, seed: int, duration_us: float,
                  burst_counts: Dict[str, int],
                  ckpt_counts: Dict[str, int]):
     """Terminals + burst clients + checkpointer, one timed window; the
     terminals' stats, or ``None`` if the power died."""
-    sim = rig.sim
+    sim = loop.rig.sim
     end_at = sim.now + duration_us
     # Reserved high-LPN range, far above anything TPC-B allocates.
     base = oracle.logical_pages - 256
@@ -988,20 +916,18 @@ def _run_traffic(rig, db, oracle, seed: int, duration_us: float,
             base, 160, end_at, burst_counts,
             burst_size=120, gap_us=9_000.0,
         ))
-    sim.process(_checkpointer(sim, db, 15_000.0, ckpt_counts, end_at))
+    sim.process(_checkpointer(sim, loop.db, 15_000.0, ckpt_counts, end_at))
     try:
-        return run_workload(sim, db, WORKLOADS["cut", "tpcb"](),
-                            duration_us=duration_us,
-                            num_terminals=SIEGE_TERMINALS,
-                            rng=random.Random(seed), preloaded=True)
+        return loop.drive(duration_us, seed)
     except PowerCutError:
         return None
 
 
-def _mount_only_audit(array, geometry, oracle, report: SiegeReport):
+def _mount_only_audit(rig, oracle, report: SiegeReport):
     """Post-cut, pre-replay: power-cycle, OOB-mount a fresh manager (the
     scan is read-only) and read back every oracle-tracked page."""
-    sim, __, storage, __ = mount_array(array, geometry, config=CONFIG)
+    sim, __, storage, __ = mount_array(rig.array, rig.geometry,
+                                       config=rig.manager.config)
 
     durable = sorted(oracle.durable_floor)
     volatile = sorted(set(oracle.history) - set(oracle.durable_floor))
@@ -1056,15 +982,12 @@ def run_siege(seed: int = 11, duration_us: float = 140_000.0,
     """
     telemetry = MetricsRegistry()
     report = SiegeReport(seed=seed, telemetry=telemetry)
-    workload = WORKLOADS["cut", "tpcb"]()
-    footprint, geometry = _sized(workload, SIEGE_HEADROOM_PAGES)
 
     # -- run 1: fault-identical baseline, no cut --------------------------
-    rig, db, oracle, frontend, load_ops = _siege_rig(
-        geometry, footprint, seed, _siege_plan(seed))
-    _run_traffic(rig, db, oracle, seed, duration_us,
+    loop, oracle, load_ops = _siege_rig(seed, _siege_plan(seed))
+    _run_traffic(loop, oracle, seed, duration_us,
                  {"seq": 0, "sheds": 0}, {"sheds": 0})
-    report.baseline_ops = rig.array.fault_injector.ops
+    report.baseline_ops = loop.rig.array.fault_injector.ops
     if report.baseline_ops <= load_ops + 10:
         report.error = "baseline issued too few flash commands"
         return report
@@ -1072,9 +995,9 @@ def run_siege(seed: int = 11, duration_us: float = 140_000.0,
     # -- run 2: same scenario + the power cut -----------------------------
     span = report.baseline_ops - load_ops
     report.cut_op = load_ops + max(1, int(span * SIEGE_CUT_FRACTION))
-    rig, db, oracle, frontend, __ = _siege_rig(
-        geometry, footprint, seed, _siege_plan(seed, report.cut_op),
-        telemetry)
+    loop, oracle, __ = _siege_rig(seed, _siege_plan(seed, report.cut_op),
+                                  telemetry, loop.footprint)
+    rig, db, frontend = loop.rig, loop.db, oracle.adapter
     # Health telemetry rides on the instrumented (cut) run: the WA
     # ledger and windowed saturation series land in the exported
     # snapshot via the health.* collectors.
@@ -1083,8 +1006,8 @@ def run_siege(seed: int = 11, duration_us: float = 140_000.0,
     monitor.attach_frontend(frontend)
     monitor.install(telemetry)
     burst_counts, ckpt_counts = {"seq": 0, "sheds": 0}, {"sheds": 0}
-    cut = _run_to_cut(report, rig, db, lambda: _run_traffic(
-        rig, db, oracle, seed, duration_us, burst_counts, ckpt_counts))
+    cut = _run_to_cut(report, loop, lambda: _run_traffic(
+        loop, oracle, seed, duration_us, burst_counts, ckpt_counts))
     if cut is None:
         return report
     report.commits = db.txn_manager.commits
@@ -1102,11 +1025,10 @@ def run_siege(seed: int = 11, duration_us: float = 140_000.0,
     report.reads_checked = oracle.reads_checked
 
     # -- audit 1: the durability contract, before replay touches media ----
-    _mount_only_audit(rig.array, geometry, oracle, report)
+    _mount_only_audit(rig, oracle, report)
 
     # -- audit 2: cold start, business invariants, resume -----------------
-    _recover(report, rig, geometry, cut, workload, footprint + 96,
-             resume_us, seed + 1, SIEGE_TERMINALS)
+    _recover(report, loop, cut, resume_us, seed + 1)
     if not report.error:
         telemetry.register_collector("siege.report", report.snapshot)
     return report

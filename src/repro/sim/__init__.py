@@ -14,13 +14,8 @@ from .core import (
     Timeout,
     WaitQueue,
 )
-from .resources import Resource, Store
-from .stats import (
-    LatencyRecorder,
-    RunningStats,
-    percentile,
-    percentiles,
-)
+from .resources import Resource
+from .stats import LatencyRecorder, percentile, percentiles
 
 __all__ = [
     "AllOf",
@@ -32,9 +27,7 @@ __all__ = [
     "Timeout",
     "WaitQueue",
     "Resource",
-    "Store",
     "LatencyRecorder",
-    "RunningStats",
     "percentile",
     "percentiles",
 ]

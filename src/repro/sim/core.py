@@ -275,7 +275,7 @@ class _Condition(Event):
 
         Once the condition has its value, the losing children's
         ``_on_fire`` references are dead weight: on long-lived events
-        (e.g. a Store get raced against a timeout in a loop) they would
+        (e.g. an event raced against a timeout in a loop) they would
         otherwise accumulate without bound."""
         on_fire = self._on_fire
         for child in self._events:

@@ -1,18 +1,17 @@
 """Shared resources for DES processes.
 
 :class:`Resource` models a counted resource with a FIFO wait queue (a NAND
-die, a channel bus, a SATA NCQ slot).  :class:`Store` is an unbounded FIFO
-message queue used e.g. to hand dirty pages to background db-writers.
+die, a channel bus, a SATA NCQ slot).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Deque
 
 from .core import Event, Simulator
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -72,34 +71,3 @@ class Resource:
     def acquire(self):
         """Generator helper: ``yield from resource.acquire()``."""
         yield self.request()
-
-
-class Store:
-    """Unbounded FIFO queue: ``put`` never blocks, ``get`` blocks when empty."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self.total_puts = 0
-        self.total_gets = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        self.total_puts += 1
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item (immediately if available)."""
-        self.total_gets += 1
-        event = self.sim.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

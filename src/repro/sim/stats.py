@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 __all__ = [
-    "RunningStats",
     "LatencyRecorder",
     "percentile",
     "percentiles",
@@ -47,45 +46,6 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
     return [_percentile_of_sorted(ordered, q) for q in qs]
 
 
-class RunningStats:
-    """Welford's online mean/variance plus min/max."""
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"RunningStats(n={self.count}, mean={self.mean:.3f}, "
-            f"min={self.minimum:.3f}, max={self.maximum:.3f})"
-        )
-
-
 class LatencyRecorder:
     """Records individual latency samples and summarises their distribution.
 
@@ -97,23 +57,20 @@ class LatencyRecorder:
     def __init__(self, name: str = ""):
         self.name = name
         self.samples: List[float] = []
-        self.stats = RunningStats()
+        #: Running mean, updated per sample (Welford's recurrence).
+        self.mean = 0.0
 
     def record(self, latency: float) -> None:
-        self.stats.add(latency)
         self.samples.append(latency)
+        self.mean += (latency - self.mean) / len(self.samples)
 
     @property
     def count(self) -> int:
-        return self.stats.count
-
-    @property
-    def mean(self) -> float:
-        return self.stats.mean
+        return len(self.samples)
 
     @property
     def maximum(self) -> float:
-        return self.stats.maximum if self.samples else 0.0
+        return max(self.samples) if self.samples else 0.0
 
     def pct(self, q: float) -> float:
         return percentile(self.samples, q)

@@ -9,8 +9,11 @@ from repro.bench import (
     build_noftl_rig,
     build_sync_blockdev,
     build_sync_noftl,
+    dftl_slowdown,
+    fig4_dbwriters,
     geometry_for_footprint,
     geometry_with_dies,
+    headline_throughput,
     make_ftl,
     measure_workload_footprint,
     render_series,
@@ -117,6 +120,36 @@ class TestRigs:
         footprint = measure_workload_footprint(
             TPCB(sf=1, accounts_per_branch=50))
         assert footprint > 3
+
+
+class TestFigureBenchPins:
+    def test_closed_loop_figure_benches_pinned(self):
+        """E2/E3, E4 and E5 on the closed-loop rig at a 30 ms horizon:
+        every TPS, commit and counter is pinned exactly, so a change to
+        the rig recipe (kit, sizing, mount, db-writers, seeds) shows."""
+        fig4 = fig4_dbwriters("tpcb", dies_list=(2, 4), duration_us=30_000)
+        assert [(p.dies, p.policy, p.tps, p.dirty_eviction_stalls,
+                 p.region_lock_waits) for p in fig4.points] == [
+            (2, "global", 4733.333333333334, 0, 200),
+            (2, "region", 5300.0, 0, 0),
+            (4, "global", 5966.666666666667, 0, 185),
+            (4, "region", 6766.666666666667, 0, 0),
+        ]
+        headline = headline_throughput(workloads=("tpcb",),
+                                       duration_us=30_000)
+        assert [(p.architecture, p.tps, p.commits, p.p99_latency_us,
+                 p.gc_relocations, p.erases) for p in headline.points] == [
+            ("noftl", 11966.666666666668, 359, 3841.639999999992, 0, 0),
+            ("faster", 2933.3333333333335, 88, 12278.429599999825, 0, 0),
+            ("dftl", 6833.333333333334, 205, 7283.040000000074, 0, 0),
+        ]
+        dftl = dftl_slowdown(workloads=("tpcb",), cmt_sizes=(64,),
+                             duration_us=30_000)
+        assert [(p.ftl, p.cmt_entries, p.tps, p.cmt_hit_ratio, p.map_reads,
+                 p.map_programs) for p in dftl.points] == [
+            ("pagemap", 0, 8966.666666666668, 1.0, 0, 0),
+            ("dftl", 64, 5366.666666666667, 0.24301075268817204, 293, 10),
+        ]
 
 
 class TestTraceReplayIntegration:

@@ -104,8 +104,8 @@ class TestBlockDeviceDES:
 
     def test_trim_travels_the_full_host_path(self):
         """DATASET MANAGEMENT is symmetric with read/write: it pays the
-        interface overhead, records a latency sample, and emits a
-        ``host.op`` trace event — it is not a free mapping mutation."""
+        interface overhead and emits a ``host.op`` trace event carrying
+        its latency — it is not a free mapping mutation."""
         sim, device = make_blockdev(trace=EventTrace())
 
         def proc():
@@ -113,16 +113,13 @@ class TestBlockDeviceDES:
             yield from device.trim(5)
 
         sim.run_process(proc())
-        assert device.trim_latency.count == 1
-        sample = device.trim_latency.samples[0]
-        assert sample >= INTERFACE_OVERHEAD_US
-        kinds = [(e.fields.get("op"), e.kind) for e in device.trace.events
-                 if e.kind == "host.op"]
-        assert ("trim", "host.op") in kinds
-        assert ("write", "host.op") in kinds
+        elapsed = {e.fields["op"]: e.fields["elapsed_us"]
+                   for e in device.trace.events if e.kind == "host.op"}
+        assert sorted(elapsed) == ["trim", "write"]
+        assert elapsed["trim"] >= INTERFACE_OVERHEAD_US
 
     def test_concurrent_trims_serialize_on_controller(self):
-        sim, device = make_blockdev()
+        sim, device = make_blockdev(trace=EventTrace())
 
         def seed():
             for lpn in range(4):
@@ -140,7 +137,8 @@ class TestBlockDeviceDES:
         # trims mutate mapping state, so like writes they contend for
         # the controller slot instead of bypassing it as reads do
         assert device.controller.total_waits >= waits_before + 3
-        assert device.trim_latency.count == 4
+        assert [e.fields["op"] for e in device.trace.events
+                if e.kind == "host.op"].count("trim") == 4
 
 
 class TestSyncBlockDevice:

@@ -11,7 +11,6 @@ from repro.sim import (
     Interrupt,
     Resource,
     Simulator,
-    Store,
     WaitQueue,
 )
 
@@ -349,12 +348,13 @@ def kernel_scenario():
     """A deterministic scenario exercising every scheduling path of the
     kernel: zero-delay and delayed timeouts, succeed/fail events, yields
     on already-processed events, AnyOf/AllOf, interrupts, FIFO resources
-    and stores.  Returns the exact (time, tag) firing order."""
+    and events handed a value in order.  Returns the exact (time, tag)
+    firing order."""
     sim = Simulator()
     log = []
     gate = sim.event()
     resource = Resource(sim, capacity=1)
-    store = Store(sim)
+    mailboxes = [sim.event(), sim.event()]
 
     def worker(name, delay):
         yield sim.timeout(delay)
@@ -369,8 +369,8 @@ def kernel_scenario():
     def opener():
         yield sim.timeout(5)
         gate.succeed("open")
-        store.put("first")
-        store.put("second")
+        mailboxes[0].succeed("first")
+        mailboxes[1].succeed("second")
 
     def gate_waiter(name):
         value = yield gate
@@ -379,8 +379,8 @@ def kernel_scenario():
         again = yield gate
         log.append((sim.now, f"{name}:again={again}"))
 
-    def store_reader(name):
-        item = yield store.get()
+    def mailbox_reader(name, mailbox):
+        item = yield mailbox
         log.append((sim.now, f"{name}:got={item}"))
 
     def racer():
@@ -416,8 +416,8 @@ def kernel_scenario():
     sim.process(opener())
     sim.process(gate_waiter("g0"))
     sim.process(gate_waiter("g1"))
-    sim.process(store_reader("r0"))
-    sim.process(store_reader("r1"))
+    sim.process(mailbox_reader("r0", mailboxes[0]))
+    sim.process(mailbox_reader("r1", mailboxes[1]))
     sim.process(racer())
     target = sim.process(sleeper())
     sim.process(interrupter(target))

@@ -1,8 +1,8 @@
-"""Unit tests for Resource/Store and the stats helpers."""
+"""Unit tests for Resource and the stats helpers."""
 
 import pytest
 
-from repro.sim import LatencyRecorder, Resource, RunningStats, Simulator, Store
+from repro.sim import LatencyRecorder, Resource, Simulator
 from repro.sim import percentile
 
 
@@ -85,58 +85,6 @@ class TestResource:
         assert res.total_wait_time == 4
 
 
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-
-        def getter():
-            item = yield store.get()
-            return item
-
-        assert sim.run_process(getter()) == "x"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def putter():
-            yield sim.timeout(7)
-            store.put("late-item")
-
-        sim.process(getter())
-        sim.process(putter())
-        sim.run()
-        assert got == [(7, "late-item")]
-
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-
-        def getter():
-            items = []
-            for __ in range(3):
-                items.append((yield store.get()))
-            return items
-
-        assert sim.run_process(getter()) == [0, 1, 2]
-        assert len(store) == 0
-
-    def test_len_and_peek(self):
-        store = Store(Simulator())
-        store.put("a")
-        store.put("b")
-        assert len(store) == 2
-
-
 class TestStats:
     def test_percentile_median(self):
         assert percentile([1, 2, 3, 4, 5], 50) == 3
@@ -170,18 +118,19 @@ class TestStats:
         with pytest.raises(ValueError):
             percentiles([], (50,))
 
-    def test_running_stats_mean_and_extrema(self):
-        stats = RunningStats()
-        stats.extend([2, 4, 6])
-        assert stats.mean == pytest.approx(4)
-        assert stats.minimum == 2
-        assert stats.maximum == 6
-        assert stats.variance == pytest.approx(4)
+    def test_latency_recorder_mean_and_max(self):
+        rec = LatencyRecorder("reads")
+        for value in (2, 4, 6):
+            rec.record(value)
+        assert rec.count == 3
+        assert rec.mean == pytest.approx(4)
+        assert rec.maximum == 6
 
-    def test_running_stats_empty(self):
-        stats = RunningStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
+    def test_latency_recorder_empty(self):
+        rec = LatencyRecorder("reads")
+        assert rec.count == 0
+        assert rec.mean == 0.0
+        assert rec.maximum == 0.0
 
     def test_latency_recorder_summary(self):
         rec = LatencyRecorder("writes")

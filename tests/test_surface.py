@@ -73,9 +73,6 @@ ALLOWLIST: Dict[str, str] = {
     "Gauge.dec": "the decrement of the gauge's set/inc/dec contract",
     "BufferPool.set_dirty_listener": "subscription API of the pool's "
     "dirtying hook, whose fire-once contract is unit-tested",
-    "Store": "the DES kernel's blocking FIFO queue, the message-passing "
-    "counterpart of Resource",
-    "Store.put": "Store's producer side",
     "FaultInjector.add_spec": "fault-injection seam: arms a fault at an "
     "address a test learns only after writing it",
 }
